@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Counting connected marked coverings of the sphere, exactly.
 
-The oracle enumerates monodromy tuples (profile permutations followed by
-transpositions multiplying to the identity, acting transitively) through an
-exact class-level dynamic program, then compares against closed forms.
+The oracle counts monodromy tuples (profile permutations followed by
+transpositions multiplying to the identity, acting transitively) exactly:
+by the cut-and-join recursion for at most one profile, by a class-level
+dynamic program for more; the demo compares the counts with closed forms.
 """
 
 import math

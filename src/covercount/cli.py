@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 domain errors (invalid inputs), 3 budget refusals.
+Exit codes: 0 success, 2 domain errors (invalid inputs), 3 budget refusals,
+4 consistency failures (two exact routes disagreed).
 Diagnostics go to stderr; stdout carries only the requested data, with
 rationals always rendered as exact strings.
 """
@@ -14,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import algebra, gravity, hurwitz_series, trees
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, ConsistencyError, DomainError
 from .exact import TruncatedSeries, format_rational
 from .monodromy import (
     DEFAULT_CHARACTER_LIMIT,
@@ -28,6 +29,7 @@ from .symmetric import Partition
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_BUDGET = 3
+EXIT_CONSISTENCY = 4
 
 _SERIES = {
     "Y": algebra.series_y,
@@ -323,6 +325,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ConsistencyError as exc:
+        print(f"inconsistent: {exc}", file=sys.stderr)
+        return EXIT_CONSISTENCY
     except (DomainError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

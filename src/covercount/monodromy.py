@@ -7,18 +7,33 @@ transitive; the count divided by n! implements the 1/|Aut| weight, and each
 sigma_j carries a binomial factor choosing which of its fixed points are the
 marked simple preimages.
 
-The transposition phase is walked by an exact dynamic program over
-configuration classes.  A configuration is (running product, partition of
-the points into the connected blocks merged so far); its class records, per
-block, the cycle type of the product restricted to that block.  Transition
-counts out of a configuration depend only on its class, and the accepting
-class (identity product, single block) contains exactly one configuration,
-so class-level path counting reproduces the exact tuple count while keeping
-the state space at "multisets of partitions" size instead of n! x Bell(n).
+``hurwitz_connected`` counts the tuples by one of two exact routes, chosen
+by the number of profiles in the spec:
 
-All values are immutable and all functions pure; the module-level caches
-are grow-only with idempotent inserts, so concurrent use under CPython at
-worst duplicates work.
+* At most one profile: the cut-and-join recursion of Goulden and Jackson
+  ("Transitive factorizations into transpositions and holomorphic mappings
+  on the sphere", Proc. AMS 125, 1997).  For a fixed sigma of full cycle
+  type nu, the first transposition either joins two cycles of sigma (same
+  genus) or cuts one; after a cut the remaining transpositions act either
+  transitively (genus one lower) or on exactly two orbits, one holding each
+  piece, which share out the other cycles, the genus and the remaining
+  transpositions.  One memoized table indexed by (genus, cycle type) serves
+  every sheet count and profile.
+* Two or more profiles: a dynamic program over configuration classes.  A
+  configuration is (running product, partition of the points into the
+  connected blocks merged so far); its class records, per block, the cycle
+  type of the product restricted to that block.  Transition counts out of a
+  configuration depend only on its class, and the accepting class (identity
+  product, single block) contains exactly one configuration, so class-level
+  path counting reproduces the exact tuple count while keeping the state
+  space at "multisets of partitions" size instead of n! x Bell(n).  The
+  tests also run it on single-profile specs as a cross-check of the
+  recursion.
+
+The module-level tables (memoized counts, cut-and-join table, class graph)
+are shared and unlocked, and ``_intern`` reads the state count before it
+appends, so concurrent callers can map state ids to the wrong states.  The
+module is not thread-safe until those tables move into per-caller objects.
 """
 
 from __future__ import annotations
@@ -237,6 +252,141 @@ def _join_blocks(n: int, perms) -> list[list[int]]:
     return list(blocks.values())
 
 
+# ---------------------------------------------------------------------------
+# cut-and-join recursion
+
+# (g, nu) -> F(g, nu), see _cut_join_entry; nu weakly decreasing, 1-parts
+# included.  Filled in whole cells (every nu of one size k at one genus),
+# fewest parts first, so a cell is complete once its (1,) * k entry is in.
+_CUT_JOIN: dict[tuple[int, tuple[int, ...]], int] = {}
+
+
+def _partition_counts(n: int) -> list[int]:
+    """p(0), ..., p(n): the number of partitions of each k <= n."""
+    p = [1] + [0] * n
+    for part in range(1, n + 1):
+        for k in range(part, n + 1):
+            p[k] += p[k - part]
+    return p
+
+
+def _splits(counts: dict[int, int]):
+    """Every way to send the cycles counted by ``counts`` to two sides:
+    (left parts, right parts, number of ways to choose the left cycles)."""
+    sizes = list(counts)
+    for picks in _iproduct(*(range(counts[l] + 1) for l in sizes)):
+        left: list[int] = []
+        right: list[int] = []
+        ways = 1
+        for l, j in zip(sizes, picks):
+            left += [l] * j
+            right += [l] * (counts[l] - j)
+            ways *= math.comb(counts[l], j)
+        yield left, right, ways
+
+
+def _desc(parts) -> tuple[int, ...]:
+    return tuple(sorted(parts, reverse=True))
+
+
+def _cut_join_entry(g: int, nu: tuple[int, ...]) -> int:
+    """F(g, nu): tuples (tau_1..tau_r) of transpositions with
+    sigma tau_1 ... tau_r = id and <sigma, tau_1..tau_r> transitive, for one
+    fixed sigma of full cycle type nu, where r = 2g - 2 + |nu| + len(nu).
+
+    Reads the entries it depends on from the table: same size and genus
+    with one part fewer, same size at genus g - 1, and smaller sizes at
+    genus <= g."""
+    if nu == (1,):
+        return int(g == 0)
+    r = 2 * g - 2 + sum(nu) + len(nu)
+    cnt = Counter(nu)
+    lengths = sorted(cnt)
+    total = 0
+    # tau_1 joins a cycle of length l1 with one of length l2
+    for ai, l1 in enumerate(lengths):
+        for l2 in lengths[ai:]:
+            pairs = cnt[l1] * (cnt[l1] - 1) // 2 if l1 == l2 else cnt[l1] * cnt[l2]
+            if pairs:
+                rest = list(nu)
+                rest.remove(l1)
+                rest.remove(l2)
+                total += pairs * l1 * l2 * _CUT_JOIN[g, _desc(rest + [l1 + l2])]
+    # tau_1 cuts a cycle of length l into pieces d and l - d
+    for l in lengths:
+        if l < 2:
+            continue
+        rest = list(nu)
+        rest.remove(l)
+        splits = list(_splits(Counter(rest)))
+        for d in range(1, l // 2 + 1):
+            ways = cnt[l] * (l // 2 if 2 * d == l else l)
+            # tau_2..tau_r act transitively: tau_1 closes a handle
+            sub = _CUT_JOIN[g - 1, _desc(rest + [d, l - d])] if g > 0 else 0
+            # tau_2..tau_r have two orbits, one per piece, which tau_1 joins;
+            # C(r - 1, r1) interleaves the r1 transpositions of the first
+            for left, right, choose in splits:
+                a, b = _desc(left + [d]), _desc(right + [l - d])
+                size_a = sum(a) + len(a)
+                for g1 in range(g + 1):
+                    r1 = 2 * g1 - 2 + size_a
+                    sub += (
+                        choose
+                        * math.comb(r - 1, r1)
+                        * _CUT_JOIN[g1, a]
+                        * _CUT_JOIN[g - g1, b]
+                    )
+            total += ways * sub
+    return total
+
+
+def _cut_join_count(spec: CoveringSpec, node_budget: int) -> int:
+    """Tuple count of a spec with at most one profile, by cut-and-join."""
+    n, g = spec.n, spec.g
+    # the table for (g, n) holds one entry per (genus <= g, partition of
+    # k <= n); checked before any work, so a warm table cannot hide the
+    # size of the problem
+    entries = (g + 1) * sum(_partition_counts(n)[1:])
+    if entries > node_budget:
+        raise BudgetExceeded(
+            f"cut-and-join table would hold {entries} entries (> {node_budget})"
+        )
+    # cells in dependency order: size, then genus, then number of parts
+    for k in range(1, n + 1):
+        for h in range(g + 1):
+            if (h, (1,) * k) in _CUT_JOIN:
+                continue
+            for nu in sorted((p.parts for p in partitions_of(k)), key=len):
+                _CUT_JOIN[h, nu] = _cut_join_entry(h, nu)
+    sigma = spec.mus[0].nontrivial() if spec.mus else ()
+    nu = sigma + (1,) * (n - sum(sigma))
+    return conjugacy_class_size(Partition(sigma), n) * _CUT_JOIN[g, nu]
+
+
+def _class_dp_count(spec: CoveringSpec, node_budget: int) -> int:
+    """Tuple count of a spec with at least one profile, by the class DP."""
+    n = spec.n
+    # the first profile is pinned to one class representative and scaled
+    # by its class size; conjugation symmetry makes every representative
+    # contribute equally.  Remaining profiles range over their full class.
+    first = spec.mus[0].nontrivial()
+    rep = perm_from_cycle_lengths(first, n)
+    scale = conjugacy_class_size(Partition(first), n)
+    start: dict[int, int] = {}
+    pools = [list(class_elements(n, mu.nontrivial())) for mu in spec.mus[1:]]
+    est = scale
+    for pool in pools:
+        est *= len(pool)
+    if est > node_budget:
+        raise BudgetExceeded(
+            f"profile enumeration would visit ~{est} tuples (> {node_budget})"
+        )
+    for rest in _iproduct(*pools):
+        sid = _intern(_canon(_join_blocks(n, (rep,) + rest)))
+        start[sid] = start.get(sid, 0) + scale
+    return _walk_count(n, start, spec.c, node_budget)
+
+
 _CONNECTED_CACHE: dict[tuple, Fraction] = {}
 
 
@@ -246,47 +396,18 @@ def hurwitz_connected(
     """Connected marked covering count, weighted 1/|Aut|, as an exact rational.
 
     Tuple count over the monodromy data divided by n!; the division is the
-    orbit-stabilizer form of the automorphism weight.
+    orbit-stabilizer form of the automorphism weight.  Specs with at most
+    one profile are counted by cut-and-join, the others by the class DP.
     """
     key = (spec.g, spec.n, tuple(mu.parts for mu in spec.mus))
     cached = _CONNECTED_CACHE.get(key)
     if cached is not None:
         return cached
-    n, c = spec.n, spec.c
     weight = spec.marking_weight()
     if weight == 0:
         return Fraction(0)
-    if not spec.mus:
-        start = {_intern(_canon([[1]] * n)): 1}
-    else:
-        # the first profile is pinned to one class representative and scaled
-        # by its class size; conjugation symmetry makes every representative
-        # contribute equally.  Remaining profiles range over their full class.
-        first = spec.mus[0].nontrivial()
-        rep = perm_from_cycle_lengths(first, n)
-        scale = conjugacy_class_size(Partition(first), n)
-        start = {}
-        pools = [list(class_elements(n, mu.nontrivial())) for mu in spec.mus[1:]]
-        est = scale
-        for pool in pools:
-            est *= len(pool)
-        if est > node_budget:
-            raise BudgetExceeded(
-                f"profile enumeration would visit ~{est} tuples (> {node_budget})"
-            )
-        for rest in _iproduct(*pools):
-            sid = _intern(_canon(_join_blocks(n, (rep,) + rest)))
-            start[sid] = start.get(sid, 0) + scale
-        if c == 0:
-            # no transpositions: accept only configurations that are already
-            # the identity with a single block (n = 1 only, in practice)
-            target = _intern(_canon([[1] * n]))
-            count = start.get(target, 0)
-            value = Fraction(weight * count, math.factorial(n))
-            _CONNECTED_CACHE[key] = value
-            return value
-    count = _walk_count(n, start, c, node_budget)
-    value = Fraction(weight * count, math.factorial(n))
+    route = _cut_join_count if len(spec.mus) <= 1 else _class_dp_count
+    value = Fraction(weight * route(spec, node_budget), math.factorial(spec.n))
     _CONNECTED_CACHE[key] = value
     return value
 
@@ -330,5 +451,7 @@ def hurwitz_disconnected(
 
 
 def clear_caches() -> None:
-    """Drop memoized covering counts (the class graph is kept)."""
+    """Drop memoized covering counts and the cut-and-join table (the class
+    graph is kept)."""
     _CONNECTED_CACHE.clear()
+    _CUT_JOIN.clear()

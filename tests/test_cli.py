@@ -52,6 +52,20 @@ def test_hurwitz_budget_exit3(capsys):
     assert code == 3 and "refused" in err
 
 
+def test_consistency_error_exit4(capsys, monkeypatch):
+    import covercount.cli as cli
+    from covercount.errors import ConsistencyError
+
+    def disagree(*args, **kwargs):
+        raise ConsistencyError("two routes disagree")
+
+    monkeypatch.setattr(cli, "hurwitz_connected", disagree)
+    code, out, err = run(capsys, "hurwitz", "--g", "0", "--n", "3")
+    assert code == 4
+    assert out == ""
+    assert "inconsistent: two routes disagree" in err
+
+
 def test_identify_z(capsys):
     code, out, _ = run(
         capsys, "identify", "--name", "Z", "--order", "12", "--jmin", "-2", "--jmax", "2", "--json"

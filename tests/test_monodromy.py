@@ -5,11 +5,14 @@ import pytest
 
 from covercount.errors import BudgetExceeded, DomainError
 from covercount.monodromy import (
+    DEFAULT_NODE_BUDGET,
     CoveringSpec,
+    _class_dp_count,
+    clear_caches,
     hurwitz_connected,
     hurwitz_disconnected,
 )
-from covercount.symmetric import Partition
+from covercount.symmetric import Partition, partitions_of
 
 from .oracles import naive_connected_count, naive_total_count
 
@@ -184,6 +187,36 @@ def test_budget_refusal():
     clear_caches()  # a memoized value legitimately bypasses the budget
     with pytest.raises(BudgetExceeded):
         hurwitz_connected(CoveringSpec(0, 8, []), node_budget=50)
+
+
+def test_budget_refusal_with_warm_table():
+    # the cut-and-join budget is an up-front size estimate, so a table
+    # already filled by a larger spec must not let a small budget through
+    clear_caches()
+    hurwitz_connected(CoveringSpec(0, 9, []))
+    with pytest.raises(BudgetExceeded):
+        hurwitz_connected(CoveringSpec(0, 8, []), node_budget=50)
+
+
+def _class_dp_value(spec):
+    count = _class_dp_count(spec, DEFAULT_NODE_BUDGET)
+    return F(spec.marking_weight() * count, math.factorial(spec.n))
+
+
+@pytest.mark.parametrize("g", [0, 1, 2])
+def test_cut_and_join_matches_class_dp(g):
+    # every single-profile spec with n <= 8, the empty partition and
+    # profiles with 1-parts included; the spec without profiles has no DP
+    # route of its own and is compared through the marked profile (1)
+    for n in range(1, 9):
+        for m in range(n + 1):
+            for mu in partitions_of(m):
+                spec = CoveringSpec(g, n, [mu])
+                assert hurwitz_connected(spec) == _class_dp_value(spec), (g, n, mu)
+        marked = _class_dp_value(CoveringSpec(g, n, [Partition([1])]))
+        assert marked == n * hurwitz_connected(CoveringSpec(g, n, [])), (g, n)
+    # memoized counts skip the budget check; keep budget tests order-independent
+    clear_caches()
 
 
 def test_character_limit_refusal():
