@@ -65,17 +65,19 @@ def seq_a(nmax: int) -> list[int]:
 
 
 def a_closed(n: int) -> int:
-    """A_n = n! sum_{k=0}^{n-2} n^k/k!, as an exact integer."""
+    """A_n = n! sum_{k=0}^{n-2} n^k/k!, as an exact integer.
+
+    Integer Horner: P_k = sum_{j<=k} n^j k!/j! obeys P_k = k P_{k-1} + n^k,
+    and A_n = n (n-1) P_{n-2}.
+    """
     if n < 2:
         return 0
-    total = Fraction(0)
-    term = Fraction(1)  # n^k / k!
-    for k in range(0, n - 1):
-        total += term
-        term = term * n / (k + 1)
-    value = total * math.factorial(n)
-    assert value.denominator == 1
-    return value.numerator
+    p = 1
+    power = 1  # n^k
+    for k in range(1, n - 1):
+        power *= n
+        p = k * p + power
+    return n * (n - 1) * p
 
 
 def ypower_closed(k: int, order: int) -> TruncatedSeries:
@@ -86,6 +88,25 @@ def ypower_closed(k: int, order: int) -> TruncatedSeries:
     for n in range(k, order + 1):
         coeffs[n] = k * Fraction(n) ** (n - k - 1) / math.factorial(n - k)
     return TruncatedSeries(coeffs)
+
+
+def x_powers(jmin: int, jmax: int, order: int) -> dict[int, TruncatedSeries]:
+    """X^j to the given order for every jmin <= j <= jmax.
+
+    X = 1 - Y for j >= 0 and X^{-1} = 1 + Z for j < 0.  Each power is the
+    previous one times X or X^{-1}, one series product per power.
+    """
+    one = TruncatedSeries.one(order)
+    powers = {0: one}
+    if jmax > 0:
+        x = one - series_y(order)
+        for j in range(1, jmax + 1):
+            powers[j] = powers[j - 1] * x if j > 1 else x
+    if jmin < 0:
+        xinv = one + series_z(order)
+        for j in range(-1, jmin - 1, -1):
+            powers[j] = powers[j + 1] * xinv if j < -1 else xinv
+    return {j: powers[j] for j in range(jmin, jmax + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +314,11 @@ class LaurentPolyX:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPolyX":
-        out = LaurentPolyX({0: 1})
-        for _ in range(abs(k)):
-            out = out * self
         if k < 0:
             raise ValueError("use explicit negative exponents on X instead")
+        out = LaurentPolyX({0: 1})
+        for _ in range(k):
+            out = out * self
         return out
 
     def to_zpoly(self) -> ZPoly:
@@ -325,13 +346,11 @@ class LaurentPolyX:
         return {i: c for i, c in out.items() if c != 0}
 
     def to_series(self, order: int) -> TruncatedSeries:
-        y = series_y(order)
-        z = series_z(order)
-        x = TruncatedSeries.one(order) - y
-        xinv = TruncatedSeries.one(order) + z
         acc = TruncatedSeries.zero(order)
-        for j, c in self.coeffs.items():
-            acc = acc + ((x if j >= 0 else xinv) ** abs(j)) * c
+        if self.coeffs:
+            powers = x_powers(min(self.coeffs), max(self.coeffs), order)
+            for j, c in self.coeffs.items():
+                acc = acc + powers[j] * c
         return acc
 
     def coefficient(self, n: int) -> Fraction:
@@ -339,17 +358,20 @@ class LaurentPolyX:
 
         Positive X powers expand over Y^i with [q^n] Y^i = i n^{n-i-1}/(n-i)!;
         negative powers over Z^i, themselves resolved through the D^k Z and
-        D^k(Z^2) closed coefficient formulas.
+        D^k(Z^2) closed coefficient formulas.  Every piece is summed as the
+        integer n! [q^n] times a rational weight, A_n is computed at most
+        once, and the sum is divided by n! once at the end.
         """
+        a_n = a_closed(n) if min(self.coeffs, default=0) <= -2 else 0
         total = Fraction(0)
         for j, c in self.coeffs.items():
             if j >= 0:
                 for i in range(j + 1):
-                    total += c * math.comb(j, i) * (-1) ** i * _ypow_coefficient(i, n)
+                    total += c * math.comb(j, i) * (-1) ** i * _ypow_egf_coefficient(i, n)
             else:
                 for i in range(-j + 1):
-                    total += c * math.comb(-j, i) * _zpow_coefficient(i, n)
-        return total
+                    total += c * math.comb(-j, i) * _zpow_egf_coefficient(i, n, a_n)
+        return total / math.factorial(n)
 
     def to_json(self) -> dict[str, str]:
         return {str(j): format_rational(c) for j, c in self.coeffs.items()}
@@ -365,42 +387,38 @@ class LaurentPolyX:
         return "LaurentPolyX(" + " + ".join(terms) + ")"
 
 
-def _ypow_coefficient(i: int, n: int) -> Fraction:
+def _ypow_egf_coefficient(i: int, n: int) -> int:
+    """n! [q^n] Y^i = i n^{n-i} (n-1)!/(n-i)!, an integer."""
     if i == 0:
-        return Fraction(1 if n == 0 else 0)
+        return 1 if n == 0 else 0
     if n < i:
-        return Fraction(0)
-    return i * Fraction(n) ** (n - i - 1) / math.factorial(n - i)
+        return 0
+    return i * n ** (n - i) * math.perm(n - 1, i - 1)
 
 
 _ZPOW_CACHE: dict[int, list] = {}
 
 
-def _zpow_coefficient(i: int, n: int) -> Fraction:
-    """[q^n] Z^i via the spanning-list combination; O(i) big-int work per call."""
+def _zpow_egf_coefficient(i: int, n: int, a_n: int) -> Fraction:
+    """n! [q^n] Z^i via the spanning-list combination, given A_n.
+
+    O(i) big-int products per call: D^k Z contributes n^{n+k} and D^k(Z^2)
+    contributes n^k A_n, each times a rational weight.
+    """
     if i == 0:
         return Fraction(1 if n == 0 else 0)
     if n < 1:
         return Fraction(0)
-    if i == 1:
-        return Fraction(n**n, math.factorial(n))
     combo = _ZPOW_CACHE.get(i)
     if combo is None:
         combo = zpower_in_basis(i)
         _ZPOW_CACHE[i] = combo
     total = Fraction(0)
-    fact = math.factorial(n)
-    a_n = None
     for idx, coef in enumerate(combo):
         if coef == 0:
             continue
         k = idx // 2
-        if idx % 2 == 0:  # D^k Z: n^{n+k}/n!
-            total += coef * Fraction(n ** (n + k), fact)
-        else:  # D^k (Z^2): n^k A_n / n!
-            if a_n is None:
-                a_n = a_closed(n)
-            total += coef * Fraction(n**k * a_n, fact)
+        total += coef * (n ** (n + k) if idx % 2 == 0 else n**k * a_n)
     return total
 
 
@@ -440,13 +458,8 @@ def identify_in_a(
     if f.order + 1 < unknowns + slack:
         return Identification("underdetermined")
     order = f.order
-    y = series_y(order)
-    z = series_z(order)
-    x = TruncatedSeries.one(order) - y
-    xinv = TruncatedSeries.one(order) + z
-    cols = []
-    for j in range(jmin, jmax + 1):
-        cols.append(((x if j >= 0 else xinv) ** abs(j)).coeffs)
+    powers = x_powers(jmin, jmax, order)
+    cols = [powers[j].coeffs for j in range(jmin, jmax + 1)]
     rows = [[cols[t][n] for t in range(unknowns)] for n in range(order + 1)]
     sol = solve_exact(LinearSystem(rows, list(f.coeffs)))
     if sol.status == "inconsistent":

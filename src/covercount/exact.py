@@ -4,6 +4,14 @@ All coefficients are `fractions.Fraction`; no operation in this module ever
 rounds.  Series are stored in the plain convention (coefficient of q^n is
 c_n); helpers give the n!-scaled view used by exponential generating
 functions.
+
+The series product runs on plain integers.  Each operand is rewritten as
+EGF numerators over one common denominator, a_i = D i! c_i, the product is
+the binomial convolution s_k = sum_i C(k, i) a_i b_{k-i}, and each output
+coefficient is one reduced `Fraction(s_k, D_a D_b k!)`.  This is the single
+common-denominator design of FLINT's `fmpq_poly`, with the i! folded in so
+that tree series such as Z (a_i = i^i, D = 1) stay integral.  The inverse is
+Newton's iteration on that product.
 """
 
 from __future__ import annotations
@@ -33,6 +41,21 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def _egf_numerators(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, [D i! c_i]) with D the least positive integer making all of them ints."""
+    parts = []
+    den = 1
+    fact = 1
+    for i, c in enumerate(coeffs):
+        if i:
+            fact *= i
+        g = math.gcd(c.denominator, fact)
+        d = c.denominator // g
+        parts.append((c.numerator * (fact // g), d))
+        den = den * d // math.gcd(den, d)
+    return den, [p * (den // d) for p, d in parts]
 
 
 class TruncatedSeries:
@@ -118,14 +141,23 @@ class TruncatedSeries:
             a = as_rational(other)
             return TruncatedSeries([c * a for c in self.coeffs])
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, ci in enumerate(self.coeffs[: n + 1]):
-            if ci == 0:
-                continue
-            for j in range(n + 1 - i):
-                cj = other.coeffs[j]
-                if cj != 0:
-                    out[i + j] += ci * cj
+        da, a = _egf_numerators(self.coeffs[: n + 1])
+        db, b = _egf_numerators(other.coeffs[: n + 1])
+        out = []
+        denominator = da * db
+        for k in range(n + 1):
+            if k:
+                denominator *= k
+            s = 0
+            binom = 1  # C(k, i)
+            for i in range(k + 1):
+                ai = a[i]
+                if ai:
+                    bj = b[k - i]
+                    if bj:
+                        s += ai * bj * binom
+                binom = binom * (k - i) // (i + 1)
+            out.append(Fraction(s, denominator))
         return TruncatedSeries(out)
 
     __rmul__ = __mul__
@@ -147,18 +179,20 @@ class TruncatedSeries:
         return TruncatedSeries([n * c for n, c in enumerate(self.coeffs)])
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        Newton's iteration g <- g (2 - f g): if g is right to order m, the
+        step is right to order 2m + 1, so a handful of products reach the
+        full order.
+        """
         if self.coeffs[0] == 0:
             raise ValueError("series with zero constant term has no inverse")
-        n = self.order
-        inv = [Fraction(1) / self.coeffs[0]] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            s = Fraction(0)
-            for i in range(1, k + 1):
-                if i < len(self.coeffs) and self.coeffs[i] != 0:
-                    s += self.coeffs[i] * inv[k - i]
-            inv[k] = -s / self.coeffs[0]
-        return TruncatedSeries(inv)
+        g = TruncatedSeries([1 / self.coeffs[0]])
+        while g.order < self.order:
+            m = min(2 * g.order + 1, self.order)
+            g = TruncatedSeries(g.coeffs + (0,) * (m - g.order))
+            g = g * (2 - self.truncate(m) * g)
+        return g
 
     def shift_down(self, m: int) -> "TruncatedSeries":
         """Divide by q^m; the dropped coefficients must all be zero."""

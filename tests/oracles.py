@@ -2,7 +2,9 @@
 
 These deliberately use the dumbest correct method available (full tuple
 enumeration, direct convolutions) so they share no code path with the
-implementations they check.
+implementations they check.  The Fraction series product, inverse
+recurrence and A_n sum below are the library's former routes, kept here as
+references for its integer kernels.
 """
 
 from __future__ import annotations
@@ -111,6 +113,48 @@ def naive_total_count(g, n, mus):
         if prod == identity:
             count += 1
     return Fraction(weight * count, math.factorial(n))
+
+
+def cauchy_product(a, b):
+    """Product of two coefficient lists, truncated to the shorter one.
+
+    The direct Fraction convolution c_k = sum_i a_i b_{k-i}.
+    """
+    n = min(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i in range(n):
+        if a[i] == 0:
+            continue
+        for j in range(n - i):
+            if b[j] != 0:
+                out[i + j] += a[i] * b[j]
+    return out
+
+
+def series_inverse(a):
+    """Inverse of a coefficient list with a nonzero constant term.
+
+    The Fraction recurrence inv_k = -(sum_{i>=1} a_i inv_{k-i}) / a_0.
+    """
+    inv = [Fraction(1) / a[0]]
+    for k in range(1, len(a)):
+        s = sum((a[i] * inv[k - i] for i in range(1, k + 1) if a[i] != 0), Fraction(0))
+        inv.append(-s / a[0])
+    return inv
+
+
+def a_closed_fractions(n):
+    """A_n = n! sum_{k<=n-2} n^k/k!, summed term by term in Fractions."""
+    if n < 2:
+        return 0
+    total = Fraction(0)
+    term = Fraction(1)  # n^k / k!
+    for k in range(n - 1):
+        total += term
+        term = term * n / (k + 1)
+    value = total * math.factorial(n)
+    assert value.denominator == 1
+    return value.numerator
 
 
 def first_correction(p) -> float:

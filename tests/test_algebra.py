@@ -19,13 +19,14 @@ from covercount.algebra import (
     seq_a,
     series_y,
     series_z,
+    x_powers,
     ypower_closed,
     zbasis_element,
     zpower_in_basis,
 )
 from covercount.exact import TruncatedSeries, series_exp
 
-from .oracles import first_correction
+from .oracles import a_closed_fractions, cauchy_product, first_correction, series_inverse
 
 
 def test_y_and_z_first_coefficients():
@@ -61,6 +62,18 @@ def test_a_matches_z_squared():
     z2 = series_z(20) ** 2
     for n in range(1, 21):
         assert z2.egf_coefficient(n) == a_closed(n)
+
+
+def test_a_closed_matches_fraction_sum():
+    for n in [*range(301), 2000]:
+        assert a_closed(n) == a_closed_fractions(n)
+
+
+def test_tree_series_products_match_fraction_routes():
+    y, z = series_y(60), series_z(60)
+    assert list((z * z).coeffs) == cauchy_product(z.coeffs, z.coeffs)
+    assert list((y * z).coeffs) == cauchy_product(y.coeffs, z.coeffs)
+    assert list((1 + z).inverse().coeffs) == series_inverse((1 + z).coeffs)
 
 
 def test_ypower_closed_reduces_to_y_at_k1():
@@ -189,6 +202,40 @@ def test_identify_roundtrip_random_elements(coeffs):
         return
     ident = identify_in_a(p.to_series(25), min(p.support), max(p.support))
     assert ident.ok and ident.element == p
+
+
+@pytest.mark.parametrize("jmin, jmax", [(-4, 3), (-3, -1), (2, 4), (0, 0)])
+def test_x_powers_match_binary_powering(jmin, jmax):
+    one = TruncatedSeries.one(20)
+    x, xinv = one - series_y(20), one + series_z(20)
+    powers = x_powers(jmin, jmax, 20)
+    assert list(powers) == list(range(jmin, jmax + 1))
+    for j, s in powers.items():
+        assert s == (x if j >= 0 else xinv) ** abs(j)
+
+
+def test_laurent_pow_rejects_negative_exponent_before_multiplying(monkeypatch):
+    calls = []
+    mul = LaurentPolyX.__mul__
+    monkeypatch.setattr(LaurentPolyX, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    with pytest.raises(ValueError):
+        LaurentPolyX({1: 1, 0: 2}) ** -3
+    assert calls == []
+    assert LaurentPolyX({1: 1, 0: 2}) ** 2 == LaurentPolyX({2: 1, 1: 4, 0: 4})
+
+
+@given(
+    st.dictionaries(
+        st.integers(min_value=-6, max_value=6),
+        st.fractions(min_value=-5, max_value=5, max_denominator=10),
+        max_size=5,
+    )
+)
+@settings(max_examples=25, deadline=None)
+def test_laurent_coefficient_matches_series_random_elements(coeffs):
+    p = LaurentPolyX(coeffs)
+    s = p.to_series(20)
+    assert [p.coefficient(n) for n in range(21)] == list(s.coeffs)
 
 
 def test_laurent_coefficient_closed_form_matches_series():

@@ -13,6 +13,8 @@ from covercount.exact import (
     solve_exact,
 )
 
+from .oracles import cauchy_product, series_inverse
+
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=12
 )
@@ -20,6 +22,24 @@ rationals = st.fractions(
 
 def small_series(order=8):
     return st.lists(rationals, min_size=order + 1, max_size=order + 1).map(TruncatedSeries)
+
+
+# Zeros are frequent, so the kernels' zero skipping is exercised, and the
+# denominators reach primes (up to 97) that divide no i! at these orders.
+sparse_rationals = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-50, max_value=50, max_denominator=97)
+)
+nonzero_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=97).filter(bool)
+
+
+def any_order_series(max_order=12):
+    return st.lists(sparse_rationals, min_size=1, max_size=max_order + 1).map(TruncatedSeries)
+
+
+def unit_series(max_order=12):
+    return st.tuples(nonzero_rationals, st.lists(sparse_rationals, max_size=max_order)).map(
+        lambda t: TruncatedSeries([t[0], *t[1]])
+    )
 
 
 def test_difference_of_squares():
@@ -89,6 +109,42 @@ def test_exp_multiplicative_at_order_30():
     a = TruncatedSeries.monomial(1, 30) + TruncatedSeries.monomial(3, 30) * F(2, 7)
     b = TruncatedSeries.monomial(2, 30) * F(1, 5)
     assert series_exp(a + b) == series_exp(a) * series_exp(b)
+
+
+@given(any_order_series(), any_order_series())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_fraction_convolution(a, b):
+    got = a * b
+    assert got.order == min(a.order, b.order)
+    assert list(got.coeffs) == cauchy_product(a.coeffs, b.coeffs)
+    assert all(type(c) is F for c in got.coeffs)
+
+
+def test_product_edge_cases():
+    q2 = TruncatedSeries.monomial(2, 9, F(3, 7))
+    q3 = TruncatedSeries.monomial(3, 5, F(-5, 11))
+    assert q2 * q3 == TruncatedSeries.monomial(5, 5, F(-15, 77))
+    assert (q2 * TruncatedSeries.zero(9)).is_zero()
+    assert (TruncatedSeries.zero(0) * q2) == TruncatedSeries.zero(0)
+    a = TruncatedSeries([F(1, 101)] * 41)
+    b = TruncatedSeries([F(-k, 103) for k in range(41)])
+    assert list((a * b).coeffs) == cauchy_product(a.coeffs, b.coeffs)
+
+
+@given(unit_series())
+@settings(max_examples=150, deadline=None)
+def test_inverse_matches_fraction_recurrence(f):
+    inv = f.inverse()
+    assert inv.order == f.order
+    assert list(inv.coeffs) == series_inverse(f.coeffs)
+
+
+def test_inverse_rejects_zero_constant_term():
+    for f in (TruncatedSeries([0, 1, 2]), TruncatedSeries.zero(3), TruncatedSeries([0])):
+        with pytest.raises(ValueError):
+            f.inverse()
+        with pytest.raises(ValueError):
+            f ** -1
 
 
 def test_series_inverse_roundtrip():
