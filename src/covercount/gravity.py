@@ -90,6 +90,19 @@ def vanishing_combination(d: int) -> list[tuple[int, Fraction]]:
     return combo
 
 
+def _bracket_terms(spec: TauSpec) -> dict[tuple[int, ...], Fraction]:
+    """Expand prod_i tau_{d_i} over preimage multiplicities b_i in 1..d_i+1:
+    {profile mu = sorted b: summed coefficient}, zero coefficients dropped."""
+    consts: dict[tuple[int, ...], Fraction] = {}
+    for bs in _iproduct(*[range(1, d + 2) for d in spec.ds]):
+        coeff = Fraction(1)
+        for d, b in zip(spec.ds, bs):
+            coeff *= tau_coefficient(d, b)
+        mu = tuple(sorted(bs, reverse=True))
+        consts[mu] = consts.get(mu, Fraction(0)) + coeff
+    return {mu: const for mu, const in consts.items() if const != 0}
+
+
 def tau_bracket(spec: TauSpec, node_budget: int = DEFAULT_NODE_BUDGET) -> Fraction:
     """Exact bracket value as a finite combination of covering counts.
 
@@ -100,15 +113,12 @@ def tau_bracket(spec: TauSpec, node_budget: int = DEFAULT_NODE_BUDGET) -> Fracti
     if not spec.dimension_ok:
         return Fraction(0)
     total = Fraction(0)
-    for bs in _iproduct(*[range(1, d + 2) for d in spec.ds]):
-        coeff = Fraction(1)
-        for d, b in zip(spec.ds, bs):
-            coeff *= tau_coefficient(d, b)
-        mu = Partition(bs)
+    for parts, const in _bracket_terms(spec).items():
+        mu = Partition(parts)
         n = mu.m
         cn = n + spec.p + 2 * spec.g - 2
         h = hurwitz_connected(CoveringSpec(spec.g, n, [mu]), node_budget)
-        total += coeff * mu.aut * h / math.factorial(cn)
+        total += const * mu.aut * h / math.factorial(cn)
     return total
 
 
@@ -143,17 +153,8 @@ def h_tau_series(
             Identification("identified", LaurentPolyX({}), surplus + 1),
         )
     order = surplus + 1  # one order solves the single unknown
-    consts: dict[tuple[int, ...], Fraction] = {}
-    for bs in _iproduct(*[range(1, d + 2) for d in spec.ds]):
-        coeff = Fraction(1)
-        for d, b in zip(spec.ds, bs):
-            coeff *= tau_coefficient(d, b)
-        mu = tuple(sorted(bs, reverse=True))
-        consts[mu] = consts.get(mu, Fraction(0)) + coeff
     total = TruncatedSeries.zero(order)
-    for mu_parts, const in consts.items():
-        if const == 0:
-            continue
+    for mu_parts, const in _bracket_terms(spec).items():
         mu = Partition(mu_parts)
         m = mu.m
         r = mu.degeneracy

@@ -128,15 +128,7 @@ def normal_form_series(g: int, mu, phi: PhiPolynomial, order: int) -> TruncatedS
     mu = _as_partition(mu)
     if (phi.g, phi.mu) != (g, mu):
         raise DomainError("phi was fitted for a different (genus, profile) pair")
-    base = _normal_form_base(g, mu, order)
-    z = series_z(order)
-    acc = TruncatedSeries.zero(order)
-    zpow = TruncatedSeries.one(order)
-    for c in phi.poly.coeffs:
-        if c != 0:
-            acc = acc + base * zpow * c
-        zpow = zpow * z
-    return acc
+    return _normal_form_base(g, mu, order) * phi.poly.to_series(order)
 
 
 @dataclass(frozen=True)

@@ -22,18 +22,26 @@ by the number of profiles in the spec:
 * Two or more profiles: a dynamic program over configuration classes.  A
   configuration is (running product, partition of the points into the
   connected blocks merged so far); its class records, per block, the cycle
-  type of the product restricted to that block.  Transition counts out of a
-  configuration depend only on its class, and the accepting class (identity
-  product, single block) contains exactly one configuration, so class-level
-  path counting reproduces the exact tuple count while keeping the state
-  space at "multisets of partitions" size instead of n! x Bell(n).  The
-  tests also run it on single-profile specs as a cross-check of the
-  recursion.
+  type of the product restricted to that block.  Every step multiplies by a
+  whole conjugacy class: one step per profile after the first, then one
+  transposition step per simple point.  Conjugating a configuration and the
+  class together shows that the number of ways to reach each target class
+  depends only on the configuration's class, so one memoized move table
+  keyed by (class, cycle type) serves both kinds of step: transposition
+  moves come from closed formulas, profile moves from multiplying one
+  representative configuration by every element of the profile's class.
+  The accepting class (identity product, single block) contains exactly one
+  configuration, so class-level path counting reproduces the exact tuple
+  count while keeping the state space at "multisets of partitions" size
+  instead of n! x Bell(n).  The tests also run it on single-profile specs
+  as a cross-check of the recursion.
 
-The module-level tables (memoized counts, cut-and-join table, class graph)
-are shared and unlocked, and ``_intern`` reads the state count before it
-appends, so concurrent callers can map state ids to the wrong states.  The
-module is not thread-safe until those tables move into per-caller objects.
+The module-level tables (memoized counts, cut-and-join table, move table)
+are shared and unlocked.  Each entry is written once, after it is fully
+computed, and never changed, so concurrent counts at worst duplicate work
+and return the serial values.  ``clear_caches`` must not run while a count
+is in progress: the cut-and-join fill reads the entries it relies on from a
+table that ``clear_caches`` empties.
 """
 
 from __future__ import annotations
@@ -50,7 +58,6 @@ from .symmetric import (
     character,
     class_elements,
     conjugacy_class_size,
-    identity_perm,
     irrep_dimension,
     partitions_of,
     perm_cycles,
@@ -110,42 +117,39 @@ class CoveringSpec:
 
 # A state is a tuple of blocks, each block a weakly decreasing tuple of the
 # cycle lengths of the running product inside it; blocks sorted descending.
-_STATE_IDS: dict[tuple, int] = {}
-_STATES: list[tuple] = []
-_TRANSITIONS: list[list[tuple[int, int]] | None] = []
-_STATE_MIN_STEPS: list[int] = []  # (n - #cycles) + 2*(#blocks - 1), needs n added back
+# (state, nu) -> [(target, ways, distance)]: ways is the number of elements
+# of the class with nontrivial cycle lengths nu that move one configuration
+# of the state to one of the target, and distance is the fewest
+# transpositions that take the target to the accepting state.
+_MOVES: dict[tuple[tuple, tuple[int, ...]], list[tuple[tuple, int, int]]] = {}
 
 
 def _canon(blocks) -> tuple:
     return tuple(sorted((tuple(sorted(b, reverse=True)) for b in blocks), reverse=True))
 
 
-def _intern(state: tuple) -> int:
-    sid = _STATE_IDS.get(state)
-    if sid is None:
-        sid = len(_STATES)
-        _STATE_IDS[state] = sid
-        _STATES.append(state)
-        _TRANSITIONS.append(None)
-        cycles = sum(len(b) for b in state)
-        _STATE_MIN_STEPS.append(-cycles + 2 * (len(state) - 1))
-    return sid
+def _with_distances(n: int, moves: dict[tuple, int]) -> list[tuple[tuple, int, int]]:
+    """Attach to each target its distance n - #cycles + 2(#blocks - 1): a
+    transposition adds at most one cycle, and joining two blocks costs one
+    cycle that must be split again."""
+    return [
+        (t, ways, n - sum(map(len, t)) + 2 * (len(t) - 1)) for t, ways in moves.items()
+    ]
 
 
-def _build_transitions(sid: int) -> list[tuple[int, int]]:
+def _transposition_moves(state: tuple) -> list[tuple[tuple, int, int]]:
     """All single-transposition moves out of a class, with multiplicities."""
-    state = _STATES[sid]
-    blocks = [list(b) for b in state]
-    nb = len(blocks)
-    out: dict[int, int] = {}
+    nb = len(state)
+    counts = [Counter(b) for b in state]
+    out: dict[tuple, int] = {}
 
-    def emit(new_blocks, ways):
-        tid = _intern(_canon(new_blocks))
-        out[tid] = out.get(tid, 0) + ways
+    def emit(others, block, ways):
+        target = tuple(sorted(others + (tuple(sorted(block, reverse=True)),), reverse=True))
+        out[target] = out.get(target, 0) + ways
 
-    for i, b in enumerate(blocks):
-        others = [blocks[t] for t in range(nb) if t != i]
-        cnt = Counter(b)
+    for i, b in enumerate(state):
+        others = state[:i] + state[i + 1 :]
+        cnt = counts[i]
         # both points in one cycle: the cycle splits
         for l, mult in cnt.items():
             if l < 2:
@@ -155,7 +159,7 @@ def _build_transitions(sid: int) -> list[tuple[int, int]]:
                 nb2 = list(b)
                 nb2.remove(l)
                 nb2.extend((d, l - d))
-                emit(others + [nb2], ways)
+                emit(others, nb2, ways)
         # points in two different cycles of the same block: cycles merge
         lengths = sorted(cnt)
         for ai in range(len(lengths)):
@@ -172,84 +176,65 @@ def _build_transitions(sid: int) -> list[tuple[int, int]]:
                 nb2.remove(l1)
                 nb2.remove(l2)
                 nb2.append(l1 + l2)
-                emit(others + [nb2], ways)
+                emit(others, nb2, ways)
     # points in different blocks: blocks merge through the touched cycles
     for i in range(nb):
         for j in range(i + 1, nb):
-            rest = [blocks[t] for t in range(nb) if t not in (i, j)]
-            for l1, m1 in Counter(blocks[i]).items():
-                for l2, m2 in Counter(blocks[j]).items():
-                    ways = m1 * l1 * m2 * l2
-                    merged = list(blocks[i])
+            rest = tuple(state[t] for t in range(nb) if t not in (i, j))
+            for l1, m1 in counts[i].items():
+                for l2, m2 in counts[j].items():
+                    merged = list(state[i])
                     merged.remove(l1)
-                    tail = list(blocks[j])
+                    tail = list(state[j])
                     tail.remove(l2)
                     merged.extend(tail)
                     merged.append(l1 + l2)
-                    emit(rest + [merged], ways)
-    return list(out.items())
+                    emit(rest, merged, m1 * l1 * m2 * l2)
+    return _with_distances(sum(map(sum, state)), out)
 
 
-def _transitions(sid: int) -> list[tuple[int, int]]:
-    cached = _TRANSITIONS[sid]
-    if cached is None:
-        cached = _build_transitions(sid)
-        _TRANSITIONS[sid] = cached
-    return cached
+def _class_moves(state: tuple, nu: tuple[int, ...]) -> list[tuple[tuple, int, int]]:
+    """All moves out of a state by one element of the conjugacy class of
+    type nu, found by multiplying one configuration of the state by every
+    element of the class."""
+    lengths = [l for b in state for l in b]
+    n = sum(lengths)
+    # the representative lays the cycles out block by block
+    rep = perm_from_cycle_lengths(lengths, n)
+    owner = [i for i, b in enumerate(state) for _ in range(sum(b))]
+    out: dict[tuple, int] = {}
+
+    def find(a):  # union-find over the blocks of the representative
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for sigma in class_elements(n, nu):
+        parent = list(range(len(state)))
+        for x in range(n):
+            if sigma[x] != x:
+                parent[find(owner[x])] = find(owner[sigma[x]])
+        blocks: dict[int, list[int]] = {}
+        for cyc in perm_cycles(perm_mult(rep, sigma)):
+            blocks.setdefault(find(owner[cyc[0]]), []).append(len(cyc))
+        target = _canon(blocks.values())
+        out[target] = out.get(target, 0) + 1
+    return _with_distances(n, out)
 
 
-def _walk_count(n: int, start: dict[int, int], steps: int, budget: int) -> int:
-    """Exact number of weighted transposition walks landing on the accepting
-    class (identity, fully merged) after the given number of steps."""
-    target = _intern(_canon([[1] * n]))
-    vec = dict(start)
-    ops = 0
-    for step in range(steps):
-        remaining = steps - step - 1
-        new: dict[int, int] = {}
-        for sid, weight in vec.items():
-            for tid, mult in _transitions(sid):
-                # parity is preserved automatically; prune distance-to-target
-                if n + _STATE_MIN_STEPS[tid] > remaining:
-                    continue
-                new[tid] = new.get(tid, 0) + weight * mult
-                ops += 1
-        if ops > budget:
-            raise BudgetExceeded(
-                f"monodromy walk exceeded the node budget ({ops} > {budget})"
-            )
-        vec = new
-        if not vec:
-            return 0
-    return vec.get(target, 0)
+def _moves(state: tuple, nu: tuple[int, ...]) -> list[tuple[tuple, int, int]]:
+    """Moves out of a state by one element of the class of type nu, memoized;
+    a transposition step (nu = (2,)) reads them off closed formulas."""
+    moves = _MOVES.get((state, nu))
+    if moves is None:
+        moves = _transposition_moves(state) if nu == (2,) else _class_moves(state, nu)
+        _MOVES[state, nu] = moves
+    return moves
 
 
-def _join_blocks(n: int, perms) -> list[list[int]]:
-    """Connected blocks generated by the supports of the given permutations,
-    with the cycle type of the running product inside each block."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    prod = identity_perm(n)
-    for p in perms:
-        prod = perm_mult(prod, p)
-        for cyc in perm_cycles(p):
-            for a, b in zip(cyc, cyc[1:]):
-                union(a, b)
-    blocks: dict[int, list[int]] = {}
-    for cyc in perm_cycles(prod):
-        blocks.setdefault(find(cyc[0]), []).append(len(cyc))
-    return list(blocks.values())
+def _check_budget(work: int, budget: int) -> None:
+    if work > budget:
+        raise BudgetExceeded(f"class DP exceeded the node budget ({work} > {budget})")
 
 
 # ---------------------------------------------------------------------------
@@ -364,27 +349,42 @@ def _cut_join_count(spec: CoveringSpec, node_budget: int) -> int:
 
 
 def _class_dp_count(spec: CoveringSpec, node_budget: int) -> int:
-    """Tuple count of a spec with at least one profile, by the class DP."""
+    """Tuple count of a spec with at least one profile, by the class DP.
+
+    Every step multiplies by a whole class: one step per remaining profile,
+    then one per transposition.  The work counted against the budget is
+    |states| x |class| per profile step and one per move in a transposition
+    step, so it does not depend on which moves are already memoized."""
     n = spec.n
-    # the first profile is pinned to one class representative and scaled
-    # by its class size; conjugation symmetry makes every representative
-    # contribute equally.  Remaining profiles range over their full class.
+    # every configuration of the first profile alone has one block per cycle
     first = spec.mus[0].nontrivial()
-    rep = perm_from_cycle_lengths(first, n)
-    scale = conjugacy_class_size(Partition(first), n)
-    start: dict[int, int] = {}
-    pools = [list(class_elements(n, mu.nontrivial())) for mu in spec.mus[1:]]
-    est = scale
-    for pool in pools:
-        est *= len(pool)
-    if est > node_budget:
-        raise BudgetExceeded(
-            f"profile enumeration would visit ~{est} tuples (> {node_budget})"
-        )
-    for rest in _iproduct(*pools):
-        sid = _intern(_canon(_join_blocks(n, (rep,) + rest)))
-        start[sid] = start.get(sid, 0) + scale
-    return _walk_count(n, start, spec.c, node_budget)
+    start = _canon([[b] for b in first] + [[1]] * (n - sum(first)))
+    vec = {start: conjugacy_class_size(Partition(first), n)}
+    work = 0
+    for mu in spec.mus[1:]:
+        nu = mu.nontrivial()
+        work += len(vec) * conjugacy_class_size(Partition(nu), n)
+        _check_budget(work, node_budget)
+        new: dict[tuple, int] = {}
+        for state, weight in vec.items():
+            for target, ways, _ in _moves(state, nu):
+                new[target] = new.get(target, 0) + weight * ways
+        vec = new
+    for step in range(spec.c):
+        remaining = spec.c - step - 1
+        new = {}
+        for state, weight in vec.items():
+            moves = _moves(state, (2,))
+            work += len(moves)
+            for target, ways, distance in moves:
+                # parity is preserved automatically; prune distance-to-target
+                if distance <= remaining:
+                    new[target] = new.get(target, 0) + weight * ways
+        _check_budget(work, node_budget)
+        vec = new
+        if not vec:
+            return 0
+    return vec.get(((1,) * n,), 0)
 
 
 _CONNECTED_CACHE: dict[tuple, Fraction] = {}
@@ -451,7 +451,7 @@ def hurwitz_disconnected(
 
 
 def clear_caches() -> None:
-    """Drop memoized covering counts and the cut-and-join table (the class
-    graph is kept)."""
+    """Drop memoized covering counts and the cut-and-join table (the move
+    table of the class DP is kept)."""
     _CONNECTED_CACHE.clear()
     _CUT_JOIN.clear()

@@ -73,10 +73,6 @@ class Partition:
         return "(" + ",".join(map(str, self.parts)) + ")" if self.parts else "()"
 
 
-def identity_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
 def perm_mult(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Left-to-right product: x -> q(p(x))."""
     return tuple(q[p[x]] for x in range(len(p)))

@@ -1,18 +1,23 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import pytest
 
 from covercount.errors import BudgetExceeded, DomainError
 from covercount.monodromy import (
+    _MOVES,
     DEFAULT_NODE_BUDGET,
     CoveringSpec,
+    _canon,
     _class_dp_count,
+    _moves,
     clear_caches,
     hurwitz_connected,
     hurwitz_disconnected,
 )
-from covercount.symmetric import Partition, partitions_of
+from covercount.symmetric import Partition, conjugacy_class_size, partitions_of
 
 from .oracles import naive_connected_count, naive_total_count
 
@@ -139,23 +144,27 @@ def test_unmarked_nontrivial_profile_weight_is_one():
     assert CoveringSpec(0, 4, [Partition([2, 1])]).marking_weight() == 2
 
 
-def _walk_total_identity_product(n, start, steps):
-    """Walk the class DP without the transitivity filter: accept every state
-    whose running product is the identity (any block structure)."""
-    from covercount.monodromy import _STATES, _transitions
-
+def _identity_product_total(start, nus, steps):
+    """Walk the class DP without the transitivity filter: one step per class
+    type in nus, then the transposition steps, accepting every state whose
+    running product is the identity (any block structure)."""
     vec = dict(start)
-    for _ in range(steps):
+    for nu in list(nus) + [(2,)] * steps:
         new = {}
-        for sid, w in vec.items():
-            for tid, m in _transitions(sid):
-                new[tid] = new.get(tid, 0) + w * m
+        for state, w in vec.items():
+            for target, m, _ in _moves(state, nu):
+                new[target] = new.get(target, 0) + w * m
         vec = new
     return sum(
-        w
-        for sid, w in vec.items()
-        if all(l == 1 for block in _STATES[sid] for l in block)
+        w for state, w in vec.items() if all(l == 1 for block in state for l in block)
     )
+
+
+def _first_profile_start(n, parts):
+    """The class of the first profile alone: one block per cycle."""
+    parts = [b for b in parts if b >= 2]
+    blocks = [[p] for p in parts] + [[1]] * (n - sum(parts))
+    return {_canon(blocks): conjugacy_class_size(Partition(parts), n)}
 
 
 @pytest.mark.parametrize(
@@ -166,19 +175,95 @@ def test_walk_multiplicities_against_character_route(n, mus):
     # dropping the transitivity filter from the class walk must reproduce
     # the character-sum count exactly; this pins the transition
     # multiplicities at sizes no naive enumeration can reach
-    from covercount.monodromy import _canon, _intern
-    from covercount.symmetric import conjugacy_class_size, Partition as P
-
     spec = CoveringSpec(0, n, [Partition(m) for m in mus])
-    if not mus:
-        start = {_intern(_canon([[1]] * n)): 1}
-    else:
-        parts = [b for b in mus[0] if b >= 2]
-        blocks = [[p] for p in parts] + [[1]] * (n - sum(parts))
-        start = {_intern(_canon(blocks)): conjugacy_class_size(P(parts), n)}
-    total = _walk_total_identity_product(n, start, spec.c)
+    start = _first_profile_start(n, mus[0] if mus else ())
+    total = _identity_product_total(start, (), spec.c)
     dp_route = F(spec.marking_weight() * total, math.factorial(n))
     assert dp_route == hurwitz_disconnected(spec)
+
+
+@pytest.mark.parametrize(
+    "g,n,mus",
+    [
+        (0, 6, [(2, 2), (3,)]),
+        (0, 7, [(3, 2), (2, 2, 2)]),
+        (1, 6, [(2,), (3,)]),
+        (0, 6, [(2, 2), (2, 2)]),
+        (0, 8, [(4,), (2, 2), (3,)]),
+        (0, 7, [(3,), (3,), (2,)]),
+        (0, 8, [(2, 1, 1), (3, 3)]),
+    ],
+)
+def test_profile_step_multiplicities_against_character_route(g, n, mus):
+    # the same filter-free walk with whole profile classes as steps: pins
+    # the profile-step multiplicities for two and three profiles, equal
+    # profile types and marked 1-parts
+    spec = CoveringSpec(g, n, [Partition(m) for m in mus])
+    start = _first_profile_start(n, mus[0])
+    nus = [mu.nontrivial() for mu in spec.mus[1:]]
+    total = _identity_product_total(start, nus, spec.c)
+    dp_route = F(spec.marking_weight() * total, math.factorial(n))
+    assert dp_route == hurwitz_disconnected(spec)
+
+
+@pytest.mark.parametrize(
+    "g,n,mus",
+    [
+        (0, 7, [(2,), (3,), (3, 2)]),
+        (2, 7, [(3,), (2, 2), (4,)]),
+        (0, 8, [(2,), (3,), (2, 2)]),
+    ],
+)
+def test_count_invariant_under_profile_rotation(g, n, mus):
+    counts = {
+        hurwitz_connected(CoveringSpec(g, n, mus[k:] + mus[:k])) for k in range(len(mus))
+    }
+    assert len(counts) == 1 and counts != {0}
+
+
+def test_class_dp_budget_counts_the_work_cold_and_warm():
+    # g = 0, n = 3, three transposition profiles, one transposition.  The
+    # two profile steps enumerate 1 * 3 and then 2 * 3 class elements (the
+    # first leaves ((1,1),(1,)) and ((3,),)); the transposition step reads
+    # 2 moves out of each of ((2,),(1,)) and ((2,1),): 3 + 6 + 4 = 13
+    spec = CoveringSpec(0, 3, [Partition([2])] * 3)
+    for warm in (False, True):
+        if not warm:
+            _MOVES.clear()
+        with pytest.raises(BudgetExceeded):
+            _class_dp_count(spec, 12)
+        if not warm:
+            _MOVES.clear()
+        assert _class_dp_count(spec, 13) == _class_dp_count(spec, DEFAULT_NODE_BUDGET)
+
+
+def test_concurrent_counts_match_serial():
+    # table entries are written once, fully computed, so threads racing on
+    # cold tables at worst duplicate work
+    specs = [
+        CoveringSpec(0, 7, [Partition(m) for m in mus])
+        for mus in [[(2,), (3,), (3, 2)], [(3,), (3,), (3, 3)], [(2, 2), (4,), (2, 2, 2)]]
+    ] + [
+        CoveringSpec(1, 6, [Partition([2]), Partition([2, 2])]),
+        CoveringSpec(1, 7, [Partition([3, 2])]),  # the cut-and-join table
+    ]
+    clear_caches()
+    serial = [hurwitz_connected(spec) for spec in specs]
+
+    def run(k):
+        return [hurwitz_connected(spec) for spec in specs[k:] + specs[:k]]
+
+    clear_caches()
+    _MOVES.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(run, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for k, got in enumerate(results):
+        assert got == serial[k:] + serial[:k]
 
 
 def test_budget_refusal():
