@@ -2,9 +2,11 @@
 """Counting connected marked coverings of the sphere, exactly.
 
 The oracle counts monodromy tuples (profile permutations followed by
-transpositions multiplying to the identity, acting transitively) exactly:
-by the cut-and-join recursion for at most one profile, by a class-level
-dynamic program for more; the demo compares the counts with closed forms.
+transpositions multiplying to the identity, acting transitively) exactly,
+for any number of profiles, from one integer table: Frobenius's character
+formula gives the tuples without the transitivity condition, and splitting
+off the orbit of the first sheet gives the transitive ones; the demo
+compares the counts with closed forms.
 """
 
 import math

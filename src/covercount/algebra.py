@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import ConsistencyError
 from .exact import (
     LinearSystem,
     TruncatedSeries,
@@ -59,7 +60,7 @@ def seq_a(nmax: int) -> list[int]:
             s += math.factorial(n) // (math.factorial(p) * math.factorial(q)) * p**p * q**q
         closed = a_closed(n)
         if s != closed:
-            raise AssertionError(f"A_{n}: convolution {s} != closed form {closed}")
+            raise ConsistencyError(f"A_{n}: convolution {s} != closed form {closed}")
         out.append(s)
     return out
 
@@ -246,14 +247,14 @@ def zpower_in_basis(k: int) -> list[Fraction]:
         rhs.append(target[d])
     sol = solve_exact(LinearSystem(rows, rhs))
     if not sol.ok:
-        raise AssertionError(f"Z^{k} did not resolve over the spanning list: {sol.status}")
+        raise ConsistencyError(f"Z^{k} did not resolve over the spanning list: {sol.status}")
     combo = ZPoly([0])
     for c, p in zip(sol.solution, basis):
         combo = combo + p * c
     want = [Fraction(0)] * (k + 1)
     want[k] = Fraction(1)
     if combo != ZPoly(want):
-        raise AssertionError(f"re-expansion of Z^{k} combination failed")
+        raise ConsistencyError(f"re-expansion of Z^{k} combination failed")
     return list(sol.solution)
 
 

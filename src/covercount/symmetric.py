@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, permutations as _iperm
 from typing import Iterator
 
@@ -171,41 +170,53 @@ def class_elements(n: int, lengths) -> Iterator[tuple[int, ...]]:
 # characters
 
 
-@lru_cache(maxsize=None)
-def _mn_character(shape: tuple[int, ...], content: tuple[int, ...]) -> int:
-    """Murnaghan-Nakayama recursion: strip one border ribbon of the first
-    content entry from the shape, with sign (-1)^height.
+def _beta_set(parts) -> tuple[int, ...]:
+    """The beta-set of a shape, one bead per row: lambda_i + (rows - 1 - i),
+    strictly decreasing."""
+    rows = len(parts)
+    return tuple(b + rows - 1 - i for i, b in enumerate(parts))
 
-    A ribbon of size k spanning rows i..j leaves row t at shape[t+1]-1 for
-    i <= t < j and row j at shape[i]-k+(j-i); the removal is admissible
-    exactly when the resulting vector is again a partition.
+
+def _beta_dimension(beta: tuple[int, ...], m: int) -> int:
+    """m! prod_{i<j} (b_i - b_j) / prod b_i!: the dimension of the shape of
+    size m with the given beta-set when the beads are in decreasing order,
+    and its negative when they are an odd permutation of it."""
+    num = math.factorial(m)
+    den = 1
+    for i, b in enumerate(beta):
+        den *= math.factorial(b)
+        for a in beta[i + 1 :]:
+            num *= b - a
+    return num // den
+
+
+def _beta_character(beta: tuple[int, ...], m: int, parts) -> int:
+    """chi of the shape of size m with the given beta-set on the class of
+    type parts + 1^(m - |parts|), by the Murnaghan-Nakayama rule.
+
+    Each part k strips a rim hook: a bead moves from b to an empty b - k >= 0.
+    Left in place, it passes the beads strictly between, so the signed
+    beta-set dimension of what remains carries the rim hook's sign
+    (-1)^(beads between) and counts the fixed points' standard tableaux.
     """
-    if not content:
-        return 1
-    k = content[0]
-    rest = content[1:]
-    total = 0
-    rows = len(shape)
-    for i in range(rows):
-        for j in range(i, rows):
-            newshape = list(shape)
-            for t in range(i, j):
-                newshape[t] = shape[t + 1] - 1
-            newshape[j] = shape[i] - k + (j - i)
-            if newshape[j] < 0:
-                continue
-            if any(newshape[t] < newshape[t + 1] for t in range(rows - 1)):
-                continue
-            trimmed = tuple(x for x in newshape if x > 0)
-            total += (-1) ** (j - i) * _mn_character(trimmed, rest)
-    return total
+    layer = {beta: 1}
+    for k in parts:
+        nxt: dict[tuple[int, ...], int] = {}
+        for bs, w in layer.items():
+            for i, b in enumerate(bs):
+                if b >= k and b - k not in bs:
+                    moved = bs[:i] + (b - k,) + bs[i + 1 :]
+                    nxt[moved] = nxt.get(moved, 0) + w
+        layer = nxt
+    rest = m - sum(parts)
+    return sum(w * _beta_dimension(bs, rest) for bs, w in layer.items())
 
 
 def character(shape: Partition, class_type: Partition) -> int:
     """Irreducible character chi_shape evaluated on the given class."""
     if shape.m != class_type.m:
         raise DomainError("shape and class are partitions of different n")
-    return _mn_character(shape.parts, class_type.parts)
+    return _beta_character(_beta_set(shape.parts), shape.m, class_type.nontrivial())
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -222,5 +233,5 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
 
 def irrep_dimension(shape: Partition) -> int:
-    """chi(identity), via the character recursion on the all-ones class."""
-    return character(shape, Partition([1] * shape.m))
+    """chi(identity), the beta-set dimension of the shape."""
+    return _beta_dimension(_beta_set(shape.parts), shape.m)

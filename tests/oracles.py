@@ -4,14 +4,30 @@ These deliberately use the dumbest correct method available (full tuple
 enumeration, direct convolutions) so they share no code path with the
 implementations they check.  The Fraction series product, inverse
 recurrence and A_n sum below are the library's former routes, kept here as
-references for its integer kernels.
+references for its integer kernels; so are the two former covering-count
+routes (the class-level dynamic program and the cut-and-join recursion) and
+the Murnaghan-Nakayama recursion on shapes, references for the character
+table of `covercount.monodromy` and the beta-set characters of
+`covercount.symmetric`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
+
+from covercount.symmetric import (
+    Partition,
+    class_elements,
+    conjugacy_class_size,
+    partitions_of,
+    perm_cycles,
+    perm_from_cycle_lengths,
+    perm_mult,
+)
 
 
 def all_transpositions(n):
@@ -188,3 +204,263 @@ def first_correction(p) -> float:
     next_ratio = coeffs.get(1 - big_l, 0) / coeffs[-big_l]
     kappa = math.sqrt(2) * (big_l / 3 + float(next_ratio))
     return kappa * math.gamma(big_l / 2) / math.gamma((big_l - 1) / 2)
+
+
+@lru_cache(maxsize=None)
+def mn_character(shape, content):
+    """Murnaghan-Nakayama recursion on part tuples: strip one border ribbon
+    of the first content entry from the shape, with sign (-1)^height.
+
+    A ribbon of size k spanning rows i..j leaves row t at shape[t+1]-1 for
+    i <= t < j and row j at shape[i]-k+(j-i); the removal is admissible
+    exactly when the resulting vector is again a partition.
+    """
+    if not content:
+        return 1
+    k = content[0]
+    rest = content[1:]
+    total = 0
+    rows = len(shape)
+    for i in range(rows):
+        for j in range(i, rows):
+            newshape = list(shape)
+            for t in range(i, j):
+                newshape[t] = shape[t + 1] - 1
+            newshape[j] = shape[i] - k + (j - i)
+            if newshape[j] < 0:
+                continue
+            if any(newshape[t] < newshape[t + 1] for t in range(rows - 1)):
+                continue
+            trimmed = tuple(x for x in newshape if x > 0)
+            total += (-1) ** (j - i) * mn_character(trimmed, rest)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# class-level dynamic program over monodromy tuples
+#
+# A configuration is (running product, partition of the points into the
+# connected blocks merged so far); its class records, per block, the cycle
+# type of the product restricted to that block: a tuple of blocks, each a
+# weakly decreasing tuple of cycle lengths, blocks sorted descending.  Every
+# step multiplies by a whole conjugacy class (one per profile after the
+# first, then one transposition per simple point).  Conjugating a
+# configuration and the class together shows that the number of ways into
+# each target class depends only on the source class, and the accepting
+# class (identity product, one block) holds one configuration, so class
+# paths count tuples exactly.
+
+
+def canon(blocks):
+    return tuple(sorted((tuple(sorted(b, reverse=True)) for b in blocks), reverse=True))
+
+
+def _transposition_moves(state):
+    """All single-transposition moves out of a class, with multiplicities."""
+    nb = len(state)
+    counts = [Counter(b) for b in state]
+    out = {}
+
+    def emit(others, block, ways):
+        target = tuple(sorted(others + (tuple(sorted(block, reverse=True)),), reverse=True))
+        out[target] = out.get(target, 0) + ways
+
+    for i, b in enumerate(state):
+        others = state[:i] + state[i + 1 :]
+        cnt = counts[i]
+        # both points in one cycle: the cycle splits
+        for l, mult in cnt.items():
+            if l < 2:
+                continue
+            for d in range(1, l // 2 + 1):
+                ways = (l // 2 if 2 * d == l else l) * mult
+                nb2 = list(b)
+                nb2.remove(l)
+                nb2.extend((d, l - d))
+                emit(others, nb2, ways)
+        # points in two different cycles of the same block: cycles merge
+        lengths = sorted(cnt)
+        for ai in range(len(lengths)):
+            for bi in range(ai, len(lengths)):
+                l1, l2 = lengths[ai], lengths[bi]
+                if l1 == l2:
+                    mult = cnt[l1]
+                    if mult < 2:
+                        continue
+                    ways = (mult * (mult - 1) // 2) * l1 * l2
+                else:
+                    ways = cnt[l1] * cnt[l2] * l1 * l2
+                nb2 = list(b)
+                nb2.remove(l1)
+                nb2.remove(l2)
+                nb2.append(l1 + l2)
+                emit(others, nb2, ways)
+    # points in different blocks: blocks merge through the touched cycles
+    for i in range(nb):
+        for j in range(i + 1, nb):
+            rest = tuple(state[t] for t in range(nb) if t not in (i, j))
+            for l1, m1 in counts[i].items():
+                for l2, m2 in counts[j].items():
+                    merged = list(state[i])
+                    merged.remove(l1)
+                    tail = list(state[j])
+                    tail.remove(l2)
+                    merged.extend(tail)
+                    merged.append(l1 + l2)
+                    emit(rest, merged, m1 * l1 * m2 * l2)
+    return out
+
+
+def _class_moves(state, nu):
+    """All moves out of a class by one element of the class of type nu, by
+    multiplying one configuration of the state by every element."""
+    lengths = [l for b in state for l in b]
+    n = sum(lengths)
+    rep = perm_from_cycle_lengths(lengths, n)  # cycles laid out block by block
+    owner = [i for i, b in enumerate(state) for _ in range(sum(b))]
+    out = {}
+
+    def find(a):  # union-find over the blocks of the representative
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for sigma in class_elements(n, nu):
+        parent = list(range(len(state)))
+        for x in range(n):
+            if sigma[x] != x:
+                parent[find(owner[x])] = find(owner[sigma[x]])
+        blocks = {}
+        for cyc in perm_cycles(perm_mult(rep, sigma)):
+            blocks.setdefault(find(owner[cyc[0]]), []).append(len(cyc))
+        target = canon(blocks.values())
+        out[target] = out.get(target, 0) + 1
+    return out
+
+
+@lru_cache(maxsize=None)
+def dp_moves(state, nu):
+    """{target class: ways} for one step by the class of type nu."""
+    return _transposition_moves(state) if nu == (2,) else _class_moves(state, nu)
+
+
+def dp_start(n, parts):
+    """{class: configurations} of the first profile alone: one block per cycle."""
+    parts = tuple(b for b in parts if b >= 2)
+    blocks = [[b] for b in parts] + [[1]] * (n - sum(parts))
+    return {canon(blocks): conjugacy_class_size(Partition(parts), n)}
+
+
+def dp_walk(start, nus, steps):
+    """The class vector after one step per class type in nus, then `steps`
+    transposition steps."""
+    vec = dict(start)
+    for nu in list(nus) + [(2,)] * steps:
+        new = Counter()
+        for state, weight in vec.items():
+            for target, ways in dp_moves(state, nu).items():
+                new[target] += weight * ways
+        vec = new
+    return vec
+
+
+def class_dp_connected(g, n, mus):
+    """Weighted connected covering count by the class DP (at least one
+    profile: a spec without one is counted through the marked profile (1),
+    which multiplies it by n)."""
+    r = sum(sum(b - 1 for b in mu) for mu in mus)
+    c = 2 * n + 2 * g - 2 - r
+    weight = 1
+    for mu in mus:
+        moved = sum(b for b in mu if b >= 2)
+        weight *= math.comb(n - moved, sum(1 for b in mu if b == 1))
+    nus = [tuple(b for b in mu if b >= 2) for mu in mus]
+    vec = dp_walk(dp_start(n, nus[0]), nus[1:], c)
+    return Fraction(weight * vec.get(((1,) * n,), 0), math.factorial(n))
+
+
+# ---------------------------------------------------------------------------
+# cut-and-join recursion (Goulden-Jackson, Proc. AMS 125, 1997)
+
+
+def cut_join_table(g, n):
+    """{(h, nu): F(h, nu)} for every h <= g and every partition nu of k <= n,
+    1-parts included: the tuples (tau_1..tau_r) of transpositions with
+    sigma tau_1 ... tau_r = id and <sigma, tau_1..tau_r> transitive, for one
+    fixed sigma of full cycle type nu, where r = 2h - 2 + |nu| + len(nu).
+
+    The first transposition either joins two cycles of sigma (same genus) or
+    cuts one; after a cut the remaining transpositions act either
+    transitively (genus one lower) or on exactly two orbits, one holding each
+    piece, which share out the other cycles, the genus and the remaining
+    transpositions.  Filled in whole cells (every nu of one size at one
+    genus), fewest parts first, so every entry read is already in.
+    """
+    table = {}
+
+    def desc(parts):
+        return tuple(sorted(parts, reverse=True))
+
+    def splits(counts):
+        """(left parts, right parts, ways to choose the left cycles)."""
+        sizes = list(counts)
+        for picks in product(*(range(counts[l] + 1) for l in sizes)):
+            left, right, ways = [], [], 1
+            for l, j in zip(sizes, picks):
+                left += [l] * j
+                right += [l] * (counts[l] - j)
+                ways *= math.comb(counts[l], j)
+            yield left, right, ways
+
+    def entry(h, nu):
+        if nu == (1,):
+            return int(h == 0)
+        r = 2 * h - 2 + sum(nu) + len(nu)
+        cnt = Counter(nu)
+        lengths = sorted(cnt)
+        total = 0
+        # tau_1 joins a cycle of length l1 with one of length l2
+        for ai, l1 in enumerate(lengths):
+            for l2 in lengths[ai:]:
+                pairs = cnt[l1] * (cnt[l1] - 1) // 2 if l1 == l2 else cnt[l1] * cnt[l2]
+                if pairs:
+                    rest = list(nu)
+                    rest.remove(l1)
+                    rest.remove(l2)
+                    total += pairs * l1 * l2 * table[h, desc(rest + [l1 + l2])]
+        # tau_1 cuts a cycle of length l into pieces d and l - d
+        for l in lengths:
+            if l < 2:
+                continue
+            rest = list(nu)
+            rest.remove(l)
+            rest_splits = list(splits(Counter(rest)))
+            for d in range(1, l // 2 + 1):
+                ways = cnt[l] * (l // 2 if 2 * d == l else l)
+                # tau_2..tau_r act transitively: tau_1 closes a handle
+                sub = table[h - 1, desc(rest + [d, l - d])] if h > 0 else 0
+                # two orbits, one per piece; C(r - 1, r1) interleaves them
+                for left, right, choose in rest_splits:
+                    a, b = desc(left + [d]), desc(right + [l - d])
+                    size_a = sum(a) + len(a)
+                    for h1 in range(h + 1):
+                        r1 = 2 * h1 - 2 + size_a
+                        sub += choose * math.comb(r - 1, r1) * table[h1, a] * table[h - h1, b]
+                total += ways * sub
+        return total
+
+    for k in range(1, n + 1):
+        for h in range(g + 1):
+            for nu in sorted((p.parts for p in partitions_of(k)), key=len):
+                table[h, nu] = entry(h, nu)
+    return table
+
+
+def cut_join_connected(g, n, mu, table):
+    """Weighted connected count of (g, n; mu) read from a cut-and-join table
+    that covers (g, n)."""
+    sigma = tuple(b for b in mu if b >= 2)
+    nu = sigma + (1,) * (n - sum(sigma))
+    weight = math.comb(n - sum(sigma), sum(1 for b in mu if b == 1))
+    count = conjugacy_class_size(Partition(sigma), n) * table[g, nu]
+    return Fraction(weight * count, math.factorial(n))

@@ -24,7 +24,8 @@ from covercount.algebra import (
     zbasis_element,
     zpower_in_basis,
 )
-from covercount.exact import TruncatedSeries, series_exp
+from covercount.errors import ConsistencyError
+from covercount.exact import LinearSolution, TruncatedSeries, series_exp
 
 from .oracles import a_closed_fractions, cauchy_product, first_correction, series_inverse
 
@@ -345,3 +346,21 @@ def test_serialization_formats():
     assert LaurentPolyX.from_json(p.to_json()) == p
     term = leading_asymptotic(p)
     assert term.to_json() == {"constant": "1", "radical": "inv_sqrt_2pi", "gamma2": 1}
+
+
+def test_route_disagreement_raises_consistency_error(monkeypatch):
+    # a broken closed form for A_n, and a wrong solve behind Z^k; both are
+    # AssertionErrors too, so existing callers still catch them
+    from covercount import algebra
+
+    monkeypatch.setattr(algebra, "a_closed", lambda n: -1)
+    with pytest.raises(ConsistencyError):
+        seq_a(4)
+
+    def zero_solution(system):
+        return LinearSolution("unique", (F(0),) * len(system.matrix[0]))
+
+    monkeypatch.setattr(algebra, "solve_exact", zero_solution)
+    with pytest.raises(ConsistencyError):
+        zpower_in_basis(2)
+    assert issubclass(ConsistencyError, AssertionError)

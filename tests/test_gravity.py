@@ -208,6 +208,14 @@ def test_two_path_consistency_at_genus2():
     assert hg_empty_leading(2) == painleve_solve(2).e[2] == F(7, 1440)
 
 
+def test_hg_empty_leading_matches_painleve_through_genus8():
+    # e_g from covering counts alone (fitted normal form) against the
+    # Painleve I recursion
+    sol = painleve_solve(8)
+    for g in range(2, 9):
+        assert hg_empty_leading(g) == sol.e[g], g
+
+
 def test_hg_empty_leading_exceptional_genera():
     with pytest.raises(DomainError):
         hg_empty_leading(0)

@@ -144,6 +144,21 @@ def test_phi_constant_term_is_one_for_three_part_genus0():
         assert fit.phi.constant_term == 1
 
 
+@pytest.mark.parametrize("g,mu", [(5, (2,)), (4, (3, 2))])
+def test_fit_at_high_genus_predicts_further_counts(g, mu):
+    # the normal form holds on every surplus row of the fit, and the fitted
+    # series predicts the next two counts
+    fit = fit_from_oracle(g, mu, phi_degree_bound(g, len(mu)) + 3)
+    assert fit.surplus_verified >= 2
+    assert fit.phi.poly.degree == phi_degree_bound(g, len(mu))
+    n_last = max(1, sum(mu)) + phi_degree_bound(g, len(mu)) + 2
+    series = normal_form_series(g, mu, fit.phi, n_last + 2)
+    for n in (n_last + 1, n_last + 2):
+        cn = 2 * n + 2 * g - 2 - (sum(mu) - len(mu))
+        h = hurwitz_connected(CoveringSpec(g, n, [Partition(mu)]))
+        assert series.coefficient(n) == h / math.factorial(cn)
+
+
 def test_fit_rejects_too_few_points():
     mu = Partition([1])
     data = oracle_data(0, mu, range(1, 3))

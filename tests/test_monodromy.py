@@ -7,19 +7,22 @@ import pytest
 
 from covercount.errors import BudgetExceeded, DomainError
 from covercount.monodromy import (
-    _MOVES,
-    DEFAULT_NODE_BUDGET,
     CoveringSpec,
-    _canon,
-    _class_dp_count,
-    _moves,
     clear_caches,
     hurwitz_connected,
     hurwitz_disconnected,
 )
-from covercount.symmetric import Partition, conjugacy_class_size, partitions_of
+from covercount.symmetric import Partition, partitions_of
 
-from .oracles import naive_connected_count, naive_total_count
+from .oracles import (
+    class_dp_connected,
+    cut_join_connected,
+    cut_join_table,
+    dp_start,
+    dp_walk,
+    naive_connected_count,
+    naive_total_count,
+)
 
 
 def test_spec_derives_simple_point_count():
@@ -144,27 +147,15 @@ def test_unmarked_nontrivial_profile_weight_is_one():
     assert CoveringSpec(0, 4, [Partition([2, 1])]).marking_weight() == 2
 
 
-def _identity_product_total(start, nus, steps):
-    """Walk the class DP without the transitivity filter: one step per class
-    type in nus, then the transposition steps, accepting every state whose
-    running product is the identity (any block structure)."""
-    vec = dict(start)
-    for nu in list(nus) + [(2,)] * steps:
-        new = {}
-        for state, w in vec.items():
-            for target, m, _ in _moves(state, nu):
-                new[target] = new.get(target, 0) + w * m
-        vec = new
+def _identity_product_total(spec):
+    """Walk the class DP without the transitivity filter: one step per
+    profile after the first, then the transposition steps, accepting every
+    state whose running product is the identity (any block structure)."""
+    nus = [mu.nontrivial() for mu in spec.mus]
+    vec = dp_walk(dp_start(spec.n, nus[0] if nus else ()), nus[1:], spec.c)
     return sum(
         w for state, w in vec.items() if all(l == 1 for block in state for l in block)
     )
-
-
-def _first_profile_start(n, parts):
-    """The class of the first profile alone: one block per cycle."""
-    parts = [b for b in parts if b >= 2]
-    blocks = [[p] for p in parts] + [[1]] * (n - sum(parts))
-    return {_canon(blocks): conjugacy_class_size(Partition(parts), n)}
 
 
 @pytest.mark.parametrize(
@@ -176,8 +167,7 @@ def test_walk_multiplicities_against_character_route(n, mus):
     # the character-sum count exactly; this pins the transition
     # multiplicities at sizes no naive enumeration can reach
     spec = CoveringSpec(0, n, [Partition(m) for m in mus])
-    start = _first_profile_start(n, mus[0] if mus else ())
-    total = _identity_product_total(start, (), spec.c)
+    total = _identity_product_total(spec)
     dp_route = F(spec.marking_weight() * total, math.factorial(n))
     assert dp_route == hurwitz_disconnected(spec)
 
@@ -199,9 +189,7 @@ def test_profile_step_multiplicities_against_character_route(g, n, mus):
     # the profile-step multiplicities for two and three profiles, equal
     # profile types and marked 1-parts
     spec = CoveringSpec(g, n, [Partition(m) for m in mus])
-    start = _first_profile_start(n, mus[0])
-    nus = [mu.nontrivial() for mu in spec.mus[1:]]
-    total = _identity_product_total(start, nus, spec.c)
+    total = _identity_product_total(spec)
     dp_route = F(spec.marking_weight() * total, math.factorial(n))
     assert dp_route == hurwitz_disconnected(spec)
 
@@ -215,26 +203,46 @@ def test_profile_step_multiplicities_against_character_route(g, n, mus):
     ],
 )
 def test_count_invariant_under_profile_rotation(g, n, mus):
-    counts = {
-        hurwitz_connected(CoveringSpec(g, n, mus[k:] + mus[:k])) for k in range(len(mus))
-    }
-    assert len(counts) == 1 and counts != {0}
+    # the table is symmetric in the profiles by construction, so each
+    # rotation is checked against the class DP, which walks them in order
+    for k in range(len(mus)):
+        rotated = mus[k:] + mus[:k]
+        count = hurwitz_connected(CoveringSpec(g, n, rotated))
+        assert count == class_dp_connected(g, n, rotated) != 0
 
 
-def test_class_dp_budget_counts_the_work_cold_and_warm():
-    # g = 0, n = 3, three transposition profiles, one transposition.  The
-    # two profile steps enumerate 1 * 3 and then 2 * 3 class elements (the
-    # first leaves ((1,1),(1,)) and ((3,),)); the transposition step reads
-    # 2 moves out of each of ((2,),(1,)) and ((2,1),): 3 + 6 + 4 = 13
+@pytest.mark.parametrize(
+    "g,n,mus",
+    [
+        (0, 9, [(3, 3), (4, 2)]),
+        (0, 10, [(5,), (4, 2)]),
+        (1, 8, [(2, 2), (2, 2)]),
+        (0, 10, [(2,), (2,), (3,)]),
+        (2, 7, [(3,), (2, 2), (4,)]),
+        (0, 8, [(2, 1, 1), (3, 3), (2,)]),
+        (1, 7, [(3, 1), (2, 2, 1)]),
+    ],
+)
+def test_multi_profile_matches_class_dp(g, n, mus):
+    # two and three profiles, equal profile types, marked 1-parts
+    spec = CoveringSpec(g, n, [Partition(m) for m in mus])
+    assert hurwitz_connected(spec) == class_dp_connected(g, n, mus)
+
+
+def test_budget_refuses_three_profiles_cold_and_warm():
+    # g = 0, n = 3, three (2) profiles, c = 1.  Each profile has 2
+    # sub-multisets, so 8 in all; the table bound is 3 * 8 * (1//2 + 1) = 24
+    # entries, each up to 2 * p(3) = 6 shape terms plus 3 * 8 * 1 products:
+    # 24 * 30 = 720.  The bound depends on the spec alone, so a table that
+    # already holds the answer must not let a smaller budget through.
     spec = CoveringSpec(0, 3, [Partition([2])] * 3)
-    for warm in (False, True):
-        if not warm:
-            _MOVES.clear()
+    clear_caches()
+    for _ in ("cold", "warm"):
         with pytest.raises(BudgetExceeded):
-            _class_dp_count(spec, 12)
-        if not warm:
-            _MOVES.clear()
-        assert _class_dp_count(spec, 13) == _class_dp_count(spec, DEFAULT_NODE_BUDGET)
+            hurwitz_connected(spec, node_budget=719)
+        assert hurwitz_connected(spec, node_budget=720) == naive_connected_count(
+            0, 3, [(2,)] * 3
+        )
 
 
 def test_concurrent_counts_match_serial():
@@ -245,7 +253,8 @@ def test_concurrent_counts_match_serial():
         for mus in [[(2,), (3,), (3, 2)], [(3,), (3,), (3, 3)], [(2, 2), (4,), (2, 2, 2)]]
     ] + [
         CoveringSpec(1, 6, [Partition([2]), Partition([2, 2])]),
-        CoveringSpec(1, 7, [Partition([3, 2])]),  # the cut-and-join table
+        CoveringSpec(1, 7, [Partition([3, 2])]),
+        CoveringSpec(2, 8, []),
     ]
     clear_caches()
     serial = [hurwitz_connected(spec) for spec in specs]
@@ -253,17 +262,18 @@ def test_concurrent_counts_match_serial():
     def run(k):
         return [hurwitz_connected(spec) for spec in specs[k:] + specs[:k]]
 
-    clear_caches()
-    _MOVES.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(run, range(4), timeout=120))
+        for _ in range(4):  # each round races on cold tables
+            clear_caches()
+            # two threads per order: they reach the same entries together
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(run, (0, 0, 1, 1), timeout=120))
+            for k, got in zip((0, 0, 1, 1), results):
+                assert got == serial[k:] + serial[:k]
     finally:
         sys.setswitchinterval(interval)
-    for k, got in enumerate(results):
-        assert got == serial[k:] + serial[:k]
 
 
 def test_budget_refusal():
@@ -283,13 +293,8 @@ def test_budget_refusal_with_warm_table():
         hurwitz_connected(CoveringSpec(0, 8, []), node_budget=50)
 
 
-def _class_dp_value(spec):
-    count = _class_dp_count(spec, DEFAULT_NODE_BUDGET)
-    return F(spec.marking_weight() * count, math.factorial(spec.n))
-
-
 @pytest.mark.parametrize("g", [0, 1, 2])
-def test_cut_and_join_matches_class_dp(g):
+def test_count_table_matches_class_dp(g):
     # every single-profile spec with n <= 8, the empty partition and
     # profiles with 1-parts included; the spec without profiles has no DP
     # route of its own and is compared through the marked profile (1)
@@ -297,11 +302,28 @@ def test_cut_and_join_matches_class_dp(g):
         for m in range(n + 1):
             for mu in partitions_of(m):
                 spec = CoveringSpec(g, n, [mu])
-                assert hurwitz_connected(spec) == _class_dp_value(spec), (g, n, mu)
-        marked = _class_dp_value(CoveringSpec(g, n, [Partition([1])]))
+                assert hurwitz_connected(spec) == class_dp_connected(g, n, [mu.parts]), (
+                    g,
+                    n,
+                    mu,
+                )
+        marked = class_dp_connected(g, n, [(1,)])
         assert marked == n * hurwitz_connected(CoveringSpec(g, n, [])), (g, n)
-    # memoized counts skip the budget check; keep budget tests order-independent
-    clear_caches()
+
+
+@pytest.mark.parametrize("g", [3, 4])
+def test_count_table_matches_cut_and_join(g):
+    # single profiles at genera where the class DP is too slow, n <= 9
+    table = cut_join_table(g, 9)
+    for n in range(1, 10):
+        for m in range(n + 1):
+            for mu in partitions_of(m):
+                spec = CoveringSpec(g, n, [mu])
+                assert hurwitz_connected(spec) == cut_join_connected(g, n, mu.parts, table), (
+                    g,
+                    n,
+                    mu,
+                )
 
 
 def test_character_limit_refusal():

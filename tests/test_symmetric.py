@@ -15,7 +15,7 @@ from covercount.symmetric import (
     perm_mult,
 )
 
-from .oracles import perms_of_type
+from .oracles import mn_character, perms_of_type
 
 
 def test_partition_views_agree():
@@ -95,6 +95,16 @@ def test_character_table_s4_spot_checks():
     assert character(Partition([2, 2]), Partition([4])) == 0
     assert character(Partition([3, 1]), Partition([2, 1, 1])) == 1
     assert character(Partition([3, 1]), Partition([4])) == -1
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_beta_set_characters_match_ribbon_recursion(n):
+    # every (shape, class) pair of S_n, n <= 8, against the former
+    # border-ribbon recursion on part tuples
+    for shape in partitions_of(n):
+        assert irrep_dimension(shape) == mn_character(shape.parts, (1,) * n)
+        for cls in partitions_of(n):
+            assert character(shape, cls) == mn_character(shape.parts, cls.parts), (shape, cls)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
