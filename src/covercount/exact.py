@@ -12,6 +12,9 @@ coefficient is one reduced `Fraction(s_k, D_a D_b k!)`.  This is the single
 common-denominator design of FLINT's `fmpq_poly`, with the i! folded in so
 that tree series such as Z (a_i = i^i, D = 1) stay integral.  The inverse is
 Newton's iteration on that product.
+
+The linear solver eliminates on rows in input order only until full rank and
+checks the surplus rows (an identification's certificate) by substitution.
 """
 
 from __future__ import annotations
@@ -269,44 +272,46 @@ class LinearSolution:
 
 
 def solve_exact(system: LinearSystem) -> LinearSolution:
-    """Gauss-Jordan elimination over Fraction.
+    """Solve exactly on the fewest rows and check the rest by substitution.
 
-    Pivots on the entry of largest |numerator| in the column, which keeps
-    intermediate fractions from ballooning; exactness is unaffected by the
-    choice.  Over-determined consistent systems return the unique solution;
-    contradictory rows give 'inconsistent'; a consistent system with free
-    columns gives 'underdetermined'.
+    Rows are reduced in input order against the pivot rows found so far
+    (reduced row echelon form, pivot on the first nonzero entry) until the
+    rank equals the column count; every remaining row is then checked by
+    exact substitution.  Callers put the rows with the smallest numbers
+    first.  The pivot choice affects only speed, never the exact answer.
+
+    A row that reduces to zero with a nonzero right side, or a remaining row
+    the solution does not satisfy, gives 'inconsistent', also when the
+    system is rank-deficient; a consistent system with free columns gives
+    'underdetermined'; otherwise the solution is 'unique'.
     """
-    rows = [list(r) + [v] for r, v in zip(system.matrix, system.rhs)]
-    n_rows = len(rows)
+    n_rows = len(system.rhs)
     n_cols = len(system.matrix[0]) if n_rows else 0
-    piv_rows: list[tuple[int, int]] = []  # (row index, pivot column)
-    piv = 0
-    for col in range(n_cols):
-        best = None
-        for i in range(piv, n_rows):
-            v = rows[i][col]
-            if v != 0 and (best is None or abs(v.numerator) > abs(rows[best][col].numerator)):
-                best = i
-        if best is None:
+    pivots: dict[int, list[Fraction]] = {}  # pivot column -> row, pivot 1, rhs last
+    used = 0
+    while len(pivots) < n_cols and used < n_rows:
+        row = [*system.matrix[used], system.rhs[used]]
+        used += 1
+        for col, p in pivots.items():
+            f = row[col]
+            if f:
+                row = [v - f * w if w else v for v, w in zip(row, p)]
+        col = next((j for j in range(n_cols) if row[j]), None)
+        if col is None:
+            if row[n_cols]:
+                return LinearSolution("inconsistent")
             continue
-        rows[piv], rows[best] = rows[best], rows[piv]
-        pv = rows[piv][col]
-        for i in range(n_rows):
-            if i != piv and rows[i][col] != 0:
-                f = rows[i][col] / pv
-                for j in range(col, n_cols + 1):
-                    rows[i][j] -= f * rows[piv][j]
-        piv_rows.append((piv, col))
-        piv += 1
-        if piv == n_rows:
-            break
-    for i in range(piv, n_rows):
-        if rows[i][n_cols] != 0:
-            return LinearSolution("inconsistent")
-    if len(piv_rows) < n_cols:
+        pv = row[col]
+        row = [v / pv for v in row]
+        for c, p in pivots.items():
+            f = p[col]
+            if f:
+                pivots[c] = [v - f * w if w else v for v, w in zip(p, row)]
+        pivots[col] = row
+    if len(pivots) < n_cols:
         return LinearSolution("underdetermined")
-    sol = [Fraction(0)] * n_cols
-    for i, col in piv_rows:
-        sol[col] = rows[i][n_cols] / rows[i][col]
-    return LinearSolution("unique", tuple(sol))
+    solution = tuple(pivots[col][n_cols] for col in range(n_cols))
+    for row, b in zip(system.matrix[used:], system.rhs[used:]):
+        if sum(a * x for a, x in zip(row, solution) if x) != b:
+            return LinearSolution("inconsistent")
+    return LinearSolution("unique", solution)

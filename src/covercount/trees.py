@@ -6,7 +6,8 @@ statistics sum, over all trees and ordered marked pairs (a, b):
 
     p_{n,k} = sum C(l, k)   and   m_{n,k} = sum l^k,
 
-where l is the a-b path length.
+where l is the a-b path length.  Both read the distance histogram in closed
+form (a path times the rooted forests hanging off it); no tree is enumerated.
 """
 
 from __future__ import annotations
@@ -93,14 +94,16 @@ def tree_from_pruefer(seq: tuple[int, ...], n: int) -> LabeledTree:
     return LabeledTree(n, tuple(edges))
 
 
-def enumerate_trees(n: int, limit: int = ENUMERATION_LIMIT) -> Iterator[LabeledTree]:
-    """Stream all labeled trees on n vertices (n^{n-2} of them for n >= 2)."""
+def _check_size(n: int, limit: int) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > limit:
-        raise BudgetExceeded(
-            f"tree enumeration for n={n} exceeds the configured limit {limit}"
-        )
+        raise BudgetExceeded(f"tree enumeration for n={n} exceeds the configured limit {limit}")
+
+
+def enumerate_trees(n: int, limit: int = ENUMERATION_LIMIT) -> Iterator[LabeledTree]:
+    """Stream all labeled trees on n vertices (n^{n-2} of them for n >= 2)."""
+    _check_size(n, limit)
     if n == 1:
         yield LabeledTree(1, ())
         return
@@ -111,25 +114,17 @@ def enumerate_trees(n: int, limit: int = ENUMERATION_LIMIT) -> Iterator[LabeledT
         yield tree_from_pruefer(seq, n)
 
 
-_HISTOGRAM_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
 def distance_histogram(n: int, limit: int = ENUMERATION_LIMIT) -> tuple[int, ...]:
-    """hist[l] = number of (tree, ordered pair (a, b), a != b) at distance l."""
-    key = (n, limit)
-    cached = _HISTOGRAM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    hist = [0] * n
-    for tree in enumerate_trees(n, limit):
-        for a in range(1, n + 1):
-            dist = tree.distances_from(a)
-            for b in range(1, n + 1):
-                if b != a:
-                    hist[dist[b]] += 1
-    result = tuple(hist)
-    _HISTOGRAM_CACHE[key] = result
-    return result
+    """hist[l] = number of (tree, ordered pair (a, b), a != b) at distance l.
+
+    Closed form: the a-b path is one of n!/(n-l-1)! sequences of l+1
+    distinct vertices, and the trees containing it are the rooted forests
+    with those l+1 roots, (l+1) n^(n-l-1) / n of them (one when l = n-1).
+    The limit is kept for CLI compatibility: n above it is refused
+    (`cayley --limit`, exit 3).
+    """
+    _check_size(n, limit)
+    return (0,) + tuple(math.perm(n, l + 1) * (l + 1) * n ** (n - l - 1) // n for l in range(1, n))
 
 
 def dendrology_p(n: int, k: int, limit: int = ENUMERATION_LIMIT) -> Fraction:

@@ -8,7 +8,9 @@ references for its integer kernels; so are the two former covering-count
 routes (the class-level dynamic program and the cut-and-join recursion) and
 the Murnaghan-Nakayama recursion on shapes, references for the character
 table of `covercount.monodromy` and the beta-set characters of
-`covercount.symmetric`.
+`covercount.symmetric`.  The Gauss-Jordan solver over every row checks
+`covercount.exact.solve_exact`, and the Pruefer-enumeration distance
+histogram checks the closed form in `covercount.trees`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
+from covercount.exact import LinearSolution
 from covercount.symmetric import (
     Partition,
     class_elements,
@@ -28,6 +31,7 @@ from covercount.symmetric import (
     perm_from_cycle_lengths,
     perm_mult,
 )
+from covercount.trees import enumerate_trees
 
 
 def all_transpositions(n):
@@ -171,6 +175,63 @@ def a_closed_fractions(n):
     value = total * math.factorial(n)
     assert value.denominator == 1
     return value.numerator
+
+
+def gauss_jordan(system):
+    """The library's former solver: Gauss-Jordan over every row, in Fractions.
+
+    Pivots on the entry of largest |numerator| in the column; rows left
+    below the pivots must have a zero right side.
+    """
+    rows = [list(r) + [v] for r, v in zip(system.matrix, system.rhs)]
+    n_rows = len(rows)
+    n_cols = len(system.matrix[0]) if n_rows else 0
+    piv_rows = []  # (row index, pivot column)
+    piv = 0
+    for col in range(n_cols):
+        best = None
+        for i in range(piv, n_rows):
+            v = rows[i][col]
+            if v != 0 and (best is None or abs(v.numerator) > abs(rows[best][col].numerator)):
+                best = i
+        if best is None:
+            continue
+        rows[piv], rows[best] = rows[best], rows[piv]
+        pv = rows[piv][col]
+        for i in range(n_rows):
+            if i != piv and rows[i][col] != 0:
+                f = rows[i][col] / pv
+                for j in range(col, n_cols + 1):
+                    rows[i][j] -= f * rows[piv][j]
+        piv_rows.append((piv, col))
+        piv += 1
+        if piv == n_rows:
+            break
+    for i in range(piv, n_rows):
+        if rows[i][n_cols] != 0:
+            return LinearSolution("inconsistent")
+    if len(piv_rows) < n_cols:
+        return LinearSolution("underdetermined")
+    sol = [Fraction(0)] * n_cols
+    for i, col in piv_rows:
+        sol[col] = rows[i][n_cols] / rows[i][col]
+    return LinearSolution("unique", tuple(sol))
+
+
+def pruefer_distance_histogram(n):
+    """hist[l] over all labeled trees on n vertices, by Pruefer enumeration.
+
+    Counts ordered pairs (a, b), a != b, at distance l in every tree, the
+    former route of `covercount.trees.distance_histogram`.
+    """
+    hist = [0] * n
+    for tree in enumerate_trees(n):
+        for a in range(1, n + 1):
+            dist = tree.distances_from(a)
+            for b in range(1, n + 1):
+                if b != a:
+                    hist[dist[b]] += 1
+    return tuple(hist)
 
 
 def first_correction(p) -> float:

@@ -183,6 +183,16 @@ def test_identify_rejects_exp():
     assert ident.status == "inconsistent"
 
 
+def test_identify_rejects_change_in_last_coefficient_only():
+    # the solve fixes the answer on the first rows; the last of the 41 rows
+    # is only ever checked by substitution, and that check must still bite
+    p = LaurentPolyX({-3: 2, -2: -1, -1: 3, 0: -2, 1: 1, 2: F(1, 2)})
+    coeffs = list(p.to_series(40).coeffs)
+    assert identify_in_a(TruncatedSeries(coeffs), -3, 2).element == p
+    coeffs[-1] += F(1, 10**6)
+    assert identify_in_a(TruncatedSeries(coeffs), -3, 2).status == "inconsistent"
+
+
 def test_identify_underdetermined_when_order_too_small():
     ident = identify_in_a(series_z(6), -3, 3)
     assert ident.status == "underdetermined"

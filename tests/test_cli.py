@@ -95,6 +95,18 @@ def test_cayley_csv(capsys):
     assert lines[2] == "3,1,24,24"
 
 
+def test_cayley_refuses_beyond_default_limit(capsys):
+    code, out, err = run(capsys, "cayley", "--nmax", "9", "--kmax", "1")
+    assert code == 3 and "refused" in err
+    assert out == ""
+
+
+def test_cayley_refuses_beyond_given_limit(capsys):
+    code, out, err = run(capsys, "cayley", "--nmax", "6", "--limit", "5")
+    assert code == 3 and "refused" in err
+    assert out == ""
+
+
 def test_tau_bracket_cli(capsys):
     code, out, _ = run(capsys, "tau", "--g", "1", "--d", "1")
     assert code == 0 and out.strip() == "1/24"

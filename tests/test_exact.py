@@ -13,7 +13,7 @@ from covercount.exact import (
     solve_exact,
 )
 
-from .oracles import cauchy_product, series_inverse
+from .oracles import cauchy_product, gauss_jordan, series_inverse
 
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=12
@@ -198,6 +198,62 @@ def test_solution_reproduces_rhs(matrix, x):
     if res.ok:
         for row, b in zip(matrix, rhs):
             assert sum(r * s for r, s in zip(row, res.solution)) == b
+
+
+# built from two integers: st.fractions is several times slower to draw
+small_rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
+
+
+@st.composite
+def overdetermined_systems(draw):
+    """A (rows x cols) system of rank at most `rank`, rows >= cols.
+
+    The matrix is a product of random (rows x rank) and (rank x cols)
+    factors; the right side is A x for a random x, and then optionally has
+    one entry bumped, often the last one, so that the system is unique,
+    rank-deficient consistent, rank-deficient inconsistent, or inconsistent
+    only in its last row.
+    """
+    cols = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.integers(min_value=cols, max_value=7))
+    rank = draw(st.integers(min_value=0, max_value=cols))
+
+    def block(r, c):
+        flat = draw(st.lists(small_rationals, min_size=r * c, max_size=r * c))
+        return [flat[i * c : (i + 1) * c] for i in range(r)]
+
+    left, right = block(rows, rank), block(rank, cols)
+    matrix = [
+        [sum((left[i][t] * right[t][j] for t in range(rank)), F(0)) for j in range(cols)]
+        for i in range(rows)
+    ]
+    x = draw(st.lists(small_rationals, min_size=cols, max_size=cols))
+    rhs = [sum(a * b for a, b in zip(row, x)) for row in matrix]
+    bumped = draw(st.one_of(st.none(), st.just(rows - 1), st.integers(0, rows - 1)))
+    if bumped is not None:
+        rhs[bumped] += draw(small_rationals.filter(bool))
+    return LinearSystem(matrix, rhs)
+
+
+@given(overdetermined_systems())
+@settings(max_examples=200, deadline=None)
+def test_solve_matches_gauss_jordan_over_every_row(system):
+    assert solve_exact(system) == gauss_jordan(system)
+
+
+@pytest.mark.parametrize(
+    "matrix, rhs, status",
+    [
+        ([[1, 0], [0, 1], [1, 1], [2, 3]], [1, 2, 3, 8], "unique"),
+        ([[1, 0], [0, 1], [1, 1], [2, 3]], [1, 2, 3, 9], "inconsistent"),
+        ([[1, 2], [2, 4], [3, 6]], [1, 2, 3], "underdetermined"),
+        ([[1, 2], [2, 4], [3, 6]], [1, 2, 4], "inconsistent"),
+        ([[0, 0], [0, 0]], [0, 1], "inconsistent"),
+    ],
+)
+def test_solve_status_on_surplus_rows(matrix, rhs, status):
+    system = LinearSystem(matrix, rhs)
+    assert solve_exact(system).status == status == gauss_jordan(system).status
 
 
 def test_rational_formatting():

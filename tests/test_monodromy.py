@@ -279,13 +279,13 @@ def test_concurrent_counts_match_serial():
 def test_budget_refusal():
     from covercount.monodromy import clear_caches
 
-    clear_caches()  # a memoized value legitimately bypasses the budget
+    clear_caches()  # cold tables; the next test refuses with a warm one
     with pytest.raises(BudgetExceeded):
         hurwitz_connected(CoveringSpec(0, 8, []), node_budget=50)
 
 
 def test_budget_refusal_with_warm_table():
-    # the cut-and-join budget is an up-front size estimate, so a table
+    # the budget is an up-front bound on the count table's fill, so a table
     # already filled by a larger spec must not let a small budget through
     clear_caches()
     hurwitz_connected(CoveringSpec(0, 9, []))

@@ -9,10 +9,13 @@ from covercount.trees import (
     LabeledTree,
     dendrology_m,
     dendrology_p,
+    distance_histogram,
     enumerate_trees,
     moment_from_binomials,
     stirling_second,
 )
+
+from .oracles import pruefer_distance_histogram
 
 
 def test_tree_validation():
@@ -38,6 +41,20 @@ def test_cayley_count_n7_full_enumeration():
 def test_enumeration_limit_refusal():
     with pytest.raises(BudgetExceeded):
         list(enumerate_trees(9))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_closed_form_histogram_matches_pruefer_enumeration(n):
+    assert distance_histogram(n) == pruefer_distance_histogram(n)
+
+
+def test_histogram_refuses_above_limit():
+    with pytest.raises(BudgetExceeded, match="n=6 exceeds the configured limit 5"):
+        distance_histogram(6, limit=5)
+    with pytest.raises(BudgetExceeded):
+        dendrology_p(9, 1)
+    with pytest.raises(ValueError):
+        distance_histogram(0)
 
 
 def test_rooted_tree_forest_bijection():
