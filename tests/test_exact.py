@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covercount.algebra import series_y
 from covercount.exact import (
     LinearSystem,
     TruncatedSeries,
@@ -87,6 +88,17 @@ def test_exp_of_q_has_inverse_factorials():
 def test_exp_rejects_constant_term():
     with pytest.raises(ValueError):
         series_exp(TruncatedSeries.one(4))
+
+
+def test_exp_solves_tree_function_equation():
+    # Y = q exp(Y), the equation of the rooted-tree series, at order 40
+    y = series_y(40)
+    assert TruncatedSeries.monomial(1, 40) * series_exp(y) == y
+
+
+def test_exp_rejects_nonzero_constant_term_of_any_size():
+    with pytest.raises(ValueError):
+        series_exp(series_y(10) + F(-1, 3))
 
 
 @given(small_series(), small_series())

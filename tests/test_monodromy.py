@@ -229,6 +229,48 @@ def test_multi_profile_matches_class_dp(g, n, mus):
     assert hurwitz_connected(spec) == class_dp_connected(g, n, mus)
 
 
+# The benchmark's pool of multi-profile specs (two and three profiles, n 7-10,
+# g 0-3), counted once by the class DP of tests/oracles.py.
+PROFILE_POOL_COUNTS = [
+    (0, 10, ((2, 2, 2), (4, 2)), F(3262533120000)),
+    (0, 10, ((3, 2), (4, 2)), F(4316868864000)),
+    (0, 10, ((3, 3), (4, 2)), F(162294451200)),
+    (0, 10, ((5,), (4, 2)), F(80337600000)),
+    (1, 10, ((3, 3), (4, 2)), F(688635692236800)),
+    (2, 10, ((3, 2), (4, 2)), F(53829981109121817600)),
+    (2, 10, ((5,), (4, 2)), F(1263664778856480000)),
+    (3, 10, ((2, 2, 2), (4, 2)), F(87758709949517967360000)),
+    (3, 10, ((3, 2), (4, 2)), F(133143987584781844070400)),
+    (3, 10, ((5,), (4, 2)), F(3281674629615782400000)),
+    (0, 7, ((2,), (3,), (3, 2)), F(1682100)),
+    (0, 7, ((2, 2), (4,), (2, 2, 2)), F(18816)),
+    (0, 7, ((3,), (3,), (3, 3)), F(8910)),
+    (0, 7, ((4,), (2, 2, 2), (2, 2, 2)), F(992)),
+    (0, 8, ((2,), (3,), (2, 2)), F(2670796800)),
+    (0, 10, ((2,), (2,), (3,)), F(1868106240000000)),
+    (1, 7, ((4,), (2, 2, 2), (2, 2, 2)), F(633920)),
+    (1, 10, ((2,), (2,), (3,)), F(8204813396043264000)),
+    (2, 7, ((2,), (2, 2), (3, 3)), F(34505873640)),
+    (2, 7, ((2,), (2, 2, 2), (3, 3)), F(1741551840)),
+    (2, 7, ((2,), (3,), (3, 2)), F(675539657100)),
+    (2, 7, ((3,), (2, 2), (4,)), F(77383028520)),
+    (3, 7, ((3,), (3,), (4,)), F(24577679918880)),
+    (3, 9, ((2,), (2,), (2, 2)), F(61733755806436211097600)),
+    (3, 10, ((2,), (2,), (3,)), F(60448820280782896714752000)),
+]
+
+
+@pytest.mark.parametrize("rotate", [0, 1])
+def test_profile_pool_counts_on_cold_tables(rotate):
+    # the table keys the profiles as a sorted multiset, so the rotated order
+    # reads the same entries; each order is counted on cold tables against
+    # the pinned class-DP values
+    clear_caches()
+    for g, n, mus, expected in PROFILE_POOL_COUNTS:
+        mus = mus[rotate:] + mus[:rotate]
+        assert hurwitz_connected(CoveringSpec(g, n, mus)) == expected, (g, n, mus)
+
+
 def test_budget_refuses_three_profiles_cold_and_warm():
     # g = 0, n = 3, three (2) profiles, c = 1.  Each profile has 2
     # sub-multisets, so 8 in all; the table bound is 3 * 8 * (1//2 + 1) = 24
