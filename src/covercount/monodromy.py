@@ -31,19 +31,22 @@ rho_a running over the profilewise sub-multisets of rho.  Its term
 transitive count follows on integers from smaller entries.  This is the
 exponential formula of the tau-function form of the character sum (Okounkov,
 "Toda equations for Hurwitz numbers", Math. Res. Lett. 7, 2000), read one
-coefficient at a time.  T_conn is stored only where Riemann-Hurwitz allows a
-connected covering: c = deg rho mod 2 and c >= 2m - 2 - deg rho.  The tests
-check the table against the Goulden-Jackson cut-and-join recursion and a
-class-level dynamic program over monodromy tuples.
+coefficient at a time.  T_conn is computed only where Riemann-Hurwitz
+allows a connected covering (c = deg rho mod 2, c >= 2m - 2 - deg rho) and
+is 0 elsewhere.  The tests check the table against the Goulden-Jackson
+cut-and-join recursion and a class-level dynamic program over monodromy tuples.
 
-``node_budget`` bounds the products a fill evaluates, from the spec alone
-and before any work (see ``_check_budget``).  The module-level tables (the
-shapes of each S_m, the content weights of each row, and the two columns of
-the count table) are shared and unlocked.  Each entry is written once, after
-it is fully computed, and never changed, so concurrent counts at worst
-duplicate work and return the serial values.  ``clear_caches`` empties them
-all; it must not run while a count is in progress, because a fill reads the
-entries it relies on from those tables.
+Each f_{rho_j}, and cont = f_(2), is one column over the shapes of m
+(``character_column``), computed once per (m, class) and shared by every
+row whose rho holds that class.  Each (m, rho) stores T_disc and T_conn as
+two rows, lists indexed by c.  ``node_budget`` bounds the products a fill
+evaluates, from the spec alone and before any work (see ``_check_budget``).
+These tables and ``symmetric.shape_table`` are shared and unlocked.  A
+column or weight list is stored once, fully computed; a row grows by a new,
+longer, fully computed list, never by appending to a stored one, and a fill
+reads rows through its own references, so concurrent counts at worst
+duplicate work and return the serial values.  ``clear_caches`` empties
+every table; it is not meant to run during a count (untested).
 """
 
 from __future__ import annotations
@@ -53,15 +56,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
+from operator import mul as _mul
 
 from .errors import BudgetExceeded, DomainError
 from .symmetric import (
     Partition,
-    _beta_character,
-    _beta_dimension,
-    _beta_set,
+    character_column,
     conjugacy_class_size,
-    partitions_of,
+    shape_table,
 )
 
 DEFAULT_NODE_BUDGET = 10**9
@@ -114,14 +116,14 @@ class CoveringSpec:
 # ---------------------------------------------------------------------------
 # the count table
 
-# m -> [(beta-set, dim, content sum)] for every shape lambda |- m
-_SHAPES: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
-# (m, rho) -> {content sum k: W(k)}, see _disc_row
-_WEIGHTS: dict[tuple[int, tuple], dict[int, int]] = {}
-# (m, rho, c) -> T_disc, for c of the parity of deg rho
-_DISC: dict[tuple[int, tuple, int], int] = {}
-# (m, rho, c) -> T_conn, for the genera >= 0 only
-_CONN: dict[tuple[int, tuple, int], int] = {}
+# (m, parts) -> f_parts over the shapes of m, see _central
+_CENTRAL: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+# (m, rho) -> [(|content sum| k, W(k))], see _disc_row
+_WEIGHTS: dict[tuple[int, tuple], list[tuple[int, int]]] = {}
+# (m, rho) -> [T_disc(m, rho, c) for c = 0, 1, ...]
+_DISC: dict[tuple[int, tuple], list[int]] = {}
+# (m, rho) -> [T_conn(m, rho, c) for c = 0, 1, ...]
+_CONN: dict[tuple[int, tuple], list[int]] = {}
 
 
 def _key(profiles) -> tuple[tuple[int, ...], ...]:
@@ -156,85 +158,110 @@ def _partition_count(n: int) -> int:
     return p[n]
 
 
-def _shapes(m: int) -> list[tuple[tuple[int, ...], int, int]]:
-    shapes = _SHAPES.get(m)
-    if shapes is None:
-        shapes = []
-        for lam in partitions_of(m):
-            beta = _beta_set(lam.parts)
-            content = sum(b * (b - 1) // 2 - i * b for i, b in enumerate(lam.parts))
-            shapes.append((beta, _beta_dimension(beta, m), content))
-        shapes = _SHAPES.setdefault(m, shapes)
-    return shapes
+def _central(m: int, parts: tuple[int, ...]) -> list[int]:
+    """f_parts(lambda) = |C_parts| chi_lambda(parts + 1^(m-|parts|)) / dim(lambda)
+    over the shapes of m, one character column shared by every row."""
+    column = _CENTRAL.get((m, parts))
+    if column is None:
+        size = conjugacy_class_size(Partition(parts), m)
+        pairs = zip(character_column(m, parts), shape_table(m)[1])
+        column = _CENTRAL.setdefault((m, parts), [size * chi // dim for chi, dim in pairs])
+    return column
 
 
-def _disc_row(m: int, rho: tuple, cmax: int) -> None:
-    """Store T_disc(m, rho, c) for every c <= cmax of the parity of deg rho,
-    by Frobenius's formula grouped by content: sum_k W(k) k^c / m!, where
-    W(k) sums dim^2 prod_j f_{rho_j} over the shapes of content sum k."""
-    low = _degree(rho) % 2
-    while (m, rho, low) in _DISC:  # rows are stored from the lowest c up
-        low += 2
-    if low > cmax:
-        return
+def _disc_row(m: int, rho: tuple, cmax: int) -> list[int]:
+    """The T_disc row of (m, rho) through cmax at least, by Frobenius's
+    formula grouped by content: sum_k W(k) k^c / m!, where W(k) sums
+    dim^2 prod_j f_{rho_j} over the shapes of content sum k.  Only c of the
+    parity of deg rho give nonzero entries, so k and -k share one weight."""
+    deg = _degree(rho)
+    top = cmax - (cmax - deg) % 2  # the last c of the parity of deg
+    row = _DISC.get((m, rho), [])
+    if len(row) > top:
+        return row
     weights = _WEIGHTS.get((m, rho))
     if weights is None:
-        sizes = [conjugacy_class_size(Partition(parts), m) for parts in rho]
-        weights = {}
-        for beta, dim, content in _shapes(m):
-            term = dim * dim
-            for parts, size in zip(rho, sizes):
-                term = term * size * _beta_character(beta, m, parts) // dim
-            weights[content] = weights.get(content, 0) + term
+        # the content sum is the central character of the transpositions
+        contents = _central(m, (2,)) if m > 1 else [0]
+        terms = [dim * dim for dim in shape_table(m)[1]]
+        for parts in rho:
+            terms = list(map(_mul, terms, _central(m, parts)))
+        grouped: dict[int, int] = {}
+        for k, term in zip(contents, terms):
+            if k < 0:
+                k, term = -k, -term if deg % 2 else term
+            grouped[k] = grouped.get(k, 0) + term
+        weights = [(k, w) for k, w in grouped.items() if w]
         weights = _WEIGHTS.setdefault((m, rho), weights)
+    sums = [0] * (top + 1 - len(row))
+    first = (deg - len(row)) % 2  # the first new c of the parity of deg
+    for k, w in weights:
+        term, step = w * k ** (len(row) + first), k * k
+        for i in range(first, len(sums), 2):
+            sums[i] += term
+            term *= step
     fm = math.factorial(m)
-    for c in range(low, cmax + 1, 2):
-        _DISC.setdefault((m, rho, c), sum(w * k**c for k, w in weights.items()) // fm)
+    row = _DISC[m, rho] = row + [t // fm for t in sums]
+    return row
 
 
-def _fill(n: int, nu: tuple, cmax: int) -> None:
-    """Store T_disc and T_conn for every m <= n, every profilewise
-    sub-multiset rho of nu and every c <= cmax, smallest m first."""
-    subs = {_key(a for a, _ in pick) for pick in _iproduct(*map(_splits, nu))}
+def _fill(n: int, nu: tuple, cmax: int) -> list[int]:
+    """Store the T_disc and T_conn rows through cmax for every m <= n and
+    every profilewise sub-multiset rho of nu, smallest m first; return the
+    T_conn row of (n, nu)."""
+    plans = []
+    for rho in {_key(a for a, _ in pick) for pick in _iproduct(*map(_splits, nu))}:
+        pairs = []
+        for pick in _iproduct(*map(_splits, rho)):
+            a, b = _key(x for x, _ in pick), _key(y for _, y in pick)
+            pairs.append((a, b, _size(a), _size(b), _degree(a)))
+        plans.append((rho, _degree(rho), _size(rho), pairs))
+    binom = [[math.comb(c, j) for j in range(c + 1)] for c in range(cmax + 1)]
+    disc: dict[tuple[int, tuple], list[int]] = {}
+    conn: dict[tuple[int, tuple], list[int]] = {}
     for m in range(1, n + 1):
-        for rho in subs:
-            deg = _degree(rho)
-            top = cmax - (cmax - deg) % 2
-            # rows are stored from the lowest c up, so a stored top ends them
-            if _size(rho) > m or (m, rho, top) in _CONN:
+        for rho, deg, size, pairs in plans:
+            if size > m:
                 continue
-            _disc_row(m, rho, cmax)
-            pairs = []
-            for pick in _iproduct(*map(_splits, rho)):
-                a, b = _key(x for x, _ in pick), _key(y for _, y in pick)
-                pairs.append((a, b, _size(a), _size(b), _degree(a)))
-            for c in range(max(deg % 2, 2 * m - 2 - deg), top + 1, 2):
-                if (m, rho, c) in _CONN:
-                    continue
-                total = _DISC[m, rho, c]
-                # the orbit of the first sheet is a proper part (m_a < m)
-                for m_a in range(1, m):
-                    ways_m = math.comb(m - 1, m_a - 1)
-                    for a, b, size_a, size_b, deg_a in pairs:
-                        if size_a > m_a or size_b > m - m_a:
-                            continue
-                        for c_a in range(max(deg_a % 2, 2 * m_a - 2 - deg_a), c + 1, 2):
-                            total -= (
-                                ways_m
-                                * math.comb(c, c_a)
-                                * _CONN[m_a, a, c_a]
-                                * _DISC[m - m_a, b, c - c_a]
-                            )
-                _CONN.setdefault((m, rho, c), total)
+            drow = disc[m, rho] = _disc_row(m, rho, cmax)
+            top = cmax - (cmax - deg) % 2
+            row = conn[m, rho] = _CONN.get((m, rho), [])
+            if len(row) > top:
+                continue
+            # the first sheet's orbit, m_a < m: (C(m-1, m_a-1), T_conn row of
+            # (m_a, rho_a), T_disc row of (m-m_a, rho-rho_a), lowest c_a)
+            terms = [
+                (math.comb(m - 1, m_a - 1), conn[m_a, a], disc[m - m_a, b], low_a)
+                for m_a in range(1, m)
+                for a, b, size_a, size_b, deg_a in pairs
+                if size_a <= m_a and size_b <= m - m_a
+                for low_a in [max(deg_a % 2, 2 * m_a - 2 - deg_a)]
+            ]
+            # zero below the lowest connected c and off the parity of deg
+            new = [0] * (top + 1 - len(row))
+            low = max(2 * m - 2 - deg, len(row) + (deg - len(row)) % 2)
+            for c in range(low, top + 1, 2):
+                bc, total = binom[c], drow[c]
+                for ways, crow, brow, low_a in terms:
+                    if low_a <= c:
+                        inner = map(_mul, bc[low_a : c + 1 : 2], crow[low_a : c + 1 : 2])
+                        total -= ways * sum(map(_mul, inner, brow[c - low_a :: -2]))
+                new[c - len(row)] = total
+            conn[m, rho] = _CONN[m, rho] = row + new
+    return conn[n, nu]
 
 
 def _check_budget(n: int, nu: tuple, c: int, budget: int) -> None:
     """Refuse a fill whose bound on the products it evaluates exceeds the
     budget.  The table holds at most n x subs x (c//2 + 1) entries, subs the
     number of profilewise sub-multisets of nu.  A T_disc entry costs at most
-    two terms per shape of S_m (its row's content weights, built once, and
-    its sum over them), a T_conn entry one product per (m_a, rho_a, c_a).
-    The bound depends on the spec alone, so a warm table cannot change it."""
+    two terms per shape of S_m: one in its row's content weights (dim^2
+    prod_j f_{rho_j} per shape, built once per row) and one in its own sum
+    over the content sums.  A T_conn entry costs one product per
+    (m_a, rho_a, c_a).  The central-character columns the weights read, one
+    Murnaghan-Nakayama pass per (m, class) shared by every row, are not
+    counted.  The bound depends on the spec alone, so a warm table cannot
+    change it."""
     subs = math.prod(len(_splits(parts)) for parts in nu)
     entries = n * subs * (c // 2 + 1)
     work = entries * (2 * _partition_count(n) + n * subs * (c // 2 + 1))
@@ -258,8 +285,10 @@ def hurwitz_connected(
     n, c = spec.n, spec.c
     nu = _key(mu.nontrivial() for mu in spec.mus)
     _check_budget(n, nu, c, node_budget)
-    _fill(n, nu, c)
-    return Fraction(weight * _CONN[n, nu, c], math.factorial(n))
+    row = _CONN.get((n, nu), [])
+    if len(row) <= c:
+        row = _fill(n, nu, c)
+    return Fraction(weight * row[c], math.factorial(n))
 
 
 def hurwitz_disconnected(
@@ -276,13 +305,13 @@ def hurwitz_disconnected(
     if weight == 0:
         return Fraction(0)
     nu = _key(mu.nontrivial() for mu in spec.mus)
-    _disc_row(n, nu, c)
-    return Fraction(weight * _DISC[n, nu, c], math.factorial(n))
+    return Fraction(weight * _disc_row(n, nu, c)[c], math.factorial(n))
 
 
 def clear_caches() -> None:
-    """Empty every table of the module: shapes and both count columns."""
-    _SHAPES.clear()
+    """Empty every table: shapes, columns, weights and both row tables."""
+    shape_table.cache_clear()
+    _CENTRAL.clear()
     _WEIGHTS.clear()
     _DISC.clear()
     _CONN.clear()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations as _iperm
 from typing import Iterator
 
@@ -170,19 +171,11 @@ def class_elements(n: int, lengths) -> Iterator[tuple[int, ...]]:
 # characters
 
 
-def _beta_set(parts) -> tuple[int, ...]:
-    """The beta-set of a shape, one bead per row: lambda_i + (rows - 1 - i),
-    strictly decreasing."""
-    rows = len(parts)
-    return tuple(b + rows - 1 - i for i, b in enumerate(parts))
-
-
-def _beta_dimension(beta: tuple[int, ...], m: int) -> int:
-    """m! prod_{i<j} (b_i - b_j) / prod b_i!: the dimension of the shape of
-    size m with the given beta-set when the beads are in decreasing order,
-    and its negative when they are an odd permutation of it."""
-    num = math.factorial(m)
-    den = 1
+def irrep_dimension(shape: Partition) -> int:
+    """chi(identity) = n! prod_{i<j} (b_i - b_j) / prod_i b_i! over the
+    beta-set b_i = lambda_i + rows - 1 - i of the shape."""
+    beta = [b + len(shape) - 1 - i for i, b in enumerate(shape.parts)]
+    num, den = math.factorial(shape.m), 1
     for i, b in enumerate(beta):
         den *= math.factorial(b)
         for a in beta[i + 1 :]:
@@ -190,33 +183,54 @@ def _beta_dimension(beta: tuple[int, ...], m: int) -> int:
     return num // den
 
 
-def _beta_character(beta: tuple[int, ...], m: int, parts) -> int:
-    """chi of the shape of size m with the given beta-set on the class of
-    type parts + 1^(m - |parts|), by the Murnaghan-Nakayama rule.
+@lru_cache(maxsize=None)
+def shape_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The shapes of n in ``partitions_of(n)`` order: their beta-sets with n
+    beads, lambda_i + n - 1 - i for i < n, as bit masks, and their dimensions."""
+    shapes = list(partitions_of(n))
+    beads = [
+        sum(1 << (b + n - 1 - i) for i, b in enumerate(s.parts + (0,) * (n - len(s))))
+        for s in shapes
+    ]
+    return tuple(beads), tuple(map(irrep_dimension, shapes))
 
-    Each part k strips a rim hook: a bead moves from b to an empty b - k >= 0.
-    Left in place, it passes the beads strictly between, so the signed
-    beta-set dimension of what remains carries the rim hook's sign
-    (-1)^(beads between) and counts the fixed points' standard tableaux.
+
+def character_column(m: int, parts) -> list[int]:
+    """chi_lambda(parts + 1^(m - |parts|)) for every shape lambda of m, in
+    ``partitions_of(m)`` order, by the Murnaghan-Nakayama rule.
+
+    A shape is its beta-set of m beads, a bit mask.  Stripping a rim hook of
+    size k moves a bead from b to an empty b - k, with sign (-1)^(beads
+    strictly between).  The strips run backwards, from the leaves: each shape
+    of m - |parts| carries its dimension (the fixed points' standard
+    tableaux) and moves one bead up by each part in turn, so every shape of m
+    collects its whole signed sum in one pass.
     """
-    layer = {beta: 1}
+    pad = sum(parts)  # the beads a shape of m - |parts| lacks, all at the bottom
+    leaves = zip(*shape_table(m - pad))
+    layer = {mask << pad | (1 << pad) - 1: dim for mask, dim in leaves}
     for k in parts:
-        nxt: dict[tuple[int, ...], int] = {}
-        for bs, w in layer.items():
-            for i, b in enumerate(bs):
-                if b >= k and b - k not in bs:
-                    moved = bs[:i] + (b - k,) + bs[i + 1 :]
-                    nxt[moved] = nxt.get(moved, 0) + w
+        nxt: dict[int, int] = {}
+        for mask, w in layer.items():
+            beads = mask
+            while beads:
+                low = beads & -beads
+                beads ^= low
+                high = low << k
+                if not mask & high:
+                    odd = (mask & (high - (low << 1))).bit_count() & 1
+                    moved = mask ^ low ^ high
+                    nxt[moved] = nxt.get(moved, 0) + (-w if odd else w)
         layer = nxt
-    rest = m - sum(parts)
-    return sum(w * _beta_dimension(bs, rest) for bs, w in layer.items())
+    return [layer.get(mask, 0) for mask in shape_table(m)[0]]
 
 
 def character(shape: Partition, class_type: Partition) -> int:
     """Irreducible character chi_shape evaluated on the given class."""
     if shape.m != class_type.m:
         raise DomainError("shape and class are partitions of different n")
-    return _beta_character(_beta_set(shape.parts), shape.m, class_type.nontrivial())
+    column = character_column(shape.m, class_type.nontrivial())
+    return column[list(partitions_of(shape.m)).index(shape)]
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
@@ -230,8 +244,3 @@ def partitions_of(n: int) -> Iterator[Partition]:
 
     for parts in gen(n, n):
         yield Partition(parts)
-
-
-def irrep_dimension(shape: Partition) -> int:
-    """chi(identity), the beta-set dimension of the shape."""
-    return _beta_dimension(_beta_set(shape.parts), shape.m)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from covercount import monodromy
 from covercount.errors import BudgetExceeded, DomainError
 from covercount.monodromy import (
     CoveringSpec,
@@ -316,6 +317,20 @@ def test_concurrent_counts_match_serial():
                 assert got == serial[k:] + serial[:k]
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_rows_grow_by_publishing_new_lists():
+    # a stored row is never changed in place: a concurrent fill may hold a
+    # reference to it, so a longer row must be a new list
+    clear_caches()
+    hurwitz_connected(CoveringSpec(0, 6, [Partition([2, 2]), Partition([3])]))
+    tables = (monodromy._DISC, monodromy._CONN)
+    held = [{key: (row, list(row)) for key, row in table.items()} for table in tables]
+    hurwitz_connected(CoveringSpec(3, 6, [Partition([2, 2]), Partition([3])]))
+    for table, rows in zip(tables, held):
+        assert any(len(table[key]) > len(copy) for key, (_, copy) in rows.items())
+        for key, (row, copy) in rows.items():
+            assert row == copy, key
 
 
 def test_budget_refusal():

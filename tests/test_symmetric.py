@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -6,6 +7,7 @@ from covercount.errors import DomainError
 from covercount.symmetric import (
     Partition,
     character,
+    character_column,
     class_elements,
     conjugacy_class_size,
     cycle_type,
@@ -105,6 +107,30 @@ def test_beta_set_characters_match_ribbon_recursion(n):
         assert irrep_dimension(shape) == mn_character(shape.parts, (1,) * n)
         for cls in partitions_of(n):
             assert character(shape, cls) == mn_character(shape.parts, cls.parts), (shape, cls)
+
+
+# the profile classes of the multi-profile covering counts
+PROFILE_PARTS = ((2,), (3,), (2, 2), (4,), (3, 2), (2, 2, 2), (5,), (3, 3), (4, 2))
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_character_columns_match_ribbon_recursion(n):
+    # every profile class, and every product class of two or three of them,
+    # that fits in S_n: the whole column against the ribbon recursion
+    classes = {
+        tuple(sorted(sum(combo, ()), reverse=True))
+        for r in (1, 2, 3)
+        for combo in combinations_with_replacement(PROFILE_PARTS, r)
+    }
+    checked = 0
+    for parts in sorted(classes):
+        if sum(parts) > n:
+            continue
+        full = parts + (1,) * (n - sum(parts))
+        expected = [mn_character(shape.parts, full) for shape in partitions_of(n)]
+        assert character_column(n, parts) == expected, parts
+        checked += 1
+    assert checked == {9: 22, 10: 29}[n]  # distinct classes that fit
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
