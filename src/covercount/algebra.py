@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, Record
 from .exact import (
     LinearSystem,
     TruncatedSeries,
@@ -427,8 +426,7 @@ def _zpow_egf_coefficient(i: int, n: int, a_n: int) -> Fraction:
 # identification of a series as an algebra element
 
 
-@dataclass(frozen=True)
-class Identification:
+class Identification(Record):
     """Result of trying to write a series as a Laurent polynomial in X.
 
     status: 'identified', 'inconsistent' (not in the algebra on this support
@@ -498,8 +496,7 @@ _RADICAL_PRODUCTS = {
 }
 
 
-@dataclass(frozen=True)
-class ScaledRational:
+class ScaledRational(Record):
     """An exact rational times one radical marker from {1, sqrt2, (2pi)^{-1/2}}."""
 
     value: Fraction
@@ -540,8 +537,7 @@ class ScaledRational:
         return {"value": format_rational(self.value), "radical": self.radical.value}
 
 
-@dataclass(frozen=True)
-class AsymptoticTerm:
+class AsymptoticTerm(Record):
     """coeff_n ~ constant * e^n * n^{gamma-1}; gamma stored doubled to stay exact."""
 
     constant: ScaledRational

@@ -1,4 +1,5 @@
-"""Shared exception types; the CLI maps them to exit codes."""
+"""Shared exception types, which the CLI maps to exit codes, and ``Record``,
+the frozen base class of every value type."""
 
 
 class DomainError(ValueError):
@@ -12,3 +13,54 @@ class BudgetExceeded(RuntimeError):
 class ConsistencyError(AssertionError):
     """Two independent exact routes disagreed; this falsifies an identity
     the artifact relies on and is never recoverable."""
+
+
+class Record:
+    """An immutable value.  Its fields are the subclass's annotated names, in
+    order; a class attribute of the same name is a field's default.  Fields
+    are given by position or keyword, then ``_validate`` runs.  Equality holds
+    only within one class, hash and repr follow the fields, and assignment or
+    deletion raises AttributeError.  The plain ``__dict__`` keeps pickle and
+    deepcopy working; a subclass's own ``__init__`` sets fields with
+    ``object.__setattr__``."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        values = dict(zip(fields, args))
+        for name in fields[len(args) :]:
+            if name in kwargs or hasattr(cls, name):
+                values[name] = kwargs.pop(name, getattr(cls, name, None))
+        missing = [name for name in fields if name not in values]
+        extra = [*map(repr, args[len(fields) :]), *kwargs]
+        if missing or extra:
+            raise TypeError(f"{cls.__name__}: missing fields {missing}, unexpected {extra}")
+        self.__dict__.update(values)
+        self._validate()
+
+    def _validate(self):
+        """Checks on the constructed value; raise to reject it."""
+
+    def _values(self) -> tuple:
+        return tuple([self.__dict__[name] for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__

@@ -20,9 +20,10 @@ checks the surplus rows (an identification's certificate) by substitution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .errors import Record
 
 Rational = Fraction
 
@@ -233,8 +234,7 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(e)
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(Record):
     """Exact rows x cols rational system; rows >= cols is the normal case."""
 
     matrix: tuple
@@ -251,8 +251,7 @@ class LinearSystem:
         object.__setattr__(self, "rhs", b)
 
 
-@dataclass(frozen=True)
-class LinearSolution:
+class LinearSolution(Record):
     """Outcome of solve_exact.
 
     status is one of 'unique', 'inconsistent', 'underdetermined';

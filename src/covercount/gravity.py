@@ -10,7 +10,6 @@ b_g with their radical bookkeeping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
 
@@ -24,15 +23,14 @@ from .algebra import (
     inv_gamma_half_scaled,
     series_y,
 )
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, Record
 from .exact import TruncatedSeries, as_rational
 from .hurwitz_series import fit_phi, oracle_data, phi_degree_bound
 from .monodromy import DEFAULT_NODE_BUDGET, CoveringSpec, hurwitz_connected
 from .symmetric import Partition
 
 
-@dataclass(frozen=True)
-class TauSpec:
+class TauSpec(Record):
     """A bracket <tau_{d_1} ... tau_{d_p}>_g; ds is an unordered multiset."""
 
     g: int
@@ -122,8 +120,7 @@ def tau_bracket(spec: TauSpec, node_budget: int = DEFAULT_NODE_BUDGET) -> Fracti
     return total
 
 
-@dataclass(frozen=True)
-class TauSeriesResult:
+class TauSeriesResult(Record):
     spec: TauSpec
     bracket: Fraction
     series: TruncatedSeries
@@ -195,8 +192,7 @@ def tau_series_asymptotic(spec: TauSpec, bracket: Fraction) -> AsymptoticTerm:
 # string and dilaton reductions
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(Record):
     spec: TauSpec
     string_lhs: Fraction
     string_rhs: Fraction
@@ -278,8 +274,7 @@ class PainleveSeries:
         return r
 
 
-@dataclass(frozen=True)
-class PainleveSolution:
+class PainleveSolution(Record):
     u: PainleveSeries
     e: dict[int, Fraction]  # genus -> <tau_2^{3g-3}>/(3g-3)!
 
@@ -322,15 +317,14 @@ def painleve_solve(g_max: int) -> PainleveSolution:
 # gravity constants
 
 
-@dataclass(frozen=True)
-class GravityConstant:
+class GravityConstant(Record):
     """b_g in coeff ~ e^n n^{(5/2)(g-1)-1} b_g; radical marker is
     (2pi)^{-1/2} for even genus and absent for odd genus."""
 
     g: int
     b: ScaledRational
 
-    def __post_init__(self):
+    def _validate(self):
         expected = Radical.INV_SQRT_2PI if self.g % 2 == 0 else Radical.ONE
         if self.b.value != 0 and self.b.radical is not expected:
             raise ConsistencyError(

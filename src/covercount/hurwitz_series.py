@@ -13,7 +13,6 @@ exactly from covering counts and then over-verified on surplus orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -26,7 +25,7 @@ from .algebra import (
     series_y,
     series_z,
 )
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, Record
 from .exact import LinearSystem, TruncatedSeries, solve_exact
 from .monodromy import DEFAULT_NODE_BUDGET, CoveringSpec, hurwitz_connected
 from .symmetric import Partition
@@ -81,15 +80,14 @@ def phi_degree_bound(g: int, p: int) -> int:
     return max(3 * g - 3 + p, 0)
 
 
-@dataclass(frozen=True)
-class PhiPolynomial:
+class PhiPolynomial(Record):
     """The fitted normal-form polynomial for one (genus, profile) pair."""
 
     g: int
     mu: Partition
     poly: ZPoly
 
-    def __post_init__(self):
+    def _validate(self):
         bound = phi_degree_bound(self.g, self.mu.num_parts)
         if not self.poly.is_zero() and self.poly.degree > bound:
             raise DomainError(
@@ -131,8 +129,7 @@ def normal_form_series(g: int, mu, phi: PhiPolynomial, order: int) -> TruncatedS
     return _normal_form_base(g, mu, order) * phi.poly.to_series(order)
 
 
-@dataclass(frozen=True)
-class PhiFit:
+class PhiFit(Record):
     phi: PhiPolynomial
     surplus_verified: int
 
@@ -193,8 +190,7 @@ def oracle_data(
     return out
 
 
-@dataclass(frozen=True)
-class HurwitzSeries:
+class HurwitzSeries(Record):
     """An oracle-built generating series with its membership certificate."""
 
     g: int

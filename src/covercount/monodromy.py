@@ -53,12 +53,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
 from operator import mul as _mul
 
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, Record
 from .symmetric import (
     Partition,
     character_column,
@@ -70,8 +69,7 @@ DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_CHARACTER_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class CoveringSpec:
+class CoveringSpec(Record):
     """A covering-count problem: genus, sheet count, ramification profiles."""
 
     g: int

@@ -8,16 +8,14 @@ monodromy convention where factors act in tuple order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations as _iperm
 from typing import Iterator
 
-from .errors import DomainError
+from .errors import DomainError, Record
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Ramification data: weakly decreasing positive parts; empty allowed."""
 
     parts: tuple[int, ...]
@@ -188,11 +186,13 @@ def shape_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The shapes of n in ``partitions_of(n)`` order: their beta-sets with n
     beads, lambda_i + n - 1 - i for i < n, as bit masks, and their dimensions."""
     shapes = list(partitions_of(n))
-    beads = [
-        sum(1 << (b + n - 1 - i) for i, b in enumerate(s.parts + (0,) * (n - len(s))))
-        for s in shapes
-    ]
-    return tuple(beads), tuple(map(irrep_dimension, shapes))
+    return tuple(map(_bead_mask, shapes)), tuple(map(irrep_dimension, shapes))
+
+
+def _bead_mask(shape: Partition) -> int:
+    """The beta-set lambda_i + n - 1 - i (i < n) of a shape of n, as a bit mask."""
+    n = shape.m
+    return sum(1 << (b + n - 1 - i) for i, b in enumerate(shape.parts + (0,) * (n - len(shape))))
 
 
 def character_column(m: int, parts) -> list[int]:
@@ -230,7 +230,7 @@ def character(shape: Partition, class_type: Partition) -> int:
     if shape.m != class_type.m:
         raise DomainError("shape and class are partitions of different n")
     column = character_column(shape.m, class_type.nontrivial())
-    return column[list(partitions_of(shape.m)).index(shape)]
+    return column[shape_table(shape.m)[0].index(_bead_mask(shape))]
 
 
 def partitions_of(n: int) -> Iterator[Partition]:

@@ -13,24 +13,22 @@ form (a path times the rooted forests hanging off it); no tree is enumerated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, Record
 
 ENUMERATION_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class LabeledTree:
+class LabeledTree(Record):
     """A tree on vertices 1..n given by its n-1 edges; validated on build."""
 
     n: int
     edges: tuple
 
-    def __post_init__(self):
+    def _validate(self):
         if self.n < 1:
             raise ValueError("need at least one vertex")
         if len(self.edges) != self.n - 1:

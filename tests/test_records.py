@@ -2,8 +2,12 @@
 immutability, pickling and the post-construction validators."""
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,8 @@ from covercount import (
     TauSpec,
     ZPoly,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def records():
@@ -119,3 +125,20 @@ def test_validators_fire():
     # the valid neighbours construct
     GravityConstant(3, ScaledRational(F(1), Radical.ONE))
     PhiPolynomial(0, Partition([2]), ZPoly([1, 1]))
+
+
+def test_import_loads_no_dataclass_machinery():
+    # every CLI command is a fresh process; dataclasses pulls these modules in
+    # and costs ~20 ms of import on each one
+    probe = (
+        "import sys; before = set(sys.modules); import covercount, covercount.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded = set(proc.stdout.split())
+    assert "covercount.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}, loaded

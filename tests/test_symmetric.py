@@ -102,11 +102,15 @@ def test_character_table_s4_spot_checks():
 @pytest.mark.parametrize("n", range(9))
 def test_beta_set_characters_match_ribbon_recursion(n):
     # every (shape, class) pair of S_n, n <= 8, against the former
-    # border-ribbon recursion on part tuples
-    for shape in partitions_of(n):
+    # border-ribbon recursion on part tuples: one column per class, and one
+    # character() call per class, on the shape at the class's own position
+    shapes = list(partitions_of(n))
+    for shape in shapes:
         assert irrep_dimension(shape) == mn_character(shape.parts, (1,) * n)
-        for cls in partitions_of(n):
-            assert character(shape, cls) == mn_character(shape.parts, cls.parts), (shape, cls)
+    for i, cls in enumerate(partitions_of(n)):
+        column = character_column(n, cls.nontrivial())
+        assert column == [mn_character(shape.parts, cls.parts) for shape in shapes], cls
+        assert character(shapes[i], cls) == column[i], (shapes[i], cls)
 
 
 # the profile classes of the multi-profile covering counts
