@@ -186,13 +186,12 @@ def shape_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The shapes of n in ``partitions_of(n)`` order: their beta-sets with n
     beads, lambda_i + n - 1 - i for i < n, as bit masks, and their dimensions."""
     shapes = list(partitions_of(n))
-    return tuple(map(_bead_mask, shapes)), tuple(map(irrep_dimension, shapes))
+    return tuple(_bead_mask(s.parts, n) for s in shapes), tuple(map(irrep_dimension, shapes))
 
 
-def _bead_mask(shape: Partition) -> int:
+def _bead_mask(parts: tuple[int, ...], n: int) -> int:
     """The beta-set lambda_i + n - 1 - i (i < n) of a shape of n, as a bit mask."""
-    n = shape.m
-    return sum(1 << (b + n - 1 - i) for i, b in enumerate(shape.parts + (0,) * (n - len(shape))))
+    return sum(1 << (b + n - 1 - i) for i, b in enumerate(parts)) | (1 << n - len(parts)) - 1
 
 
 def character_column(m: int, parts) -> list[int]:
@@ -230,7 +229,7 @@ def character(shape: Partition, class_type: Partition) -> int:
     if shape.m != class_type.m:
         raise DomainError("shape and class are partitions of different n")
     column = character_column(shape.m, class_type.nontrivial())
-    return column[shape_table(shape.m)[0].index(_bead_mask(shape))]
+    return column[shape_table(shape.m)[0].index(_bead_mask(shape.parts, shape.m))]
 
 
 def partitions_of(n: int) -> Iterator[Partition]:
