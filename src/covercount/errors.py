@@ -1,5 +1,5 @@
 """Shared exception types, which the CLI maps to exit codes, and ``Record``,
-the frozen base class of every value type."""
+the frozen base class of the library's value records."""
 
 
 class DomainError(ValueError):
