@@ -113,10 +113,10 @@ def x_powers(jmin: int, jmax: int, order: int) -> dict[int, TruncatedSeries]:
 # polynomials in Z
 
 
-class ZPoly:
+class ZPoly(Record):
     """A polynomial in Z with rational coefficients, coeffs[i] on Z^i."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple
 
     def __init__(self, coeffs):
         c = [as_rational(x) for x in coeffs]
@@ -124,21 +124,12 @@ class ZPoly:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
 
-    def __setattr__(self, *a):
-        raise AttributeError("ZPoly is immutable")
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs != (Fraction(0),) else 0
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, ZPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -176,14 +167,7 @@ class ZPoly:
         return out
 
     def to_series(self, order: int) -> TruncatedSeries:
-        z = series_z(order)
-        acc = TruncatedSeries.zero(order)
-        zp = TruncatedSeries.one(order)
-        for c in self.coeffs:
-            if c != 0:
-                acc = acc + zp * c
-            zp = zp * z
-        return acc
+        return self.to_laurent().to_series(order)
 
     def __repr__(self):
         terms = [
@@ -261,20 +245,17 @@ def zpower_in_basis(k: int) -> list[Fraction]:
 # the canonical Laurent form
 
 
-class LaurentPolyX:
+class LaurentPolyX(Record):
     """An element of the algebra as a Laurent polynomial in X = 1 - Y.
 
     Keys are integer exponents (negative allowed), values nonzero rationals.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: dict
 
     def __init__(self, coeffs: dict):
         clean = {int(j): as_rational(c) for j, c in coeffs.items() if as_rational(c) != 0}
         object.__setattr__(self, "coeffs", dict(sorted(clean.items())))
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentPolyX is immutable")
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -282,9 +263,6 @@ class LaurentPolyX:
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPolyX) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(tuple(self.coeffs.items()))

@@ -20,9 +20,15 @@ class Record:
     order; a class attribute of the same name is a field's default.  Fields
     are given by position or keyword, then ``_validate`` runs.  Equality holds
     only within one class, hash and repr follow the fields, and assignment or
-    deletion raises AttributeError.  The plain ``__dict__`` keeps pickle and
-    deepcopy working; a subclass's own ``__init__`` sets fields with
-    ``object.__setattr__``."""
+    deletion raises AttributeError.  Hashing a record that holds a dict
+    raises TypeError, as hashing the dict does.  The plain ``__dict__`` keeps
+    pickle and deepcopy working.
+
+    A subclass that normalises its input defines its own ``__init__`` and
+    stores each field with ``object.__setattr__``, without calling this
+    ``__init__``: the generic argument matching would add about half to the
+    cost of building a ``TruncatedSeries`` (3.6 -> 5.3 us, Python 3.11 on a
+    shared Xeon), and series arithmetic builds one per operation."""
 
     _fields = ()
 

@@ -62,22 +62,19 @@ def _egf_numerators(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
     return den, [p * (den // d) for p, d in parts]
 
 
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """A power series in q known exactly up to (and including) order N.
 
-    Immutable.  Arithmetic between two series truncates to the smaller
-    order; mixing with plain rationals treats them as constants.
+    Arithmetic between two series truncates to the smaller order; mixing
+    with plain rationals treats them as constants.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple
 
     def __init__(self, coeffs: Iterable):
         object.__setattr__(self, "coeffs", tuple(as_rational(c) for c in coeffs))
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-
-    def __setattr__(self, *a):
-        raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
@@ -94,11 +91,6 @@ class TruncatedSeries:
             c[n] = as_rational(coeff)
         return cls(c)
 
-    @classmethod
-    def from_egf(cls, values: Sequence, order: int) -> "TruncatedSeries":
-        """Build sum values[n]/n! q^n from the n!-scaled coefficient list."""
-        return cls([as_rational(values[n]) / math.factorial(n) for n in range(order + 1)])
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -114,12 +106,6 @@ class TruncatedSeries:
         if order >= self.order:
             return self
         return TruncatedSeries(self.coeffs[: order + 1])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):

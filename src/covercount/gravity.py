@@ -236,18 +236,15 @@ def string_dilaton_check(
 # Painleve I
 
 
-class PainleveSeries:
+class PainleveSeries(Record):
     """A finite Laurent expansion in s = (2y)^{-1/2}, exponent -> Fraction."""
 
-    __slots__ = ("terms",)
+    terms: dict
 
     def __init__(self, terms: dict[int, Fraction]):
         object.__setattr__(
             self, "terms", {int(k): as_rational(v) for k, v in terms.items() if v != 0}
         )
-
-    def __setattr__(self, *a):
-        raise AttributeError("PainleveSeries is immutable")
 
     def coefficient(self, k: int) -> Fraction:
         return self.terms.get(k, Fraction(0))

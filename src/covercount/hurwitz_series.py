@@ -19,10 +19,10 @@ from typing import Iterable, Sequence
 from .algebra import (
     IDENTIFY_SLACK,
     Identification,
+    LaurentPolyX,
     ZPoly,
     a_closed,
     identify_in_a,
-    series_y,
     series_z,
 )
 from .errors import ConsistencyError, DomainError, Record
@@ -110,15 +110,10 @@ def normal_form_prefactor(mu: Partition) -> Fraction:
     return value
 
 
-def _normal_form_base(g: int, mu: Partition, order: int) -> TruncatedSeries:
-    """prefactor * Y^m * (Z+1)^{2g-2+p} as a series."""
+def _normal_form_base(g: int, mu: Partition) -> LaurentPolyX:
+    """prefactor * Y^m * (Z+1)^{2g-2+p} = prefactor * (1-X)^m * X^{-(2g-2+p)}."""
     chi = 2 * g - 2 + mu.num_parts
-    base = series_y(order) ** mu.m if mu.m else TruncatedSeries.one(order)
-    if chi >= 0:
-        base = base * (TruncatedSeries.one(order) + series_z(order)) ** chi
-    else:
-        base = base * (TruncatedSeries.one(order) - series_y(order)) ** (-chi)
-    return base * normal_form_prefactor(mu)
+    return LaurentPolyX({-chi: normal_form_prefactor(mu)}) * LaurentPolyX({0: 1, 1: -1}) ** mu.m
 
 
 def normal_form_series(g: int, mu, phi: PhiPolynomial, order: int) -> TruncatedSeries:
@@ -126,7 +121,7 @@ def normal_form_series(g: int, mu, phi: PhiPolynomial, order: int) -> TruncatedS
     mu = _as_partition(mu)
     if (phi.g, phi.mu) != (g, mu):
         raise DomainError("phi was fitted for a different (genus, profile) pair")
-    return _normal_form_base(g, mu, order) * phi.poly.to_series(order)
+    return (_normal_form_base(g, mu) * phi.poly.to_laurent()).to_series(order)
 
 
 class PhiFit(Record):
@@ -151,10 +146,9 @@ def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]], slack: int = FIT_S
             f"got {len(data)}"
         )
     order = max(n for n, _ in data)
-    base = _normal_form_base(g, mu, order)
     z = series_z(order)
     cols = []
-    cur = base
+    cur = _normal_form_base(g, mu).to_series(order)
     for _ in range(unknowns):
         cols.append(cur)
         cur = cur * z

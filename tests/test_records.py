@@ -2,6 +2,7 @@
 immutability, pickling and the post-construction validators."""
 
 import copy
+import enum
 import os
 import pickle
 import subprocess
@@ -11,38 +12,62 @@ from pathlib import Path
 
 import pytest
 
+import covercount
 from covercount import (
+    AsymptoticTerm,
     ConsistencyError,
     CoveringSpec,
     DomainError,
     GravityConstant,
+    HurwitzSeries,
     Identification,
     LabeledTree,
+    LaurentPolyX,
     LinearSolution,
     LinearSystem,
+    PainleveSeries,
     Partition,
+    PhiFit,
     PhiPolynomial,
     Radical,
+    Rational,
     ScaledRational,
     TauSpec,
+    TruncatedSeries,
     ZPoly,
+    painleve_solve,
 )
+from covercount.errors import Record
+from covercount.gravity import TauSeriesResult
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def records():
-    return [
-        CoveringSpec(1, 3, [(2,)]),
-        TauSpec(2, [3, 0, 1]),
-        LinearSolution("unique", (F(1, 2), 3)),
-        LinearSystem([[1, 2], [3, 4]], [5, 6]),
-        Identification("inconsistent"),
-        ScaledRational(F(7, 12), Radical.INV_SQRT_2PI),
-        GravityConstant(2, ScaledRational(F(7, 12), Radical.INV_SQRT_2PI)),
-        LabeledTree(3, ((1, 2), (2, 3))),
-        Partition([1, 3, 2]),
-    ]
+    """A small hashable instance of each value type, keyed by its test id."""
+    series = TruncatedSeries([0, 1, F(1, 2)])
+    identified = Identification("identified", LaurentPolyX({-1: F(1, 24), 0: 2}), 3)
+    phi = PhiPolynomial(0, Partition([2]), ZPoly([F(1, 4), F(1, 12)]))
+    return {
+        "CoveringSpec": CoveringSpec(1, 3, [(2,)]),
+        "TauSpec": TauSpec(2, [3, 0, 1]),
+        "LinearSolution": LinearSolution("unique", (F(1, 2), 3)),
+        "LinearSystem": LinearSystem([[1, 2], [3, 4]], [5, 6]),
+        "Identification": Identification("inconsistent"),
+        "ScaledRational": ScaledRational(F(7, 12), Radical.INV_SQRT_2PI),
+        "GravityConstant": GravityConstant(2, ScaledRational(F(7, 12), Radical.INV_SQRT_2PI)),
+        "LabeledTree": LabeledTree(3, ((1, 2), (2, 3))),
+        "Partition": Partition([1, 3, 2]),
+        "TruncatedSeries": series,
+        "ZPoly": ZPoly([1, F(-2, 3), 0, 5]),
+        "LaurentPolyX": LaurentPolyX({-2: 3, 0: F(1, 2), 1: -1}),
+        "Identification-identified": identified,
+        "PhiPolynomial": phi,
+        "PhiFit": PhiFit(phi, 2),
+        "HurwitzSeries": HurwitzSeries(0, (Partition([2]),), series, identified),
+        "TauSeriesResult": TauSeriesResult(TauSpec(0, [0, 0, 0]), F(1), series, identified),
+        "AsymptoticTerm": AsymptoticTerm(ScaledRational(F(1, 2)), 3),
+    }
 
 
 def test_reprs_are_pinned():
@@ -71,7 +96,7 @@ def test_equality_is_per_class_and_hash_follows_it():
     assert Partition([2, 1]) != ((2, 1),)
     assert TauSpec(1, [1]) != (1, (1,))
     assert len({a, b, CoveringSpec(0, 3)}) == 2
-    for r in records():
+    for r in records().values():
         assert r == copy.copy(r) and hash(r) == hash(copy.copy(r))
 
 
@@ -91,12 +116,65 @@ def test_records_are_immutable():
     assert spec == CoveringSpec(1, 3, [(2,)]) and sol == LinearSolution("unique")
 
 
-@pytest.mark.parametrize("r", records(), ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (TruncatedSeries([1, 2]), "coeffs"),
+        (ZPoly([0, 1]), "coeffs"),
+        (LaurentPolyX({-1: 2}), "coeffs"),
+        (PainleveSeries({-1: -1, 4: F(1, 12)}), "terms"),
+    ],
+    ids=["TruncatedSeries", "ZPoly", "LaurentPolyX", "PainleveSeries"],
+)
+def test_series_and_polynomial_types_are_immutable(value, field):
+    before = repr(value)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert repr(value) == before
+
+
+@pytest.mark.parametrize("r", list(records().values()), ids=list(records()))
 def test_pickle_and_deepcopy_round_trip(r):
     for clone in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
         assert clone == r and clone is not r
         assert type(clone) is type(r) and repr(clone) == repr(r)
         assert hash(clone) == hash(r)
+
+
+def test_painleve_solution_round_trips_and_repr_is_stable():
+    sol = painleve_solve(3)
+    for clone in (pickle.loads(pickle.dumps(sol)), copy.deepcopy(sol)):
+        assert clone == sol and clone is not sol
+        assert clone.u == sol.u and clone.u is not sol.u
+        assert clone.e == sol.e and repr(clone) == repr(sol)
+    assert sol != painleve_solve(2) and sol.u != painleve_solve(2).u
+    # records holding a dict are unhashable, as the dict is
+    with pytest.raises(TypeError):
+        hash(sol)
+    with pytest.raises(TypeError):
+        hash(sol.u)
+    assert repr(painleve_solve(2)) == (
+        "PainleveSolution(u=PainleveSeries(terms={-1: Fraction(-1, 1), 4: Fraction(1, 12), "
+        "9: Fraction(49, 288)}), e={2: Fraction(7, 1440)})"
+    )
+
+
+def test_every_exported_class_is_a_picklable_record():
+    solution = painleve_solve(2)
+    samples = {type(r): r for r in [*records().values(), solution, solution.u]}
+    for name, obj in vars(covercount).items():
+        if not isinstance(obj, type) or obj is Rational:
+            continue
+        if issubclass(obj, (BaseException, enum.Enum)):
+            continue
+        assert issubclass(obj, Record), f"{name} is not a Record"
+        assert obj in samples, f"no sample instance of {name}"
+        clone = pickle.loads(pickle.dumps(samples[obj]))
+        assert type(clone) is obj and clone == samples[obj], name
 
 
 def test_construction_fields_and_defaults():
