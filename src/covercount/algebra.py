@@ -80,14 +80,18 @@ def a_closed(n: int) -> int:
     return n * (n - 1) * p
 
 
+def y_over_q_power(a: int, order: int) -> TruncatedSeries:
+    """(Y/q)^a for any integer a.  Y = q e^Y, so (Y/q)^a = e^{aY}, and
+    Lagrange inversion gives its coefficients a (j+a)^{j-1}/j! (1 at j = 0)."""
+    coeffs = [Fraction(a * (j + a) ** (j - 1), math.factorial(j)) for j in range(1, order + 1)]
+    return TruncatedSeries([1, *coeffs])
+
+
 def ypower_closed(k: int, order: int) -> TruncatedSeries:
-    """Y^k from the closed form k n^{n-k-1}/(n-k)! (zero below q^k)."""
+    """Y^k = q^k (Y/q)^k, coefficients k n^{n-k-1}/(n-k)! (zero below q^k)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    coeffs = [Fraction(0)] * (order + 1)
-    for n in range(k, order + 1):
-        coeffs[n] = k * Fraction(n) ** (n - k - 1) / math.factorial(n - k)
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries(((0,) * k + y_over_q_power(k, max(order - k, 0)).coeffs)[: order + 1])
 
 
 def x_powers(jmin: int, jmax: int, order: int) -> dict[int, TruncatedSeries]:

@@ -16,7 +16,8 @@ class ConsistencyError(AssertionError):
 
 
 class Record:
-    """An immutable value.  Its fields are the subclass's annotated names, in
+    """An immutable value.  Its fields are the annotated names of its class and
+    of the records it derives from, a base's fields first, each in annotation
     order; a class attribute of the same name is a field's default.  Fields
     are given by position or keyword, then ``_validate`` runs.  Equality holds
     only within one class, hash and repr follow the fields, and assignment or
@@ -33,7 +34,9 @@ class Record:
     _fields = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        mro = reversed(cls.__mro__)  # a base's fields first
+        names = (f for k in mro for f in vars(k).get("__annotations__", ()))
+        cls._fields = tuple(dict.fromkeys(names))
 
     def __init__(self, *args, **kwargs):
         cls, fields = type(self), self._fields

@@ -21,7 +21,7 @@ from .algebra import (
     ScaledRational,
     identify_in_a,
     inv_gamma_half_scaled,
-    series_y,
+    y_over_q_power,
 )
 from .errors import ConsistencyError, DomainError, Record
 from .exact import TruncatedSeries, as_rational
@@ -153,16 +153,11 @@ def h_tau_series(
     total = TruncatedSeries.zero(order)
     for mu_parts, const in _bracket_terms(spec).items():
         mu = Partition(mu_parts)
-        m = mu.m
-        r = mu.degeneracy
-        coeffs = []
-        for n in range(m, m + order + 1):
-            cn = 2 * n + 2 * spec.g - 2 - r
-            h = hurwitz_connected(CoveringSpec(spec.g, n, [mu]), node_budget)
-            coeffs.append(h / math.factorial(cn))
+        m, r = mu.m, mu.degeneracy
+        data = oracle_data(spec.g, mu, range(m, m + order + 1), node_budget)
+        coeffs = [h / math.factorial(2 * n + 2 * spec.g - 2 - r) for n, h in data]
         h_shifted = TruncatedSeries(coeffs)  # H_{g;mu} / q^m
-        unit = series_y(order + m).shift_down(1) ** m  # (Y/q)^m, constant term 1
-        quotient = h_shifted * unit.truncate(order).inverse()
+        quotient = h_shifted * y_over_q_power(-m, order)  # / (Y/q)^m
         total = total + quotient * (const * mu.aut)
     chi = spec.chi
     ident = identify_in_a(total, -chi, -chi, slack=min(surplus, total.order))

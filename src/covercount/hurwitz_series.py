@@ -176,12 +176,13 @@ def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]], slack: int = FIT_S
 def oracle_data(
     g: int, mu, n_range: Sequence[int], node_budget: int = DEFAULT_NODE_BUDGET
 ) -> list[tuple[int, Fraction]]:
-    """Exact covering counts for the given sheet numbers."""
+    """Exact covering counts for the given sheet numbers, in their order.
+    The largest n is counted first, so one table fill covers them all."""
     mu = _as_partition(mu)
-    out = []
-    for n in n_range:
-        out.append((n, hurwitz_connected(CoveringSpec(g, n, [mu]), node_budget)))
-    return out
+    specs = [CoveringSpec(g, n, [mu]) for n in n_range]
+    largest_first = sorted(specs, key=lambda spec: spec.n, reverse=True)
+    counts = {spec.n: hurwitz_connected(spec, node_budget) for spec in largest_first}
+    return [(spec.n, counts[spec.n]) for spec in specs]
 
 
 class HurwitzSeries(Record):
@@ -223,12 +224,12 @@ def h_series(
     n_min = max([1] + [mu.m for mu in mus])
     r = sum(mu.degeneracy for mu in mus)
     coeffs = [Fraction(0)] * (order + 1)
-    for n in range(n_min, order + 1):
+    # the largest n first: its fill covers the smaller ones
+    for n in range(order, n_min - 1, -1):
         cn = 2 * n + 2 * g - 2 - r
-        if cn < 0:
-            continue
-        h = hurwitz_connected(CoveringSpec(g, n, mus), node_budget)
-        coeffs[n] = h / math.factorial(cn)
+        if cn >= 0:
+            h = hurwitz_connected(CoveringSpec(g, n, mus), node_budget)
+            coeffs[n] = h / math.factorial(cn)
     series = TruncatedSeries(coeffs)
     jmin, jmax = window if window is not None else default_window(g, mus)
     certificate = identify_in_a(series, jmin, jmax, slack=slack)

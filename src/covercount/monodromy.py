@@ -38,15 +38,20 @@ cut-and-join recursion and a class-level dynamic program over monodromy tuples.
 
 Each f_{rho_j}, and cont = f_(2), is one column over the shapes of m
 (``character_column``), computed once per (m, class) and shared by every
-row whose rho holds that class.  Each (m, rho) stores T_disc and T_conn as
-two rows, lists indexed by c.  ``node_budget`` bounds the products a fill
-evaluates, from the spec alone and before any work (see ``_check_budget``).
-These tables and ``symmetric.shape_table`` are shared and unlocked.  A
-column or weight list is stored once, fully computed; a row grows by a new,
-longer, fully computed list, never by appending to a stored one, and a fill
-reads rows through its own references, so concurrent counts at worst
-duplicate work and return the serial values.  ``clear_caches`` empties
-every table; it is not meant to run during a count (untested).
+row whose rho holds that class (``symmetric.shape_table`` gives the shapes
+and their dimensions, by the branching rule).  Each (m, rho) stores T_disc
+and T_conn as two rows, lists indexed by c.  A fill stores every row through
+its own c for every m <= n and every sub-multiset of the profiles, so the
+series builders (``hurwitz_series.oracle_data``, ``h_series``) ask for their
+largest n first: one fill covers the series, and smaller n read its rows.
+``node_budget`` bounds the products a fill evaluates, from the spec alone
+and before any work (see ``_check_budget``).  These tables and
+``symmetric.shape_table`` are shared and unlocked.  A column or weight list
+is stored once, fully computed; a row grows by a new, longer, fully computed
+list, never by appending to a stored one, and a fill reads rows through its
+own references, so concurrent counts at worst duplicate work and return the
+serial values.  ``clear_caches`` empties every table; it is not meant to run
+during a count (untested).
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as _iproduct
 from operator import mul as _mul
 
@@ -148,6 +154,7 @@ def _splits(parts: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ..
     return out
 
 
+@lru_cache(maxsize=None)
 def _partition_count(n: int) -> int:
     p = [1] + [0] * n
     for part in range(1, n + 1):
@@ -258,9 +265,12 @@ def _check_budget(n: int, nu: tuple, c: int, budget: int) -> None:
     over the content sums.  A T_conn entry costs one product per
     (m_a, rho_a, c_a).  The central-character columns the weights read, one
     Murnaghan-Nakayama pass per (m, class) shared by every row, are not
-    counted.  The bound depends on the spec alone, so a warm table cannot
-    change it."""
-    subs = math.prod(len(_splits(parts)) for parts in nu)
+    counted.  A profile has prod (multiplicity + 1) sub-multisets over its
+    distinct parts.  The bound depends on the spec alone, so a warm table
+    cannot change it, and it grows with n and c: a series asks for its
+    largest n first, so a budget that refuses any of its counts refuses
+    before the first fill."""
+    subs = math.prod(k + 1 for parts in nu for k in Counter(parts).values())
     entries = n * subs * (c // 2 + 1)
     work = entries * (2 * _partition_count(n) + n * subs * (c // 2 + 1))
     if work > budget:

@@ -169,24 +169,27 @@ def class_elements(n: int, lengths) -> Iterator[tuple[int, ...]]:
 # characters
 
 
-def irrep_dimension(shape: Partition) -> int:
-    """chi(identity) = n! prod_{i<j} (b_i - b_j) / prod_i b_i! over the
-    beta-set b_i = lambda_i + rows - 1 - i of the shape."""
-    beta = [b + len(shape) - 1 - i for i, b in enumerate(shape.parts)]
-    num, den = math.factorial(shape.m), 1
-    for i, b in enumerate(beta):
-        den *= math.factorial(b)
-        for a in beta[i + 1 :]:
-            num *= b - a
-    return num // den
-
-
 @lru_cache(maxsize=None)
 def shape_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The shapes of n in ``partitions_of(n)`` order: their beta-sets with n
-    beads, lambda_i + n - 1 - i for i < n, as bit masks, and their dimensions."""
-    shapes = list(partitions_of(n))
-    return tuple(_bead_mask(s.parts, n) for s in shapes), tuple(map(irrep_dimension, shapes))
+    """The shapes of n, their beta-sets lambda_i + n - 1 - i (i < n) as bit
+    masks, and their dimensions, by the branching rule from the table of
+    n - 1: a shape gains a bead at 0, adding a box moves one bead up into an
+    empty place, and dim(lambda) sums the dimensions it grows from.  Masks
+    descend, which is ``partitions_of(n)`` (reverse-lex) order: where two
+    shapes first differ, the larger part holds the higher bead."""
+    if n == 0:
+        return (0,), (1,)
+    dims: dict[int, int] = {}
+    for mask, dim in zip(*shape_table(n - 1)):
+        mask = mask << 1 | 1
+        beads = mask & ~(mask >> 1)  # the beads with an empty place above
+        while beads:
+            low = beads & -beads
+            beads ^= low
+            grown = mask ^ low ^ (low << 1)
+            dims[grown] = dims.get(grown, 0) + dim
+    masks = sorted(dims, reverse=True)
+    return tuple(masks), tuple([dims[mask] for mask in masks])
 
 
 def _bead_mask(parts: tuple[int, ...], n: int) -> int:

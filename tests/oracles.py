@@ -8,7 +8,9 @@ references for its integer kernels; so are the two former covering-count
 routes (the class-level dynamic program and the cut-and-join recursion) and
 the Murnaghan-Nakayama recursion on shapes, references for the character
 table of `covercount.monodromy` and the beta-set characters of
-`covercount.symmetric`.  The Gauss-Jordan solver over every row checks
+`covercount.symmetric`.  The former shape table, its dimensions from the
+beta-set formula, checks the branching-rule `covercount.symmetric.shape_table`.
+The Gauss-Jordan solver over every row checks
 `covercount.exact.solve_exact`, and the Pruefer-enumeration distance
 histogram checks the closed form in `covercount.trees`.
 """
@@ -265,6 +267,30 @@ def first_correction(p) -> float:
     next_ratio = coeffs.get(1 - big_l, 0) / coeffs[-big_l]
     kappa = math.sqrt(2) * (big_l / 3 + float(next_ratio))
     return kappa * math.gamma(big_l / 2) / math.gamma((big_l - 1) / 2)
+
+
+def irrep_dimension(shape: Partition) -> int:
+    """chi(identity) = n! prod_{i<j} (b_i - b_j) / prod_i b_i! over the
+    beta-set b_i = lambda_i + rows - 1 - i of the shape."""
+    beta = [b + len(shape) - 1 - i for i, b in enumerate(shape.parts)]
+    num, den = math.factorial(shape.m), 1
+    for i, b in enumerate(beta):
+        den *= math.factorial(b)
+        for a in beta[i + 1 :]:
+            num *= b - a
+    return num // den
+
+
+def shape_table_from_partitions(n):
+    """The former ``shape_table`` route: the shapes of ``partitions_of(n)``
+    in order, their beta-sets with n beads as bit masks, and the dimensions
+    by the formula above."""
+    shapes = list(partitions_of(n))
+    masks = tuple(
+        sum(1 << (b + n - 1 - i) for i, b in enumerate(s.parts)) | (1 << n - len(s)) - 1
+        for s in shapes
+    )
+    return masks, tuple(map(irrep_dimension, shapes))
 
 
 @lru_cache(maxsize=None)

@@ -20,6 +20,7 @@ from covercount.algebra import (
     series_y,
     series_z,
     x_powers,
+    y_over_q_power,
     ypower_closed,
     zbasis_element,
     zpower_in_basis,
@@ -91,6 +92,25 @@ def test_ypower_closed_single_value():
 @pytest.mark.parametrize("k", [2, 3, 5, 7, 10])
 def test_ypower_closed_equals_repeated_product(k):
     assert ypower_closed(k, 30) == series_y(30) ** k
+
+
+def test_ypower_closed_below_its_lowest_order():
+    assert ypower_closed(5, 3) == TruncatedSeries.zero(3)
+    assert ypower_closed(3, 3) == TruncatedSeries([0, 0, 0, 1])
+
+
+@pytest.mark.parametrize("a", range(-8, 9))
+def test_y_over_q_power_is_exp_of_a_y(a):
+    # Y = q e^Y, so (Y/q)^a = e^{aY}; series_exp runs its own recursion
+    assert y_over_q_power(a, 20) == series_exp(a * series_y(20))
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_y_over_q_power_negative_matches_inverted_power(m):
+    # the former route of the bracket series: power Y/q, then invert
+    order = 20
+    unit = series_y(order + m).shift_down(1) ** m
+    assert y_over_q_power(-m, order) == unit.truncate(order).inverse()
 
 
 def test_dkz_small_cases():

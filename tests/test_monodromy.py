@@ -7,6 +7,8 @@ import pytest
 
 from covercount import monodromy
 from covercount.errors import BudgetExceeded, DomainError
+from covercount.gravity import TauSpec, _bracket_terms, h_tau_series
+from covercount.hurwitz_series import h_series, oracle_data
 from covercount.monodromy import (
     CoveringSpec,
     clear_caches,
@@ -348,6 +350,68 @@ def test_budget_refusal_with_warm_table():
     hurwitz_connected(CoveringSpec(0, 9, []))
     with pytest.raises(BudgetExceeded):
         hurwitz_connected(CoveringSpec(0, 8, []), node_budget=50)
+
+
+# --- one fill per series: the series builders ask for their largest n first
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """Cold tables, and a list that records the (n, rho, c) of every fill."""
+    calls = []
+    fill = monodromy._fill
+
+    def counted(n, nu, cmax):
+        calls.append((n, nu, cmax))
+        return fill(n, nu, cmax)
+
+    clear_caches()
+    monkeypatch.setattr(monodromy, "_fill", counted)
+    return calls
+
+
+def test_h_series_fills_once(fills):
+    h_series(1, [(2,)], 9)
+    assert fills == [(9, ((2,),), 17)]
+
+
+def test_oracle_data_fills_once_and_keeps_the_callers_order(fills):
+    data = oracle_data(2, (), range(1, 12))
+    assert [n for n, _ in data] == list(range(1, 12))
+    assert fills == [(11, (), 24)]
+    assert oracle_data(2, (), [5, 3, 5]) == [data[4], data[2], data[4]]
+    assert len(fills) == 1
+
+
+@pytest.mark.parametrize("g, ds, bracket", [(0, (0, 0, 0, 1, 1), 2), (1, (0, 0, 2, 2), F(1, 6))])
+def test_h_tau_series_fills_once_per_profile(fills, g, ds, bracket):
+    # each profile of the bracket has its own nontrivial parts, so one fill
+    spec = TauSpec(g, ds)
+    assert h_tau_series(spec).bracket == bracket
+    nus = [monodromy._key([tuple(b for b in mu if b > 1)]) for mu in _bracket_terms(spec)]
+    assert len(nus) >= 3
+    assert sorted(rho for _, rho, _ in fills) == sorted(nus)
+
+
+def test_counts_do_not_depend_on_the_order_asked():
+    specs = [CoveringSpec(g, n, [Partition([2, 2])]) for g in (0, 1) for n in range(4, 10)]
+    clear_caches()
+    ascending = [hurwitz_connected(spec) for spec in specs]
+    clear_caches()
+    descending = [hurwitz_connected(spec) for spec in reversed(specs)][::-1]
+    assert ascending == descending
+
+
+def test_series_budget_refuses_before_any_work():
+    # g = 2, no profiles: n = 10 (c = 22) bounds 10 * 12 * (2 p(10) + 10 * 12)
+    # = 24480 products and n = 11 (c = 24) 11 * 13 * (2 p(11) + 11 * 13) =
+    # 36465, so this budget admits every n but the largest.  The largest is
+    # asked for first and refused while the table is still empty.
+    clear_caches()
+    with pytest.raises(BudgetExceeded):
+        oracle_data(2, (), range(1, 12), node_budget=24480)
+    assert not monodromy._CONN and not monodromy._DISC
+    assert len(oracle_data(2, (), range(1, 11), node_budget=24480)) == 10
 
 
 @pytest.mark.parametrize("g", [0, 1, 2])

@@ -193,6 +193,23 @@ def test_construction_fields_and_defaults():
         GravityConstant(g=2)  # missing field, no default
 
 
+class SubSpec(CoveringSpec):
+    pass
+
+
+class SubSeries(TruncatedSeries):
+    pass
+
+
+def test_subclass_keeps_its_base_fields():
+    assert SubSpec._fields == ("g", "n", "mus")
+    assert SubSpec(1, 3) != SubSpec(0, 5)
+    assert hash(SubSpec(1, 3)) != hash(SubSpec(0, 5))
+    assert SubSpec(1, 3) == SubSpec(1, 3) != CoveringSpec(1, 3)
+    assert repr(SubSpec(1, 3)) == "SubSpec(g=1, n=3, mus=())"
+    assert SubSeries([1]) != SubSeries([2])
+
+
 def test_validators_fire():
     with pytest.raises(ValueError):
         LabeledTree(3, ((1, 2),))  # too few edges

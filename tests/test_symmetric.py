@@ -11,13 +11,13 @@ from covercount.symmetric import (
     class_elements,
     conjugacy_class_size,
     cycle_type,
-    irrep_dimension,
     partitions_of,
     perm_from_cycle_lengths,
     perm_mult,
+    shape_table,
 )
 
-from .oracles import mn_character, perms_of_type
+from .oracles import irrep_dimension, mn_character, perms_of_type, shape_table_from_partitions
 
 
 def test_partition_views_agree():
@@ -141,6 +141,14 @@ def test_character_columns_match_ribbon_recursion(n):
 def test_dimensions_square_sum_to_group_order(n):
     total = sum(irrep_dimension(shape) ** 2 for shape in partitions_of(n))
     assert total == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_branching_shape_table_matches_partition_route(n):
+    # the bead masks of partitions_of(n) in order, with their dimensions
+    # from the beta-set formula; the squares sum to n!
+    assert shape_table(n) == shape_table_from_partitions(n)
+    assert sum(dim * dim for dim in shape_table(n)[1]) == math.factorial(n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
