@@ -69,16 +69,9 @@ from .monodromy import (
 from .symmetric import (
     Partition,
     character,
-    class_elements,
     conjugacy_class_size,
-    cycle_type,
     partitions_of,
 )
-from .trees import (
-    LabeledTree,
-    dendrology_m,
-    dendrology_p,
-    enumerate_trees,
-)
+from .trees import dendrology_m, dendrology_p
 
 __version__ = "0.1.0"

@@ -165,7 +165,9 @@ def h_tau_series(
         raise ConsistencyError(
             f"bracket series for {spec} did not identify as a single (Z+1)^{chi} term"
         )
-    bracket = tau_bracket(spec, node_budget)
+    # c(m) = 2m + 2g - 2 - r = m + p + 2g - 2 and (Y/q)^-m starts at 1, so the
+    # q^0 coefficient is tau_bracket's sum, term for term, on the same counts
+    bracket = total.coefficient(0)
     if ident.element.coeffs.get(-chi, Fraction(0)) != bracket:
         raise ConsistencyError(
             f"bracket series coefficient {ident.element} disagrees with the "

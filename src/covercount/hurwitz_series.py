@@ -47,11 +47,8 @@ def h0_closed(n: int, mu) -> Fraction:
     p, r = mu.num_parts, mu.degeneracy
     if n < p + r:
         raise DomainError(f"closed form needs n >= p + r = {p + r}, got {n}")
-    value = Fraction(math.factorial(2 * n - 2 - r), mu.aut)
-    for b in mu.parts:
-        value *= Fraction(b**b, math.factorial(b))
-    value *= Fraction(n) ** (n - r - 3) / math.factorial(n - p - r)
-    return value
+    value = math.factorial(2 * n - 2 - r) * normal_form_prefactor(mu)
+    return value * Fraction(n) ** (n - r - 3) / math.factorial(n - p - r)
 
 
 def h1_empty_series(order: int) -> TruncatedSeries:

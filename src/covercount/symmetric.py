@@ -1,15 +1,12 @@
-"""Partitions, permutations, conjugacy classes, and irreducible characters.
+"""Partitions, conjugacy class sizes, and irreducible characters of S_n.
 
-Permutations are tuples p of length n with p[i] = image of i (0-based);
-products compose left to right: (p * q)(x) = q(p(x)), matching the
-monodromy convention where factors act in tuple order.
+Classes are named by cycle type; no permutation is ever built.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations, permutations as _iperm
 from typing import Iterator
 
 from .errors import DomainError, Record
@@ -71,46 +68,6 @@ class Partition(Record):
         return "(" + ",".join(map(str, self.parts)) + ")" if self.parts else "()"
 
 
-def perm_mult(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Left-to-right product: x -> q(p(x))."""
-    return tuple(q[p[x]] for x in range(len(p)))
-
-
-def perm_cycles(p: tuple[int, ...]) -> list[list[int]]:
-    n = len(p)
-    seen = [False] * n
-    out = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = p[j]
-        out.append(cyc)
-    return out
-
-
-def cycle_type(p: tuple[int, ...]) -> Partition:
-    return Partition(len(c) for c in perm_cycles(p))
-
-
-def perm_from_cycle_lengths(lengths: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """A canonical representative with the given nontrivial cycle lengths."""
-    if sum(lengths) > n:
-        raise DomainError("cycle lengths exceed n")
-    p = list(range(n))
-    pos = 0
-    for l in lengths:
-        for i in range(l - 1):
-            p[pos + i] = pos + i + 1
-        p[pos + l - 1] = pos
-        pos += l
-    return tuple(p)
-
-
 def conjugacy_class_size(cycle_partition: Partition, n: int | None = None) -> int:
     """Size of the class with the given full cycle type (padded to n if given)."""
     parts = list(cycle_partition.parts)
@@ -124,45 +81,6 @@ def conjugacy_class_size(cycle_partition: Partition, n: int | None = None) -> in
         a = parts.count(size)
         denom *= size**a * math.factorial(a)
     return math.factorial(n_total) // denom
-
-
-def class_elements(n: int, lengths) -> Iterator[tuple[int, ...]]:
-    """Every permutation of S_n whose nontrivial cycles have the given lengths.
-
-    Supports are chosen first, then the support is split into cycles with the
-    smallest remaining element anchoring each cycle, which visits each
-    permutation exactly once (equal lengths included).
-    """
-    lengths = sorted((l for l in lengths if l >= 2), reverse=True)
-    m = sum(lengths)
-    if m > n:
-        return
-
-    def cycle_sets(elems, ps):
-        if not ps:
-            yield []
-            return
-        first = elems[0]
-        seen = set()
-        for i, l in enumerate(ps):
-            if l in seen:
-                continue
-            seen.add(l)
-            rest_ps = ps[:i] + ps[i + 1 :]
-            for companions in combinations(elems[1:], l - 1):
-                comp = set(companions)
-                remaining = tuple(x for x in elems[1:] if x not in comp)
-                for arr in _iperm(companions):
-                    for tail in cycle_sets(remaining, rest_ps):
-                        yield [(first,) + arr] + tail
-
-    for support in combinations(range(n), m):
-        for cycs in cycle_sets(support, lengths):
-            p = list(range(n))
-            for cyc in cycs:
-                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                    p[a] = b
-            yield tuple(p)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,21 @@
 
 These deliberately use the dumbest correct method available (full tuple
 enumeration, direct convolutions) so they share no code path with the
-implementations they check.  The Fraction series product, inverse
-recurrence and A_n sum below are the library's former routes, kept here as
-references for its integer kernels; so are the two former covering-count
-routes (the class-level dynamic program and the cut-and-join recursion) and
-the Murnaghan-Nakayama recursion on shapes, references for the character
-table of `covercount.monodromy` and the beta-set characters of
+implementations they check.  Every route that enumerates permutations or
+trees lives here, none in the library: permutation products and cycles,
+the elements of a conjugacy class, and labeled trees by Pruefer decoding.
+The Fraction series product, inverse recurrence and A_n sum below are the
+library's former routes, kept here as references for its integer kernels;
+so are the two former covering-count routes (the class-level dynamic
+program and the cut-and-join recursion) and the Murnaghan-Nakayama
+recursion on shapes, references for the character table of
+`covercount.monodromy` and the beta-set characters of
 `covercount.symmetric`.  The former shape table, its dimensions from the
 beta-set formula, checks the branching-rule `covercount.symmetric.shape_table`.
 The Gauss-Jordan solver over every row checks
-`covercount.exact.solve_exact`, and the Pruefer-enumeration distance
-histogram checks the closed form in `covercount.trees`.
+`covercount.exact.solve_exact`; the Pruefer-enumeration distance histogram
+checks the closed form in `covercount.trees`, and the Stirling transform of
+p_{n,k} is a second route to its moments m_{n,k}.
 """
 
 from __future__ import annotations
@@ -21,19 +25,19 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
+from covercount.errors import Record
 from covercount.exact import LinearSolution
-from covercount.symmetric import (
-    Partition,
-    class_elements,
-    conjugacy_class_size,
-    partitions_of,
-    perm_cycles,
-    perm_from_cycle_lengths,
-    perm_mult,
-)
-from covercount.trees import enumerate_trees
+from covercount.symmetric import Partition, conjugacy_class_size, partitions_of
+from covercount.trees import ENUMERATION_LIMIT, _check_size, dendrology_p
+
+# ---------------------------------------------------------------------------
+# permutations
+#
+# A permutation is a tuple p of length n with p[i] = image of i (0-based);
+# products compose left to right, (p * q)(x) = q(p(x)), the monodromy
+# convention where factors act in tuple order.
 
 
 def all_transpositions(n):
@@ -46,32 +50,91 @@ def all_transpositions(n):
     return out
 
 
-def cycle_lengths(p):
+def perm_mult(p, q):
+    """Left-to-right product: x -> q(p(x))."""
+    return tuple(q[p[x]] for x in range(len(p)))
+
+
+def perm_cycles(p):
+    """The cycles of p, fixed points included, each from its smallest point;
+    their lengths are the cycle type."""
     n = len(p)
     seen = [False] * n
     out = []
     for i in range(n):
         if seen[i]:
             continue
-        l = 0
+        cyc = []
         j = i
         while not seen[j]:
             seen[j] = True
+            cyc.append(j)
             j = p[j]
-            l += 1
-        out.append(l)
-    return tuple(sorted(out, reverse=True))
+        out.append(cyc)
+    return out
+
+
+def perm_from_cycle_lengths(lengths, n):
+    """A canonical representative with the given nontrivial cycle lengths."""
+    assert sum(lengths) <= n, "cycle lengths exceed n"
+    p = list(range(n))
+    pos = 0
+    for l in lengths:
+        for i in range(l - 1):
+            p[pos + i] = pos + i + 1
+        p[pos + l - 1] = pos
+        pos += l
+    return tuple(p)
 
 
 def perms_of_type(n, lengths):
     """All of S_n whose nontrivial cycle lengths match (slow: scans n!)."""
-    want = tuple(sorted([l for l in lengths if l >= 2], reverse=True))
+    want = sorted([l for l in lengths if l >= 2], reverse=True)
     out = []
     for p in permutations(range(n)):
-        got = tuple(l for l in cycle_lengths(p) if l >= 2)
+        got = sorted([len(c) for c in perm_cycles(p) if len(c) >= 2], reverse=True)
         if got == want:
             out.append(p)
     return out
+
+
+def class_elements(n, lengths):
+    """Every permutation of S_n whose nontrivial cycles have the given lengths.
+
+    Supports are chosen first, then the support is split into cycles with the
+    smallest remaining element anchoring each cycle, which visits each
+    permutation exactly once (equal lengths included).
+    """
+    lengths = sorted((l for l in lengths if l >= 2), reverse=True)
+    m = sum(lengths)
+    if m > n:
+        return
+
+    def cycle_sets(elems, ps):
+        if not ps:
+            yield []
+            return
+        first = elems[0]
+        seen = set()
+        for i, l in enumerate(ps):
+            if l in seen:
+                continue
+            seen.add(l)
+            rest_ps = ps[:i] + ps[i + 1 :]
+            for companions in combinations(elems[1:], l - 1):
+                comp = set(companions)
+                remaining = tuple(x for x in elems[1:] if x not in comp)
+                for arr in permutations(companions):
+                    for tail in cycle_sets(remaining, rest_ps):
+                        yield [(first,) + arr] + tail
+
+    for support in combinations(range(n), m):
+        for cycs in cycle_sets(support, lengths):
+            p = list(range(n))
+            for cyc in cycs:
+                for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                    p[a] = b
+            yield tuple(p)
 
 
 def naive_connected_count(g, n, mus):
@@ -93,7 +156,7 @@ def naive_connected_count(g, n, mus):
     for tup in product(*pools):
         prod = identity
         for t in tup:
-            prod = tuple(t[prod[x]] for x in range(n))
+            prod = perm_mult(prod, t)
         if prod != identity:
             continue
         parent = list(range(n))
@@ -131,7 +194,7 @@ def naive_total_count(g, n, mus):
     for tup in product(*pools):
         prod = identity
         for t in tup:
-            prod = tuple(t[prod[x]] for x in range(n))
+            prod = perm_mult(prod, t)
         if prod == identity:
             count += 1
     return Fraction(weight * count, math.factorial(n))
@@ -220,6 +283,93 @@ def gauss_jordan(system):
     return LinearSolution("unique", tuple(sol))
 
 
+# ---------------------------------------------------------------------------
+# labeled trees by Pruefer decoding
+
+
+class LabeledTree(Record):
+    """A tree on vertices 1..n given by its n-1 edges; validated on build."""
+
+    n: int
+    edges: tuple
+
+    def _validate(self):
+        if self.n < 1:
+            raise ValueError("need at least one vertex")
+        if len(self.edges) != self.n - 1:
+            raise ValueError("a tree on n vertices has n-1 edges")
+        adj = self.adjacency()
+        seen = [False] * (self.n + 1)
+        stack = [1]
+        seen[1] = True
+        count = 1
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    count += 1
+                    stack.append(w)
+        if count != self.n:
+            raise ValueError("edge list is not connected")
+        # connected with n-1 edges implies acyclic
+
+    def adjacency(self):
+        adj = [[] for _ in range(self.n + 1)]
+        for a, b in self.edges:
+            if not (1 <= a <= self.n and 1 <= b <= self.n) or a == b:
+                raise ValueError(f"bad edge ({a}, {b})")
+            adj[a].append(b)
+            adj[b].append(a)
+        return adj
+
+    def distances_from(self, root):
+        adj = self.adjacency()
+        dist = [-1] * (self.n + 1)
+        dist[root] = 0
+        queue = [root]
+        for v in queue:
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        return dist
+
+
+def tree_from_pruefer(seq, n):
+    """Decode a Pruefer sequence over {1..n} (length n-2) into a tree."""
+    degree = [1] * (n + 1)
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    # leaves kept in a min-ordered scan; classic O(n^2) decode is fine at n <= 8
+    used = [False] * (n + 1)
+    for v in seq:
+        for leaf in range(1, n + 1):
+            if degree[leaf] == 1 and not used[leaf]:
+                edges.append((leaf, v))
+                used[leaf] = True
+                degree[v] -= 1
+                break
+    last = [v for v in range(1, n + 1) if not used[v] and degree[v] == 1]
+    edges.append((last[0], last[1]))
+    return LabeledTree(n, tuple(edges))
+
+
+def enumerate_trees(n, limit=ENUMERATION_LIMIT):
+    """Stream all labeled trees on n vertices (n^{n-2} of them for n >= 2),
+    refused above the library's tree limit as `covercount.trees` refuses."""
+    _check_size(n, limit)
+    if n == 1:
+        yield LabeledTree(1, ())
+        return
+    if n == 2:
+        yield LabeledTree(2, ((1, 2),))
+        return
+    for seq in product(range(1, n + 1), repeat=n - 2):
+        yield tree_from_pruefer(seq, n)
+
+
 def pruefer_distance_histogram(n):
     """hist[l] over all labeled trees on n vertices, by Pruefer enumeration.
 
@@ -234,6 +384,23 @@ def pruefer_distance_histogram(n):
                 if b != a:
                     hist[dist[b]] += 1
     return tuple(hist)
+
+
+def stirling_second(k, j):
+    """Partition-count Stirling numbers S(k, j)."""
+    if j > k or j < 0:
+        return 0
+    if k == 0:
+        return 1 if j == 0 else 0
+    return j * stirling_second(k - 1, j) + stirling_second(k - 1, j - 1)
+
+
+def moment_from_binomials(n, k, limit=ENUMERATION_LIMIT):
+    """m_{n,k} recomputed as sum_j S(k,j) j! p_{n,j}; independent route."""
+    total = Fraction(0)
+    for j in range(1, k + 1):
+        total += stirling_second(k, j) * math.factorial(j) * dendrology_p(n, j, limit)
+    return total
 
 
 def first_correction(p) -> float:

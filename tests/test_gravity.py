@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -118,6 +119,23 @@ def test_h_tau_series_tau1_genus1():
 def test_h_tau_series_dimension_violation_gives_zero():
     result = h_tau_series(TauSpec(0, (1, 1, 1)))
     assert result.series.is_zero()
+
+
+def test_bracket_series_constant_term_matches_direct_bracket():
+    # h_tau_series reads the bracket off the series' q^0 coefficient; the
+    # direct finite sum of tau_bracket must agree on every stable,
+    # dimension-valid bracket with g <= 2 and p <= 4
+    specs = [
+        TauSpec(g, ds)
+        for g in range(3)
+        for p in range(1, 5)
+        if 2 * g - 2 + p > 0
+        for ds in combinations_with_replacement(range(3 * g - 2 + p), p)
+        if sum(ds) == 3 * g - 3 + p
+    ]
+    assert len(specs) == 35
+    for spec in specs:
+        assert h_tau_series(spec).bracket == tau_bracket(spec), spec
 
 
 def test_tau_series_asymptotic_statement():

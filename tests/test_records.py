@@ -21,7 +21,6 @@ from covercount import (
     GravityConstant,
     HurwitzSeries,
     Identification,
-    LabeledTree,
     LaurentPolyX,
     LinearSolution,
     LinearSystem,
@@ -39,6 +38,8 @@ from covercount import (
 )
 from covercount.errors import Record
 from covercount.gravity import TauSeriesResult
+
+from .oracles import LabeledTree
 
 ROOT = Path(__file__).resolve().parent.parent
 

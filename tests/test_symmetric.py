@@ -8,16 +8,21 @@ from covercount.symmetric import (
     Partition,
     character,
     character_column,
-    class_elements,
     conjugacy_class_size,
-    cycle_type,
     partitions_of,
-    perm_from_cycle_lengths,
-    perm_mult,
     shape_table,
 )
 
-from .oracles import irrep_dimension, mn_character, perms_of_type, shape_table_from_partitions
+from .oracles import (
+    class_elements,
+    irrep_dimension,
+    mn_character,
+    perm_cycles,
+    perm_from_cycle_lengths,
+    perm_mult,
+    perms_of_type,
+    shape_table_from_partitions,
+)
 
 
 def test_partition_views_agree():
@@ -39,7 +44,8 @@ def test_partition_rejects_nonpositive():
 
 def test_cycle_type_extraction():
     p = perm_from_cycle_lengths((3, 2), 6)
-    assert cycle_type(p) == Partition([3, 2, 1])
+    assert perm_cycles(p) == [[0, 1, 2], [3, 4], [5]]
+    assert Partition(len(c) for c in perm_cycles(p)) == Partition([3, 2, 1])
 
 
 @pytest.mark.parametrize(

@@ -5,17 +5,15 @@ import pytest
 
 from covercount.algebra import a_closed, series_z
 from covercount.errors import BudgetExceeded
-from covercount.trees import (
+from covercount.trees import dendrology_m, dendrology_p, distance_histogram
+
+from .oracles import (
     LabeledTree,
-    dendrology_m,
-    dendrology_p,
-    distance_histogram,
     enumerate_trees,
     moment_from_binomials,
+    pruefer_distance_histogram,
     stirling_second,
 )
-
-from .oracles import pruefer_distance_histogram
 
 
 def test_tree_validation():
