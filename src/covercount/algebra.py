@@ -13,7 +13,7 @@ import enum
 import math
 from fractions import Fraction
 
-from .errors import ConsistencyError, Record
+from .errors import ConsistencyError, DomainError, Record
 from .exact import (
     LinearSystem,
     TruncatedSeries,
@@ -94,23 +94,38 @@ def ypower_closed(k: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(((0,) * k + y_over_q_power(k, max(order - k, 0)).coeffs)[: order + 1])
 
 
+def _x_power_egf(n: int, jmin: int, jmax: int) -> list[int]:
+    """[n! [q^n] X^j for j in jmin..jmax], exact integers, for n >= 0.
+
+    At n = 0 every entry is 1.  For n >= 1 the seeds are e_0 = 0,
+    e_{-1} = n^n (X^{-1} = 1 + Z) and e_{-2} = 2 n^n + A_n ((1 + Z)^2).
+    DX = -Z = 1 - X^{-1} gives D(X^j) = j (X^{j-1} - X^{j-2}), that is
+    n e_j = j (e_{j-1} - e_{j-2}): read upward for j >= 1, and downward as
+    e_{-j-2} = e_{-j-1} + n e_{-j} / j.  Both divisions are exact.
+    """
+    if n == 0:
+        return [1] * (jmax - jmin + 1)
+    e = {0: 0, -1: n**n}
+    if jmin <= -2:
+        e[-2] = 2 * e[-1] + a_closed(n)
+    for j in range(1, jmax + 1):
+        e[j] = j * (e[j - 1] - e[j - 2]) // n
+    for j in range(1, -jmin - 1):
+        e[-j - 2] = e[-j - 1] + n * e[-j] // j
+    return [e[j] for j in range(jmin, jmax + 1)]
+
+
 def x_powers(jmin: int, jmax: int, order: int) -> dict[int, TruncatedSeries]:
     """X^j to the given order for every jmin <= j <= jmax.
 
-    X = 1 - Y for j >= 0 and X^{-1} = 1 + Z for j < 0.  Each power is the
-    previous one times X or X^{-1}, one series product per power.
+    Coefficient n of every power comes from one `_x_power_egf(n, jmin, jmax)`
+    row divided by n!; no series products.
     """
-    one = TruncatedSeries.one(order)
-    powers = {0: one}
-    if jmax > 0:
-        x = one - series_y(order)
-        for j in range(1, jmax + 1):
-            powers[j] = powers[j - 1] * x if j > 1 else x
-    if jmin < 0:
-        xinv = one + series_z(order)
-        for j in range(-1, jmin - 1, -1):
-            powers[j] = powers[j + 1] * xinv if j < -1 else xinv
-    return {j: powers[j] for j in range(jmin, jmax + 1)}
+    rows = [
+        [Fraction(e, math.factorial(n)) for e in _x_power_egf(n, jmin, jmax)]
+        for n in range(order + 1)
+    ]
+    return {j: TruncatedSeries([row[j - jmin] for row in rows]) for j in range(jmin, jmax + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -328,80 +343,43 @@ class LaurentPolyX(Record):
         return {i: c for i, c in out.items() if c != 0}
 
     def to_series(self, order: int) -> TruncatedSeries:
-        acc = TruncatedSeries.zero(order)
-        if self.coeffs:
-            powers = x_powers(min(self.coeffs), max(self.coeffs), order)
-            for j, c in self.coeffs.items():
-                acc = acc + powers[j] * c
-        return acc
+        """The element's series to q^order, one `coefficient(n)` per n."""
+        return TruncatedSeries([self.coefficient(n) for n in range(order + 1)])
 
     def coefficient(self, n: int) -> Fraction:
-        """Exact q^n coefficient, in closed form (no series products).
+        """Exact q^n coefficient, with no series products.
 
-        Positive X powers expand over Y^i with [q^n] Y^i = i n^{n-i-1}/(n-i)!;
-        negative powers over Z^i, themselves resolved through the D^k Z and
-        D^k(Z^2) closed coefficient formulas.  Every piece is summed as the
-        integer n! [q^n] times a rational weight, A_n is computed at most
-        once, and the sum is divided by n! once at the end.
+        One `_x_power_egf(n, ...)` row over the support gives n! [q^n] X^j
+        for every exponent; the sum of c_j times those integers is divided
+        by n! once.  A_n is computed only when the support reaches X^{-2}.
         """
-        a_n = a_closed(n) if min(self.coeffs, default=0) <= -2 else 0
-        total = Fraction(0)
-        for j, c in self.coeffs.items():
-            if j >= 0:
-                for i in range(j + 1):
-                    total += c * math.comb(j, i) * (-1) ** i * _ypow_egf_coefficient(i, n)
-            else:
-                for i in range(-j + 1):
-                    total += c * math.comb(-j, i) * _zpow_egf_coefficient(i, n, a_n)
-        return total / math.factorial(n)
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        if not self.coeffs:
+            return Fraction(0)
+        jmin = self.support[0]
+        e = _x_power_egf(n, jmin, self.support[-1])
+        return Fraction(sum(c * e[j - jmin] for j, c in self.coeffs.items()), math.factorial(n))
 
     def to_json(self) -> dict[str, str]:
         return {str(j): format_rational(c) for j, c in self.coeffs.items()}
 
     @classmethod
-    def from_json(cls, data: dict) -> "LaurentPolyX":
-        return cls({int(j): Fraction(v) for j, v in data.items()})
+    def from_json(cls, data) -> "LaurentPolyX":
+        """Parse a JSON object of integer exponents to exact rationals (ints or
+        'p/q' strings); anything else raises DomainError."""
+        if not isinstance(data, dict):
+            raise DomainError(f"a Laurent polynomial is a JSON object, not {data!r}")
+        try:
+            return cls({int(j): as_rational(v) for j, v in data.items()})
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"bad Laurent polynomial {data!r}: {exc}") from None
 
     def __repr__(self):
         if not self.coeffs:
             return "LaurentPolyX(0)"
         terms = [f"{format_rational(c)}*X^{j}" for j, c in self.coeffs.items()]
         return "LaurentPolyX(" + " + ".join(terms) + ")"
-
-
-def _ypow_egf_coefficient(i: int, n: int) -> int:
-    """n! [q^n] Y^i = i n^{n-i} (n-1)!/(n-i)!, an integer."""
-    if i == 0:
-        return 1 if n == 0 else 0
-    if n < i:
-        return 0
-    return i * n ** (n - i) * math.perm(n - 1, i - 1)
-
-
-_ZPOW_CACHE: dict[int, list] = {}
-
-
-def _zpow_egf_coefficient(i: int, n: int, a_n: int) -> Fraction:
-    """n! [q^n] Z^i via the spanning-list combination, given A_n.
-
-    O(i) big-int products per call: D^k Z contributes n^{n+k} and D^k(Z^2)
-    contributes n^k A_n, each times a rational weight.
-    """
-    if i == 0:
-        return Fraction(1 if n == 0 else 0)
-    if n < 1:
-        return Fraction(0)
-    combo = _ZPOW_CACHE.get(i)
-    if combo is None:
-        combo = zpower_in_basis(i)
-        _ZPOW_CACHE[i] = combo
-    total = Fraction(0)
-    for idx, coef in enumerate(combo):
-        if coef == 0:
-            continue
-        k = idx // 2
-        total += coef * (n ** (n + k) if idx % 2 == 0 else n**k * a_n)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,22 @@ EXIT_DOMAIN = 2
 EXIT_BUDGET = 3
 EXIT_CONSISTENCY = 4
 
+
+def _cayley_series(order: int) -> TruncatedSeries:
+    """EGF of unrooted labeled trees: coefficients n^{n-2}/n!."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return TruncatedSeries(
+        [Fraction(0)]
+        + [Fraction(n) ** (n - 2) / math.factorial(n) for n in range(1, order + 1)]
+    )
+
+
 _SERIES = {
     "Y": algebra.series_y,
     "Z": algebra.series_z,
     "Z2": lambda order: algebra.series_z(order) ** 2,
-    "cayley": lambda order: TruncatedSeries(
-        [Fraction(0)]
-        + [Fraction(n) ** (n - 2) / math.factorial(n) for n in range(1, order + 1)]
-    ),
+    "cayley": _cayley_series,
     "h1empty": hurwitz_series.h1_empty_series,
 }
 

@@ -13,10 +13,13 @@ recursion on shapes, references for the character table of
 `covercount.monodromy` and the beta-set characters of
 `covercount.symmetric`.  The former shape table, its dimensions from the
 beta-set formula, checks the branching-rule `covercount.symmetric.shape_table`.
-The Gauss-Jordan solver over every row checks
-`covercount.exact.solve_exact`; the Pruefer-enumeration distance histogram
-checks the closed form in `covercount.trees`, and the Stirling transform of
-p_{n,k} is a second route to its moments m_{n,k}.
+The binomial expansion over powers of Y and Z, with each Z^i solved over
+the spanning list Z, Z^2, DZ, D(Z^2), ..., is the former closed-form route
+to [q^n] of a Laurent polynomial in X, the reference for the X-power
+recurrence of `covercount.algebra`.  The Gauss-Jordan solver over every
+row checks `covercount.exact.solve_exact`; the Pruefer-enumeration
+distance histogram checks the closed form in `covercount.trees`, and the
+Stirling transform of p_{n,k} is a second route to its moments m_{n,k}.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
+from covercount.algebra import a_closed, zpower_in_basis
 from covercount.errors import Record
 from covercount.exact import LinearSolution
 from covercount.symmetric import Partition, conjugacy_class_size, partitions_of
@@ -240,6 +244,36 @@ def a_closed_fractions(n):
     value = total * math.factorial(n)
     assert value.denominator == 1
     return value.numerator
+
+
+@lru_cache(maxsize=None)
+def _zpower_combination(k):
+    return tuple(zpower_in_basis(k))
+
+
+def laurent_coefficient_spanning(p, n):
+    """[q^n] of a Laurent polynomial p in X through powers of Y and Z.
+
+    X^j = (1 - Y)^j for j >= 0 and (1 + Z)^(-j) for j < 0, expanded by
+    binomials.  n! [q^n] Y^i = i n^(n-i) (n-1)!/(n-i)!.  Z^i is written over
+    the spanning list Z, Z^2, DZ, D(Z^2), ... (`zpower_in_basis`), where
+    D^k Z contributes n^(n+k) and D^k(Z^2) contributes n^k A_n.
+    """
+    a_n = a_closed(n)
+    total = Fraction(0)
+    for j, c in p.coeffs.items():
+        for i in range(abs(j) + 1):
+            weight = c * math.comb(abs(j), i)
+            if i == 0:
+                total += weight * (n == 0)
+            elif j > 0:
+                if n >= i:
+                    total += weight * (-1) ** i * i * n ** (n - i) * math.perm(n - 1, i - 1)
+            elif n >= 1:
+                for idx, coef in enumerate(_zpower_combination(i)):
+                    k = idx // 2
+                    total += weight * coef * (n ** (n + k) if idx % 2 == 0 else n**k * a_n)
+    return total / math.factorial(n)
 
 
 def gauss_jordan(system):

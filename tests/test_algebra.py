@@ -28,7 +28,13 @@ from covercount.algebra import (
 from covercount.errors import ConsistencyError
 from covercount.exact import LinearSolution, TruncatedSeries, series_exp
 
-from .oracles import a_closed_fractions, cauchy_product, first_correction, series_inverse
+from .oracles import (
+    a_closed_fractions,
+    cauchy_product,
+    first_correction,
+    laurent_coefficient_spanning,
+    series_inverse,
+)
 
 
 def test_y_and_z_first_coefficients():
@@ -235,7 +241,7 @@ def test_identify_roundtrip_random_elements(coeffs):
     assert ident.ok and ident.element == p
 
 
-@pytest.mark.parametrize("jmin, jmax", [(-4, 3), (-3, -1), (2, 4), (0, 0)])
+@pytest.mark.parametrize("jmin, jmax", [(-4, 3), (-3, -1), (2, 4), (0, 0), (-8, 8)])
 def test_x_powers_match_binary_powering(jmin, jmax):
     one = TruncatedSeries.one(20)
     x, xinv = one - series_y(20), one + series_z(20)
@@ -265,15 +271,27 @@ def test_laurent_pow_rejects_negative_exponent_before_multiplying(monkeypatch):
 @settings(max_examples=25, deadline=None)
 def test_laurent_coefficient_matches_series_random_elements(coeffs):
     p = LaurentPolyX(coeffs)
-    s = p.to_series(20)
-    assert [p.coefficient(n) for n in range(21)] == list(s.coeffs)
+    expected = [laurent_coefficient_spanning(p, n) for n in range(21)]
+    assert [p.coefficient(n) for n in range(21)] == expected
+    assert list(p.to_series(20).coeffs) == expected
 
 
 def test_laurent_coefficient_closed_form_matches_series():
     p = LaurentPolyX({-3: 2, -1: F(1, 3), 0: -1, 2: F(5, 7)})
-    s = p.to_series(14)
     for n in range(15):
-        assert p.coefficient(n) == s.coefficient(n)
+        assert p.coefficient(n) == laurent_coefficient_spanning(p, n)
+
+
+@pytest.mark.parametrize("jmin, jmax", [(-3, 2), (-8, 0)])
+def test_laurent_coefficient_matches_spanning_list_at_2000(jmin, jmax):
+    p = LaurentPolyX({j: F(j + 10, 3 - j) for j in range(jmin, jmax + 1)})
+    assert p.coefficient(2000) == laurent_coefficient_spanning(p, 2000)
+
+
+@pytest.mark.parametrize("coeffs", [{}, {1: 1}, {-3: 1, 2: F(1, 2)}])
+def test_laurent_coefficient_rejects_negative_n(coeffs):
+    with pytest.raises(ValueError):
+        LaurentPolyX(coeffs).coefficient(-1)
 
 
 def test_zpoly_laurent_roundtrip():

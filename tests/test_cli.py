@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from covercount import cli
 from covercount.cli import main
 
 
@@ -145,6 +146,81 @@ def test_malformed_laurent_json_exit2(capsys):
     assert code == 2 and "error" in err
     code, out, err = run(capsys, "asymptotic", "--laurent", '{"0":"1/0"}')
     assert code == 2
+    for text in ("[1,2]", '"1"', '{"1":null}', '{"-1":0.1}'):
+        code, out, err = run(capsys, "asymptotic", "--laurent", text)
+        assert (code, out) == (2, ""), text
+        assert "error" in err
+
+
+@pytest.mark.parametrize("command", ["series", "identify"])
+@pytest.mark.parametrize("name", sorted(cli._SERIES))
+def test_negative_order_exit2_for_every_series(capsys, command, name):
+    code, out, err = run(capsys, command, "--name", name, "--order", "-1")
+    assert (code, out) == (2, "")
+    assert "error" in err
+
+
+# the README's command examples, stdout byte for byte
+README_COMMANDS = [
+    (
+        ("series", "--name", "Z", "--order", "5", "--json"),
+        '{"1": "1", "2": "2", "3": "9/2", "4": "32/3", "5": "625/24"}\n',
+    ),
+    (("hurwitz", "--g", "0", "--n", "3"), "4\n"),
+    (
+        ("hurwitz", "--g", "1", "--n", "2", "--mu", "2", "--json"),
+        '{"value": "1/2", "c": 3, "tuple_count": "1"}\n',
+    ),
+    (
+        ("identify", "--name", "Z", "--order", "12", "--jmin", "-2", "--jmax", "2", "--json"),
+        '{"status": "identified", "verified_orders": 8, "element": {"-1": "1", "0": "-1"}}\n',
+    ),
+    (
+        ("asymptotic", "--laurent", '{"-1":"1","0":"-1"}', "--json"),
+        '{"constant": "1", "radical": "inv_sqrt_2pi", "gamma2": 1}\n',
+    ),
+    (
+        ("cayley", "--nmax", "6", "--kmax", "3", "--csv"),
+        "n,k,m,p\n2,1,2,2\n2,2,2,0\n2,3,2,0\n3,1,24,24\n3,2,36,6\n3,3,60,0\n"
+        "4,1,312,312\n4,2,600,144\n4,3,1320,24\n5,1,4720,4720\n5,2,10840,3060\n"
+        "5,3,28840,960\n6,1,82800,82800\n6,2,218160,67680\n6,3,670320,30240\n",
+    ),
+    (
+        ("hseries", "--g", "1", "--mu", "1", "--order", "10", "--fit-phi"),
+        '{"coefficients": {"2": "1/24", "3": "1/6", "4": "13/24", "5": "59/36", '
+        '"6": "115/24", "7": "9893/720", "8": "42037/1080", "9": "367439/3360", '
+        '"10": "461843/1512"}, "laurent_identification": {"status": "identified", '
+        '"verified_orders": 5, "element": {"-2": "1/24", "-1": "-1/12", "0": "1/24"}}, '
+        '"phi": {"0": "0", "1": "1/24"}, "phi_surplus_verified": 4}\n',
+    ),
+    (("tau", "--g", "1", "--d", "1"), "1/24\n"),
+    (
+        ("painleve", "--gmax", "5"),
+        "g=2 e_g=7/1440\ng=3 e_g=245/20736\ng=4 e_g=259553/2488320\n"
+        "g=5 e_g=1337455/663552\n",
+    ),
+    (
+        ("gravity", "--gmax", "4"),
+        "g=2 e_g=7/1440 b_g=7/4320 * (2*pi)^(-1/2) f_g=7/11520 * sqrt(2)\n"
+        "g=3 e_g=245/20736 b_g=245/15925248 f_g=245/663552\n"
+        "g=4 e_g=259553/2488320 b_g=37079/48037017600 * (2*pi)^(-1/2) "
+        "f_g=259553/637009920 * sqrt(2)\n",
+    ),
+    (
+        ("cayley", "--nmax", "7", "--kmax", "3", "--csv"),
+        "n,k,m,p\n2,1,2,2\n2,2,2,0\n2,3,2,0\n3,1,24,24\n3,2,36,6\n3,3,60,0\n"
+        "4,1,312,312\n4,2,600,144\n4,3,1320,24\n5,1,4720,4720\n5,2,10840,3060\n"
+        "5,3,28840,960\n6,1,82800,82800\n6,2,218160,67680\n6,3,670320,30240\n"
+        "7,1,1662024,1662024\n7,2,4896444,1617210\n7,3,16889124,920640\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", README_COMMANDS, ids=[" ".join(a) for a, _ in README_COMMANDS]
+)
+def test_readme_command_stdout_pinned(capsys, argv, expected):
+    assert run(capsys, *argv)[:2] == (0, expected)
 
 
 def test_unknown_flag_rejected():
