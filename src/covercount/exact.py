@@ -5,13 +5,16 @@ rounds.  Series are stored in the plain convention (coefficient of q^n is
 c_n); helpers give the n!-scaled view used by exponential generating
 functions.
 
-The series product runs on plain integers.  Each operand is rewritten as
-EGF numerators over one common denominator, a_i = D i! c_i, the product is
-the binomial convolution s_k = sum_i C(k, i) a_i b_{k-i}, and each output
-coefficient is one reduced `Fraction(s_k, D_a D_b k!)`.  This is the single
+Series arithmetic runs on plain integers.  Each operand is rewritten as
+EGF numerators over one common denominator, a_i = D i! c_i, and one kernel,
+`_convolve`, gives the binomial convolution s_k = sum_i C(k, i) a_i b_{k-i}
+for just the orders k asked for, visiting only the i where both factors can
+be nonzero; a square sums each pair i < k - i once and doubles it.  A
+product's coefficients are the reduced `Fraction(s_k, D_a D_b k!)`: the single
 common-denominator design of FLINT's `fmpq_poly`, with the i! folded in so
 that tree series such as Z (a_i = i^i, D = 1) stay integral.  The inverse is
-Newton's iteration on that product.
+Newton's iteration on EGF numerators, each step asking the kernel only for
+the new half of the coefficients (Brent and Kung, 1978).
 
 The linear solver eliminates on rows in input order only until full rank and
 checks the surplus rows (an identification's certificate) by substitution.
@@ -29,10 +32,10 @@ Rational = Fraction
 
 
 def as_rational(x) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4', and Fractions to Fraction; bools are refused."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
@@ -60,6 +63,49 @@ def _egf_numerators(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
         parts.append((c.numerator * (fact // g), d))
         den = den * d // math.gcd(den, d)
     return den, [p * (den // d) for p, d in parts]
+
+
+def _from_egf_numerators(s: Sequence[int], den: int) -> "TruncatedSeries":
+    """The series with coefficients s_k / (den k!)."""
+    out = []
+    fact = den
+    for k, x in enumerate(s):
+        if k:
+            fact *= k
+        out.append(Fraction(x, fact))
+    return TruncatedSeries(out)
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> list[int]:
+    """[s_lo, ..., s_hi] with s_k = sum_i C(k, i) a_i b_{k-i}; needs hi < len(a) + len(b).
+
+    i runs only where both a_i and b_{k-i} can be nonzero: past the end of
+    either list and over the leading zeros of either costs nothing.  When
+    `a is b` the sum is a square, and each pair i < k - i is summed once and
+    doubled.
+    """
+    za = next((i for i, x in enumerate(a) if x), len(a))
+    zb = next((j for j, x in enumerate(b) if x), len(b))
+    out = []
+    for k in range(lo, hi + 1):
+        i = max(za, k - len(b) + 1)
+        last = min(len(a) - 1, k - zb)
+        if a is b:
+            last = min(last, (k - 1) // 2)
+        s = 0
+        j = k - i
+        binom = math.comb(k, i)
+        for x in a[i : last + 1]:
+            s += x * b[j] * binom
+            i += 1
+            binom = binom * j // i
+            j -= 1
+        if a is b:
+            s *= 2
+            if not k & 1 and za <= k // 2:
+                s += math.comb(k, k // 2) * a[k // 2] ** 2
+        out.append(s)
+    return out
 
 
 class TruncatedSeries(Record):
@@ -132,37 +178,19 @@ class TruncatedSeries(Record):
             return TruncatedSeries([c * a for c in self.coeffs])
         n = min(self.order, other.order)
         da, a = _egf_numerators(self.coeffs[: n + 1])
-        db, b = _egf_numerators(other.coeffs[: n + 1])
-        out = []
-        denominator = da * db
-        for k in range(n + 1):
-            if k:
-                denominator *= k
-            s = 0
-            binom = 1  # C(k, i)
-            for i in range(k + 1):
-                ai = a[i]
-                if ai:
-                    bj = b[k - i]
-                    if bj:
-                        s += ai * bj * binom
-                binom = binom * (k - i) // (i + 1)
-            out.append(Fraction(s, denominator))
-        return TruncatedSeries(out)
+        db, b = (da, a) if other is self else _egf_numerators(other.coeffs[: n + 1])
+        return _from_egf_numerators(_convolve(a, b, 0, n), da * db)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "TruncatedSeries":
         if k < 0:
             return self.inverse() ** (-k)
-        out = TruncatedSeries.one(self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        if k < 2:
+            return self if k else TruncatedSeries.one(self.order)
+        half = self ** (k // 2)
+        square = half * half
+        return square * self if k & 1 else square
 
     def euler_d(self) -> "TruncatedSeries":
         """Apply D = q d/dq: the n-th coefficient becomes n*c_n."""
@@ -171,18 +199,29 @@ class TruncatedSeries(Record):
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires a nonzero constant term.
 
-        Newton's iteration g <- g (2 - f g): if g is right to order m, the
-        step is right to order 2m + 1, so a handful of products reach the
-        full order.
+        Newton's iteration g <- g - g (f g - 1): if g is right to order h,
+        the step is right to order m = 2h + 1, so a handful of steps reach
+        the full order.  f g - 1 vanishes through order h, so each step asks
+        `_convolve` only for coefficients h+1..m of f g and then of
+        g (f g - 1), about half of each full product.  g is kept as EGF
+        numerators over the least common denominator throughout.
         """
         if self.coeffs[0] == 0:
             raise ValueError("series with zero constant term has no inverse")
-        g = TruncatedSeries([1 / self.coeffs[0]])
-        while g.order < self.order:
-            m = min(2 * g.order + 1, self.order)
-            g = TruncatedSeries(g.coeffs + (0,) * (m - g.order))
-            g = g * (2 - self.truncate(m) * g)
-        return g
+        da, a = _egf_numerators(self.coeffs)
+        g0 = Fraction(da, a[0])
+        den, b = g0.denominator, [g0.numerator]
+        while len(b) <= self.order:
+            h = len(b) - 1
+            m = min(2 * h + 1, self.order)
+            # f g - 1 over da * den, zero through order h
+            e = [0] * (h + 1) + _convolve(a, b, h + 1, m)
+            scale = da * den
+            b = [x * scale for x in b] + [-t for t in _convolve(b, e, h + 1, m)]
+            common = math.gcd(den * scale, *b)
+            b = [x // common for x in b]
+            den = den * scale // common
+        return _from_egf_numerators(b, den)
 
     def shift_down(self, m: int) -> "TruncatedSeries":
         """Divide by q^m; the dropped coefficients must all be zero."""

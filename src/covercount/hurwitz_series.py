@@ -57,8 +57,8 @@ def h1_empty_series(order: int) -> TruncatedSeries:
     The unique case whose series lies outside the algebra; identification
     against any support window must report inconsistency.
     """
-    if order < 1:
-        raise DomainError("order must be >= 1")
+    if order < 0:
+        raise DomainError("order must be >= 0")
     coeffs = [Fraction(0)]
     for n in range(1, order + 1):
         coeffs.append(Fraction(a_closed(n), 24 * n * math.factorial(n)))

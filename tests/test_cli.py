@@ -146,7 +146,7 @@ def test_malformed_laurent_json_exit2(capsys):
     assert code == 2 and "error" in err
     code, out, err = run(capsys, "asymptotic", "--laurent", '{"0":"1/0"}')
     assert code == 2
-    for text in ("[1,2]", '"1"', '{"1":null}', '{"-1":0.1}'):
+    for text in ("[1,2]", '"1"', '{"1":null}', '{"-1":0.1}', '{"-1": true}', '{"0": false}'):
         code, out, err = run(capsys, "asymptotic", "--laurent", text)
         assert (code, out) == (2, ""), text
         assert "error" in err
@@ -158,6 +158,14 @@ def test_negative_order_exit2_for_every_series(capsys, command, name):
     code, out, err = run(capsys, command, "--name", name, "--order", "-1")
     assert (code, out) == (2, "")
     assert "error" in err
+
+
+@pytest.mark.parametrize("name", sorted(cli._SERIES))
+def test_order_zero_for_every_series(capsys, name):
+    code, out, err = run(capsys, "series", "--name", name, "--order", "0")
+    assert (code, out, err) == (0, "", "")
+    code, out, err = run(capsys, "identify", "--name", name, "--order", "0")
+    assert (code, out, err) == (0, "status: underdetermined (verified orders: 0)\n", "")
 
 
 # the README's command examples, stdout byte for byte

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covercount.algebra import series_y
+from covercount.algebra import series_y, series_z
 from covercount.exact import (
     LinearSystem,
     TruncatedSeries,
+    as_rational,
     format_rational,
     series_exp,
     solve_exact,
 )
 
-from .oracles import cauchy_product, gauss_jordan, series_inverse
+from .oracles import a_closed_fractions, cauchy_product, gauss_jordan, series_inverse
 
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=12
@@ -151,6 +152,63 @@ def test_inverse_matches_fraction_recurrence(f):
     assert list(inv.coeffs) == series_inverse(f.coeffs)
 
 
+@given(any_order_series())
+@settings(max_examples=150, deadline=None)
+def test_square_of_one_object_matches_fraction_convolution(a):
+    got = a * a
+    assert got.order == a.order
+    assert list(got.coeffs) == cauchy_product(a.coeffs, a.coeffs)
+    assert all(type(c) is F for c in got.coeffs)
+
+
+def repeated_product(coeffs, k):
+    out = [F(1)] + [F(0)] * (len(coeffs) - 1)
+    for _ in range(k):
+        out = cauchy_product(out, coeffs)
+    return out
+
+
+@given(any_order_series(8))
+@settings(max_examples=40, deadline=None)
+def test_powers_match_repeated_fraction_products(f):
+    for k in range(7):
+        got = f ** k
+        assert got.order == f.order
+        assert list(got.coeffs) == repeated_product(f.coeffs, k), k
+
+
+@given(unit_series(8))
+@settings(max_examples=40, deadline=None)
+def test_negative_powers_match_fraction_inverse(f):
+    inv = series_inverse(f.coeffs)
+    for k in range(1, 4):
+        assert list((f ** -k).coeffs) == repeated_product(inv, k), k
+
+
+# orders on both sides of the points where a Newton step stops short of 2h + 1
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 7, 8, 15, 16, 31])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_inverse_at_newton_step_boundaries(order, data):
+    head = data.draw(nonzero_rationals)
+    tail = data.draw(st.lists(sparse_rationals, min_size=order, max_size=order))
+    f = TruncatedSeries([head, *tail])
+    inv = f.inverse()
+    assert inv.order == order
+    assert list(inv.coeffs) == series_inverse(f.coeffs)
+
+
+def test_square_and_inverse_closed_forms_at_order_200():
+    z = series_z(200)
+    # [q^n] Z^2 = A_n / n!, and (1 + Z)^-1 = 1 - Y with [q^n] Y = n^(n-1) / n!
+    assert [c * math.factorial(n) for n, c in enumerate((z ** 2).coeffs)] == [
+        a_closed_fractions(n) for n in range(201)
+    ]
+    assert list((1 + z).inverse().coeffs) == [F(1)] + [
+        F(-(n ** (n - 1)), math.factorial(n)) for n in range(1, 201)
+    ]
+
+
 def test_inverse_rejects_zero_constant_term():
     for f in (TruncatedSeries([0, 1, 2]), TruncatedSeries.zero(3), TruncatedSeries([0])):
         with pytest.raises(ValueError):
@@ -266,6 +324,13 @@ def test_solve_matches_gauss_jordan_over_every_row(system):
 def test_solve_status_on_surplus_rows(matrix, rhs, status):
     system = LinearSystem(matrix, rhs)
     assert solve_exact(system).status == status == gauss_jordan(system).status
+
+
+def test_as_rational_refuses_bool():
+    for x in (True, False):
+        with pytest.raises(TypeError):
+            as_rational(x)
+    assert as_rational(1) == 1 and as_rational("3/4") == F(3, 4)
 
 
 def test_rational_formatting():
