@@ -115,19 +115,6 @@ def _x_power_egf(n: int, jmin: int, jmax: int) -> list[int]:
     return [e[j] for j in range(jmin, jmax + 1)]
 
 
-def x_powers(jmin: int, jmax: int, order: int) -> dict[int, TruncatedSeries]:
-    """X^j to the given order for every jmin <= j <= jmax.
-
-    Coefficient n of every power comes from one `_x_power_egf(n, jmin, jmax)`
-    row divided by n!; no series products.
-    """
-    rows = [
-        [Fraction(e, math.factorial(n)) for e in _x_power_egf(n, jmin, jmax)]
-        for n in range(order + 1)
-    ]
-    return {j: TruncatedSeries([row[j - jmin] for row in rows]) for j in range(jmin, jmax + 1)}
-
-
 # ---------------------------------------------------------------------------
 # polynomials in Z
 
@@ -417,10 +404,9 @@ def identify_in_a(
     if f.order + 1 < unknowns + slack:
         return Identification("underdetermined")
     order = f.order
-    powers = x_powers(jmin, jmax, order)
-    cols = [powers[j].coeffs for j in range(jmin, jmax + 1)]
-    rows = [[cols[t][n] for t in range(unknowns)] for n in range(order + 1)]
-    sol = solve_exact(LinearSystem(rows, list(f.coeffs)))
+    # row n is [q^n] scaled by n!: integer X-power entries, right side n! f_n
+    rows = [_x_power_egf(n, jmin, jmax) for n in range(order + 1)]
+    sol = solve_exact(LinearSystem(rows, [f.egf_coefficient(n) for n in range(order + 1)]))
     if sol.status == "inconsistent":
         return Identification("inconsistent")
     if sol.status == "underdetermined":

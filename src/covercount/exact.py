@@ -16,8 +16,8 @@ that tree series such as Z (a_i = i^i, D = 1) stay integral.  The inverse is
 Newton's iteration on EGF numerators, each step asking the kernel only for
 the new half of the coefficients (Brent and Kung, 1978).
 
-The linear solver eliminates on rows in input order only until full rank and
-checks the surplus rows (an identification's certificate) by substitution.
+The linear solver eliminates fraction-free on integer rows, in input order
+until full rank, and checks the surplus rows (the certificate) in integers.
 """
 
 from __future__ import annotations
@@ -295,14 +295,21 @@ class LinearSolution(Record):
         return self.status == "unique"
 
 
-def solve_exact(system: LinearSystem) -> LinearSolution:
-    """Solve exactly on the fewest rows and check the rest by substitution.
+def _integer_row(row: Sequence[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators."""
+    den = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
 
-    Rows are reduced in input order against the pivot rows found so far
-    (reduced row echelon form, pivot on the first nonzero entry) until the
-    rank equals the column count; every remaining row is then checked by
-    exact substitution.  Callers put the rows with the smallest numbers
-    first.  The pivot choice affects only speed, never the exact answer.
+
+def solve_exact(system: LinearSystem) -> LinearSolution:
+    """Solve on the fewest rows, fraction-free, and check the rest in integers.
+
+    Rows, right side last, are cleared of denominators and reduced in input
+    order against the pivot rows so far (pivot on the first nonzero entry)
+    until the rank equals the column count: an entry f under pivot p gives
+    p row - f pivot, divided by its gcd (Bareiss, 1968).  Back-substitution
+    gives the solution over one common denominator, and every remaining row
+    is checked as an integer dot product.  Callers put the smallest rows first.
 
     A row that reduces to zero with a nonzero right side, or a remaining row
     the solution does not satisfy, gives 'inconsistent', also when the
@@ -311,31 +318,36 @@ def solve_exact(system: LinearSystem) -> LinearSolution:
     """
     n_rows = len(system.rhs)
     n_cols = len(system.matrix[0]) if n_rows else 0
-    pivots: dict[int, list[Fraction]] = {}  # pivot column -> row, pivot 1, rhs last
+    pivots: list[tuple[int, list[int]]] = []  # (pivot column, row with rhs last)
     used = 0
     while len(pivots) < n_cols and used < n_rows:
-        row = [*system.matrix[used], system.rhs[used]]
+        row = _integer_row((*system.matrix[used], system.rhs[used]))
         used += 1
-        for col, p in pivots.items():
+        for col, p in pivots:
             f = row[col]
             if f:
-                row = [v - f * w if w else v for v, w in zip(row, p)]
+                row = [p[col] * v - f * w for v, w in zip(row, p)]
+                common = math.gcd(*row) or 1
+                row = [v // common for v in row]
         col = next((j for j in range(n_cols) if row[j]), None)
         if col is None:
             if row[n_cols]:
                 return LinearSolution("inconsistent")
             continue
-        pv = row[col]
-        row = [v / pv for v in row]
-        for c, p in pivots.items():
-            f = p[col]
-            if f:
-                pivots[c] = [v - f * w if w else v for v, w in zip(p, row)]
-        pivots[col] = row
+        pivots.append((col, row))
     if len(pivots) < n_cols:
         return LinearSolution("underdetermined")
-    solution = tuple(pivots[col][n_cols] for col in range(n_cols))
+    num, den = [0] * n_cols, 1  # x_c = num[c] / den
+    for col, p in reversed(pivots):
+        # num is zero outside the later pivots' columns, where p may not be
+        t = p[n_cols] * den - sum(a * x for a, x in zip(p, num) if x)
+        num = [t if c == col else x * p[col] for c, x in enumerate(num)]
+        den *= p[col]
+        common = math.gcd(den, *num)
+        num = [x // common for x in num]
+        den //= common
     for row, b in zip(system.matrix[used:], system.rhs[used:]):
-        if sum(a * x for a, x in zip(row, solution) if x) != b:
+        r = _integer_row((*row, b))
+        if sum(a * x for a, x in zip(r, num) if a) != r[n_cols] * den:
             return LinearSolution("inconsistent")
-    return LinearSolution("unique", solution)
+    return LinearSolution("unique", tuple(Fraction(x, den) for x in num))

@@ -281,30 +281,32 @@ class PainleveSolution(Record):
 def painleve_solve(g_max: int) -> PainleveSolution:
     """Order-by-order formal solution of u^2 + u''/6 = 2y.
 
-    The ansatz is u = -s^{-1} + (1/12) s^4 + sum_{g>=2} (5-5g)(3-5g) e_g
-    s^{5g-1}; the genus-one term is an input, every e_g for g >= 2 is forced
-    by the vanishing of the residual at s^{5g-2}.
+    u = sum_{g>=0} a_g s^{5g-1}, a_0 = -1, the genus-one input a_1 = 1/12 and
+    a_g = (5-5g)(3-5g) e_g forced by the residual at s^{5g-2}.  On integers
+    b_g = 24^g a_g that residual vanishes when 12 b_g = 6 sum_{0<i<g}
+    b_i b_{g-i} + 24 k(k+2) b_{g-1}, k = 5g - 6; the division must be exact
+    (a scale of 12 fails at g = 2).  The residual certificate through
+    `residual_max_order(g_max)` is checked on the same integers (24^m times
+    the residual at s^{5m-2}; no other order holds a term).
     """
     if g_max < 2:
         raise DomainError("g_max must be >= 2")
-    terms = {-1: Fraction(-1), 4: Fraction(1, 12)}
-    e: dict[int, Fraction] = {}
+    b = [-1, 2]
     for g in range(2, g_max + 1):
-        u = PainleveSeries(terms)
-        rho = u.residual_coefficient(5 * g - 2)
-        # adding a s^{5g-1} to u shifts this residual coefficient by -2a
-        a = rho / 2
-        cg = (5 - 5 * g) * (3 - 5 * g)
-        if cg == 0:
-            raise ConsistencyError(f"ansatz coefficient vanished at genus {g}")
-        e[g] = a / cg
-        terms[5 * g - 1] = a
-    u = PainleveSeries(terms)
-    sol = PainleveSolution(u, e)
-    for t in range(-2, sol.residual_max_order(g_max) + 1):
-        if u.residual_coefficient(t) != 0:
-            raise ConsistencyError(f"Painleve residual is nonzero at s^{t}")
-    return sol
+        k = 5 * g - 6
+        rhs = 6 * sum(b[i] * b[g - i] for i in range(1, g)) + 24 * k * (k + 2) * b[g - 1]
+        bg, rem = divmod(rhs, 12)
+        if rem:
+            raise ConsistencyError(f"Painleve numerator b_{g} is not an integer")
+        b.append(bg)
+    for m in range(g_max + 1):
+        k = 5 * m - 6
+        r = sum(b[i] * b[m - i] for i in range(m + 1))  # u^2
+        if r + (4 * k * (k + 2) * b[m - 1] if m else -1):  # + u''/6, or - 2y at m = 0
+            raise ConsistencyError(f"Painleve residual is nonzero at s^{5 * m - 2}")
+    u = PainleveSeries({5 * g - 1: Fraction(bg, 24**g) for g, bg in enumerate(b)})
+    e = {g: Fraction(b[g], 24**g * (5 - 5 * g) * (3 - 5 * g)) for g in range(2, g_max + 1)}
+    return PainleveSolution(u, e)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,11 @@ The binomial expansion over powers of Y and Z, with each Z^i solved over
 the spanning list Z, Z^2, DZ, D(Z^2), ..., is the former closed-form route
 to [q^n] of a Laurent polynomial in X, the reference for the X-power
 recurrence of `covercount.algebra`.  The Gauss-Jordan solver over every
-row checks `covercount.exact.solve_exact`; the Pruefer-enumeration
+row checks `covercount.exact.solve_exact`.  The Fraction Painleve I
+recursion checks the integer one of `covercount.gravity.painleve_solve`,
+and the string equation plus the Dijkgraaf-Verlinde-Verlinde recursion is
+a route to psi-class brackets that shares no code with the coverings.  The
+Pruefer-enumeration
 distance histogram checks the closed form in `covercount.trees`, and the
 Stirling transform of p_{n,k} is a second route to its moments m_{n,k}.
 """
@@ -31,8 +35,9 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from covercount.algebra import a_closed, zpower_in_basis
-from covercount.errors import Record
+from covercount.errors import ConsistencyError, Record
 from covercount.exact import LinearSolution
+from covercount.gravity import PainleveSeries, PainleveSolution
 from covercount.symmetric import Partition, conjugacy_class_size, partitions_of
 from covercount.trees import ENUMERATION_LIMIT, _check_size, dendrology_p
 
@@ -315,6 +320,98 @@ def gauss_jordan(system):
     for i, col in piv_rows:
         sol[col] = rows[i][n_cols] / rows[i][col]
     return LinearSolution("unique", tuple(sol))
+
+
+# ---------------------------------------------------------------------------
+# Painleve I and psi-class brackets
+
+
+def painleve_fractions(g_max):
+    """The library's former Painleve I route, in Fractions.
+
+    u = -s^-1 + (1/12) s^4 + sum_{g>=2} a_g s^{5g-1}; adding a s^{5g-1}
+    shifts the residual at s^{5g-2} by -2a, so a_g is half the residual of
+    the series solved so far.  e_g = a_g / ((5-5g)(3-5g)); every residual
+    order up to `residual_max_order(g_max)` is then checked to vanish.
+    """
+    terms = {-1: Fraction(-1), 4: Fraction(1, 12)}
+    e = {}
+    for g in range(2, g_max + 1):
+        a = PainleveSeries(terms).residual_coefficient(5 * g - 2) / 2
+        e[g] = a / ((5 - 5 * g) * (3 - 5 * g))
+        terms[5 * g - 1] = a
+    sol = PainleveSolution(PainleveSeries(terms), e)
+    for t in range(-2, sol.residual_max_order(g_max) + 1):
+        if sol.u.residual_coefficient(t) != 0:
+            raise ConsistencyError(f"Painleve residual is nonzero at s^{t}")
+    return sol
+
+
+def _odd_double_factorial(k):
+    """(2k+1)!!, with (-1)!! = 1."""
+    return math.prod(range(1, 2 * k + 2, 2))
+
+
+def _splits(ds):
+    """(I, J, weight) over the ways to cut the multiset ds in two labeled
+    parts; weight = prod_d C(m_d, i_d) counts the subsets of each shape."""
+    counts = sorted(Counter(ds).items())
+    for taken in product(*[range(m + 1) for _, m in counts]):
+        left, right, weight = [], [], 1
+        for (d, m), i in zip(counts, taken):
+            left += [d] * i
+            right += [d] * (m - i)
+            weight *= math.comb(m, i)
+        yield tuple(left), tuple(right), weight
+
+
+@lru_cache(maxsize=None)
+def dvv_bracket(g, ds):
+    """<tau_{d_1} ... tau_{d_p}>_g for a sorted tuple ds, by the string
+    equation and the Dijkgraaf-Verlinde-Verlinde recursion (DVV 1991):
+
+    (2k+3)!! <tau_{k+1} tau_S>_g
+        = sum_j (2k+2d_j+1)!!/(2d_j-1)!! <tau_{d_j+k} tau_{S-j}>_g
+        + 1/2 sum_{r+s=k-1} (2r+1)!!(2s+1)!! (<tau_r tau_s tau_S>_{g-1}
+              + sum_{g1+g2=g, I+J=S} <tau_r tau_I>_{g1} <tau_s tau_J>_{g2}),
+
+    from <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24; unstable and
+    dimension-invalid brackets are zero.
+    """
+    p = len(ds)
+    if g < 0 or 2 * g - 2 + p <= 0 or sum(ds) != 3 * g - 3 + p:
+        return Fraction(0)
+    if (g, ds) in ((0, (0, 0, 0)), (1, (1,))):
+        return Fraction(1) if g == 0 else Fraction(1, 24)
+    if ds[0] == 0:
+        rest = ds[1:]
+        return sum(
+            (
+                dvv_bracket(g, tuple(sorted(rest[:j] + (d - 1,) + rest[j + 1 :])))
+                for j, d in enumerate(rest)
+                if d
+            ),
+            Fraction(0),
+        )
+    k, rest = ds[-1] - 1, ds[:-1]
+    total = Fraction(0)
+    for j, d in enumerate(rest):
+        weight = Fraction(_odd_double_factorial(k + d), _odd_double_factorial(d - 1))
+        total += weight * dvv_bracket(g, tuple(sorted(rest[:j] + (d + k,) + rest[j + 1 :])))
+    for r in range(k):
+        s = k - 1 - r
+        pair = Fraction(_odd_double_factorial(r) * _odd_double_factorial(s), 2)
+        inner = dvv_bracket(g - 1, tuple(sorted(rest + (r, s))))
+        for left, right, weight in _splits(rest):
+            # the dimension constraint leaves one genus for <tau_r tau_I>
+            g1, rem = divmod(sum(left) + r + 2 - len(left), 3)
+            if not rem and 0 <= g1 <= g:
+                inner += weight * (
+                    dvv_bracket(g1, tuple(sorted(left + (r,))))
+                    * dvv_bracket(g - g1, tuple(sorted(right + (s,))))
+                )
+        total += pair * inner
+    return total / _odd_double_factorial(k + 1)
 
 
 # ---------------------------------------------------------------------------

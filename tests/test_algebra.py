@@ -10,6 +10,7 @@ from covercount.algebra import (
     Radical,
     ScaledRational,
     ZPoly,
+    _x_power_egf,
     a_closed,
     dkz2_poly,
     dkz_poly,
@@ -19,7 +20,6 @@ from covercount.algebra import (
     seq_a,
     series_y,
     series_z,
-    x_powers,
     y_over_q_power,
     ypower_closed,
     zbasis_element,
@@ -243,11 +243,12 @@ def test_identify_roundtrip_random_elements(coeffs):
 
 @pytest.mark.parametrize("jmin, jmax", [(-4, 3), (-3, -1), (2, 4), (0, 0), (-8, 8)])
 def test_x_powers_match_binary_powering(jmin, jmax):
+    # column j of the rows n! [q^n] X^j, n <= 20, is the series of X^j
     one = TruncatedSeries.one(20)
     x, xinv = one - series_y(20), one + series_z(20)
-    powers = x_powers(jmin, jmax, 20)
-    assert list(powers) == list(range(jmin, jmax + 1))
-    for j, s in powers.items():
+    rows = [_x_power_egf(n, jmin, jmax) for n in range(21)]
+    for t, j in enumerate(range(jmin, jmax + 1)):
+        s = TruncatedSeries([F(row[t], math.factorial(n)) for n, row in enumerate(rows)])
         assert s == (x if j >= 0 else xinv) ** abs(j)
 
 

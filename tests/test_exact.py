@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from covercount.algebra import series_y, series_z
 from covercount.exact import (
+    LinearSolution,
     LinearSystem,
     TruncatedSeries,
     as_rational,
@@ -309,6 +310,76 @@ def overdetermined_systems(draw):
 @settings(max_examples=200, deadline=None)
 def test_solve_matches_gauss_jordan_over_every_row(system):
     assert solve_exact(system) == gauss_jordan(system)
+
+
+@st.composite
+def identification_systems(draw):
+    """Integer rows with factorial-sized entries, like an identification's
+    n! [q^n] X^j rows, and Fraction right sides A x, sometimes bumped."""
+    cols = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.integers(min_value=cols, max_value=cols + 6))
+    matrix = [
+        [draw(st.integers(-5, 5)) * math.factorial(n + j) for j in range(cols)]
+        for n in range(rows)
+    ]
+    x = draw(st.lists(sparse_rationals, min_size=cols, max_size=cols))
+    rhs = [sum((a * b for a, b in zip(row, x)), F(0)) for row in matrix]
+    bumped = draw(st.one_of(st.none(), st.integers(0, rows - 1)))
+    if bumped is not None:
+        rhs[bumped] += draw(nonzero_rationals)
+    return LinearSystem(matrix, rhs)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+@st.composite
+def coprime_denominator_systems(draw):
+    """Rows whose entries have pairwise coprime (prime) denominators, so that
+    clearing a row multiplies by their product."""
+    cols = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.integers(min_value=cols, max_value=cols + 2))
+
+    def row(width):
+        dens = draw(st.permutations(PRIMES))[:width]
+        return [F(draw(st.integers(-40, 40)), d) for d in dens]
+
+    matrix = [row(cols) for _ in range(rows)]
+    if draw(st.booleans()):
+        x = row(cols)
+        rhs = [sum((a * b for a, b in zip(r, x)), F(0)) for r in matrix]
+    else:
+        rhs = row(rows)
+    return LinearSystem(matrix, rhs)
+
+
+@given(st.one_of(identification_systems(), coprime_denominator_systems()))
+@settings(max_examples=150, deadline=None)
+def test_solve_matches_gauss_jordan_on_integer_and_coprime_rows(system):
+    assert solve_exact(system) == gauss_jordan(system)
+
+
+@given(overdetermined_systems(), small_rationals.filter(bool))
+@settings(max_examples=80, deadline=None)
+def test_zero_row_with_nonzero_rhs_after_full_rank_is_inconsistent(system, b):
+    # appended last, so a full-rank system meets it as a surplus row
+    cols = len(system.matrix[0])
+    bad = LinearSystem([*system.matrix, (F(0),) * cols], [*system.rhs, b])
+    assert solve_exact(bad) == gauss_jordan(bad) == LinearSolution("inconsistent")
+
+
+@given(overdetermined_systems())
+@settings(max_examples=80, deadline=None)
+def test_solve_with_negative_leading_entries(system):
+    # every row's first nonzero entry negative, so pivots are negative
+    matrix, rhs = [], []
+    for row, b in zip(system.matrix, system.rhs):
+        lead = next((v for v in row if v), 0)
+        sign = -1 if lead > 0 else 1
+        matrix.append([sign * v for v in row])
+        rhs.append(sign * b)
+    negated = LinearSystem(matrix, rhs)
+    assert solve_exact(negated) == gauss_jordan(negated) == gauss_jordan(system)
 
 
 @pytest.mark.parametrize(

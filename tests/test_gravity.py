@@ -21,6 +21,8 @@ from covercount.gravity import (
     vanishing_combination,
 )
 
+from .oracles import dvv_bracket, painleve_fractions
+
 
 def test_bracket_three_tau0_genus0():
     assert tau_bracket(TauSpec(0, (0, 0, 0))) == 1
@@ -172,9 +174,18 @@ def test_painleve_first_coefficients():
 
 
 def test_painleve_residual_vanishes_through_g10():
-    sol = painleve_solve(10)
-    for t in range(-2, sol.residual_max_order(10) + 1):
-        assert sol.u.residual_coefficient(t) == 0
+    # the public Fraction residual, independent of the integer certificate
+    for g_max in (10, 60):
+        sol = painleve_solve(g_max)
+        for t in range(-2, sol.residual_max_order(g_max) + 1):
+            assert sol.u.residual_coefficient(t) == 0, (g_max, t)
+
+
+@pytest.mark.parametrize("g_max", [2, 3, 10, 60])
+def test_painleve_integer_route_matches_fractions(g_max):
+    sol, ref = painleve_solve(g_max), painleve_fractions(g_max)
+    assert sol.e == ref.e
+    assert sol.u.terms == ref.u.terms
 
 
 def test_painleve_requires_g2():
@@ -232,6 +243,29 @@ def test_hg_empty_leading_matches_painleve_through_genus10():
     sol = painleve_solve(10)
     for g in range(2, 11):
         assert hg_empty_leading(g) == sol.e[g], g
+
+
+def test_dvv_matches_covering_brackets():
+    # string equation + DVV recursion against the covering-count brackets on
+    # every stable, dimension-valid bracket with g <= 3 and p <= 5
+    specs = [
+        (g, ds)
+        for g in range(4)
+        for p in range(1, 6)
+        if 2 * g - 2 + p > 0
+        for ds in combinations_with_replacement(range(3 * g - 2 + p), p)
+        if sum(ds) == 3 * g - 3 + p
+    ]
+    assert len(specs) == 140
+    for g, ds in specs:
+        assert dvv_bracket(g, ds) == tau_bracket(TauSpec(g, ds)), (g, ds)
+
+
+def test_dvv_matches_painleve_through_genus8():
+    # e_g = <tau_2^(3g-3)>_g / (3g-3)!, with no covering count on either side
+    sol = painleve_solve(8)
+    for g in range(2, 9):
+        assert dvv_bracket(g, (2,) * (3 * g - 3)) / math.factorial(3 * g - 3) == sol.e[g], g
 
 
 def test_hg_empty_leading_exceptional_genera():
