@@ -120,60 +120,31 @@ def _x_power_egf(n: int, jmin: int, jmax: int) -> list[int]:
 
 
 class ZPoly(Record):
-    """A polynomial in Z with rational coefficients, coeffs[i] on Z^i."""
+    """A polynomial in Z = X^{-1} - 1, coeffs[i] on Z^i: the record phi(Z) and the
+    spanning list are stated in.  Arithmetic happens on `to_laurent()`."""
 
     coeffs: tuple
 
     def __init__(self, coeffs):
-        c = [as_rational(x) for x in coeffs]
+        c = [as_rational(x) for x in coeffs] or [Fraction(0)]
         while len(c) > 1 and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs != (Fraction(0),) else 0
+        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return ZPoly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-    def __sub__(self, other):
-        return self + ZPoly([-c for c in other.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, ZPoly):
-            a = as_rational(other)
-            return ZPoly([c * a for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                out[i + j] += ci * cj
-        return ZPoly(out)
-
-    __rmul__ = __mul__
-
-    def euler_d(self) -> "ZPoly":
-        """D applied through DZ = Z(1+Z)^2: returns P'(Z) * Z(1+Z)^2."""
-        deriv = ZPoly([i * c for i, c in enumerate(self.coeffs)][1:] or [0])
-        return deriv * ZPoly([0, 1, 2, 1])
-
     def to_laurent(self) -> "LaurentPolyX":
-        """Substitute Z = X^{-1} - 1."""
-        out = LaurentPolyX({})
+        """Substitute Z = X^{-1} - 1: Z^i = sum_k C(i, k) (-1)^(i-k) X^{-k}."""
+        out: dict[int, Fraction] = {}
         for i, c in enumerate(self.coeffs):
-            if c != 0:
-                out = out + (LaurentPolyX({-1: 1, 0: -1}) ** i) * c
-        return out
-
-    def to_series(self, order: int) -> TruncatedSeries:
-        return self.to_laurent().to_series(order)
+            for k in range(i + 1):
+                out[-k] = out.get(-k, 0) + c * ((-1) ** (i - k) * math.comb(i, k))
+        return LaurentPolyX(out)
 
     def __repr__(self):
         terms = [
@@ -184,24 +155,24 @@ class ZPoly(Record):
         return "ZPoly(" + (" + ".join(terms) if terms else "0") + ")"
 
 
-def dkz_poly(k: int) -> ZPoly:
-    """D^k Z as a polynomial in Z; leading coefficient (2k-1)!! on Z^{2k+1}."""
+def _dk_zpower(a: int, k: int) -> ZPoly:
+    """D^k (Z^a) as a polynomial in Z: D applied k times to (X^{-1} - 1)^a."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    p = ZPoly([0, 1])
+    p = LaurentPolyX({-1: 1, 0: -1}) ** a
     for _ in range(k):
         p = p.euler_d()
-    return p
+    return p.to_zpoly()
+
+
+def dkz_poly(k: int) -> ZPoly:
+    """D^k Z as a polynomial in Z; leading coefficient (2k-1)!! on Z^{2k+1}."""
+    return _dk_zpower(1, k)
 
 
 def dkz2_poly(k: int) -> ZPoly:
     """D^k (Z^2) as a polynomial in Z; leading coefficient (2k)!! on Z^{2k+2}."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    p = ZPoly([0, 0, 1])
-    for _ in range(k):
-        p = p.euler_d()
-    return p
+    return _dk_zpower(2, k)
 
 
 def double_factorial(k: int) -> int:
@@ -220,8 +191,8 @@ def zbasis_element(i: int) -> ZPoly:
 def zpower_in_basis(k: int) -> list[Fraction]:
     """Coefficients expressing Z^k over the first k spanning elements.
 
-    Solved exactly and re-verified by expanding the combination back to a
-    polynomial in Z.
+    Solved exactly and re-verified by expanding the combination as a
+    Laurent polynomial in X against (X^{-1} - 1)^k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -237,12 +208,10 @@ def zpower_in_basis(k: int) -> list[Fraction]:
     sol = solve_exact(LinearSystem(rows, rhs))
     if not sol.ok:
         raise ConsistencyError(f"Z^{k} did not resolve over the spanning list: {sol.status}")
-    combo = ZPoly([0])
+    combo = LaurentPolyX({})
     for c, p in zip(sol.solution, basis):
-        combo = combo + p * c
-    want = [Fraction(0)] * (k + 1)
-    want[k] = Fraction(1)
-    if combo != ZPoly(want):
+        combo = combo + p.to_laurent() * c
+    if combo != ZPoly([0] * k + [1]).to_laurent():
         raise ConsistencyError(f"re-expansion of Z^{k} combination failed")
     return list(sol.solution)
 
@@ -305,18 +274,23 @@ class LaurentPolyX(Record):
             out = out * self
         return out
 
+    def euler_d(self) -> "LaurentPolyX":
+        """Apply D = q d/dq through DX = -Z = 1 - X^{-1}: D(X^j) = j (X^{j-1} - X^{j-2})."""
+        out: dict[int, Fraction] = {}
+        for j, c in self.coeffs.items():
+            out[j - 1] = out.get(j - 1, 0) + j * c
+            out[j - 2] = out.get(j - 2, 0) - j * c
+        return LaurentPolyX(out)
+
     def to_zpoly(self) -> ZPoly:
-        """Rewrite as a polynomial in Z; requires support <= 0 (via X^{-1} = 1+Z)."""
+        """Rewrite as a polynomial in Z; requires support <= 0.  X^{-j} = (1+Z)^j."""
         if any(j > 0 for j in self.coeffs):
             raise ValueError("element has positive X powers; it is not a polynomial in Z")
-        out = ZPoly([0])
-        zplus1 = ZPoly([1, 1])
+        out = [Fraction(0)] * (1 - min(self.coeffs, default=0))
         for j, c in self.coeffs.items():
-            term = ZPoly([1])
-            for _ in range(-j):
-                term = term * zplus1
-            out = out + term * c
-        return out
+            for i in range(1 - j):
+                out[i] += c * math.comb(-j, i)
+        return ZPoly(out)
 
     def to_ypoly(self) -> dict[int, Fraction]:
         """Rewrite as a polynomial in Y; requires support >= 0 (via X = 1-Y)."""

@@ -148,11 +148,6 @@ class TruncatedSeries(Record):
         """n! * c_n, the exponential-convention view."""
         return self.coeffs[n] * math.factorial(n)
 
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order >= self.order:
-            return self
-        return TruncatedSeries(self.coeffs[: order + 1])
-
     def __add__(self, other):
         if isinstance(other, TruncatedSeries):
             n = min(self.order, other.order)
@@ -223,14 +218,6 @@ class TruncatedSeries(Record):
             den = den * scale // common
         return _from_egf_numerators(b, den)
 
-    def shift_down(self, m: int) -> "TruncatedSeries":
-        """Divide by q^m; the dropped coefficients must all be zero."""
-        if any(c != 0 for c in self.coeffs[:m]):
-            raise ValueError(f"series is not divisible by q^{m}")
-        if m > self.order:
-            raise ValueError("shift exceeds known order")
-        return TruncatedSeries(self.coeffs[m:])
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
@@ -259,15 +246,21 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(e)
 
 
+def _entry(x):
+    """An int is kept as it is (solve_exact reads ints directly); the rest goes
+    through `as_rational`, which refuses bools and floats."""
+    return x if type(x) is int else as_rational(x)
+
+
 class LinearSystem(Record):
-    """Exact rows x cols rational system; rows >= cols is the normal case."""
+    """Exact rows x cols system of ints and Fractions; rows >= cols is the normal case."""
 
     matrix: tuple
     rhs: tuple
 
     def __init__(self, matrix: Sequence[Sequence], rhs: Sequence):
-        rows = tuple(tuple(as_rational(x) for x in row) for row in matrix)
-        b = tuple(as_rational(x) for x in rhs)
+        rows = tuple(tuple(_entry(x) for x in row) for row in matrix)
+        b = tuple(_entry(x) for x in rhs)
         if len(rows) != len(b):
             raise ValueError("matrix and rhs row counts differ")
         if rows and any(len(r) != len(rows[0]) for r in rows):

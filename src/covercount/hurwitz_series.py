@@ -190,10 +190,6 @@ class HurwitzSeries(Record):
     series: TruncatedSeries
     certificate: Identification
 
-    @property
-    def in_algebra(self) -> bool:
-        return self.certificate.ok
-
 
 def default_window(g: int, mus: Sequence[Partition]) -> tuple[int, int]:
     """Support window heuristic from the normal-form shape."""

@@ -23,13 +23,6 @@ class Partition(Record):
             raise DomainError(f"partition parts must be positive: {parts}")
         object.__setattr__(self, "parts", p)
 
-    @classmethod
-    def from_multiplicities(cls, mult: dict[int, int]) -> "Partition":
-        parts = []
-        for size, count in mult.items():
-            parts.extend([size] * count)
-        return cls(parts)
-
     @property
     def m(self) -> int:
         """Total weight sum b_i."""

@@ -287,7 +287,7 @@ def gauss_jordan(system):
     Pivots on the entry of largest |numerator| in the column; rows left
     below the pivots must have a zero right side.
     """
-    rows = [list(r) + [v] for r, v in zip(system.matrix, system.rhs)]
+    rows = [[Fraction(x) for x in r] + [Fraction(v)] for r, v in zip(system.matrix, system.rhs)]
     n_rows = len(rows)
     n_cols = len(system.matrix[0]) if n_rows else 0
     piv_rows = []  # (row index, pivot column)

@@ -115,8 +115,8 @@ def test_y_over_q_power_is_exp_of_a_y(a):
 def test_y_over_q_power_negative_matches_inverted_power(m):
     # the former route of the bracket series: power Y/q, then invert
     order = 20
-    unit = series_y(order + m).shift_down(1) ** m
-    assert y_over_q_power(-m, order) == unit.truncate(order).inverse()
+    y_over_q = TruncatedSeries(series_y(order + 1).coeffs[1:])
+    assert y_over_q_power(-m, order) == (y_over_q**m).inverse()
 
 
 def test_dkz_small_cases():
@@ -149,16 +149,16 @@ def test_dkz_matches_series_route():
     z = series_z(18)
     s = z
     for k in range(5):
-        assert dkz_poly(k).to_series(18) == s
+        assert dkz_poly(k).to_laurent().to_series(18) == s
         s = s.euler_d()
 
 
 def test_zpoly_euler_matches_power_rule():
-    # D(Z^k) = k Z^{k-1} Z (1+Z)^2 expanded
+    # D(Z^k) = k Z^{k-1} Z (1+Z)^2 expanded, with Z = X^{-1} - 1
+    z = LaurentPolyX({-1: 1, 0: -1})
+    dz = z * LaurentPolyX({-2: 1})  # Z (1+Z)^2 = Z X^{-2}
     for k in range(1, 6):
-        zk = ZPoly([0] * k + [1])
-        expected = ZPoly([0] * (k - 1) + [1]) * k * ZPoly([0, 1, 2, 1])
-        assert zk.euler_d() == expected
+        assert (z**k).euler_d() == z ** (k - 1) * k * dz
 
 
 def test_zpower_identity_case():
@@ -167,10 +167,10 @@ def test_zpower_identity_case():
 
 def test_zpower_three_by_expansion():
     combo = zpower_in_basis(3)
-    acc = ZPoly([0])
+    acc = LaurentPolyX({})
     for c, i in zip(combo, range(3)):
-        acc = acc + zbasis_element(i) * c
-    assert acc == ZPoly([0, 0, 0, 1])
+        acc = acc + zbasis_element(i).to_laurent() * c
+    assert acc.to_zpoly() == ZPoly([0, 0, 0, 1])
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -179,7 +179,7 @@ def test_zpower_reexpansion_all_k(k):
     combo = zpower_in_basis(k)
     s = TruncatedSeries.zero(16)
     for c, i in zip(combo, range(k)):
-        s = s + zbasis_element(i).to_series(16) * c
+        s = s + zbasis_element(i).to_laurent().to_series(16) * c
     assert s == series_z(16) ** k
 
 
@@ -298,6 +298,57 @@ def test_laurent_coefficient_rejects_negative_n(coeffs):
 def test_zpoly_laurent_roundtrip():
     zp = ZPoly([1, F(1, 2), 0, 3])
     assert zp.to_laurent().to_zpoly() == zp
+
+
+# --- D on LaurentPolyX, and the Z-coefficient record ---
+
+fractions = st.fractions(min_value=-5, max_value=5, max_denominator=10)
+
+
+def laurent_elements(jmin, jmax):
+    keys = st.integers(min_value=jmin, max_value=jmax)
+    return st.dictionaries(keys, fractions, max_size=5).map(LaurentPolyX)
+
+
+zpolys = st.lists(fractions, max_size=7).map(ZPoly)
+
+
+@given(laurent_elements(-6, 4))
+@settings(max_examples=50, deadline=None)
+def test_laurent_euler_matches_series_euler(p):
+    assert p.euler_d().to_series(12) == p.to_series(12).euler_d()
+
+
+@given(laurent_elements(-6, 4), laurent_elements(-6, 4))
+@settings(max_examples=50, deadline=None)
+def test_laurent_euler_leibniz_rule(p, q):
+    assert (p * q).euler_d() == p.euler_d() * q + p * q.euler_d()
+
+
+@given(zpolys)
+@settings(max_examples=50, deadline=None)
+def test_zpoly_to_laurent_and_back(z):
+    assert z.to_laurent().to_zpoly() == z
+
+
+@given(laurent_elements(-8, 0))
+@settings(max_examples=50, deadline=None)
+def test_laurent_to_zpoly_and_back(p):
+    assert p.to_zpoly().to_laurent() == p
+
+
+@given(zpolys)
+@settings(max_examples=50, deadline=None)
+def test_euler_d_is_z_chain_rule(z):
+    # D(P(Z)) = P'(Z) DZ with DZ = Z (1+Z)^2, all on LaurentPolyX
+    derivative = ZPoly([i * c for i, c in enumerate(z.coeffs)][1:])
+    dz = LaurentPolyX({-3: 1, -2: -1})  # Z (1+Z)^2 = Z X^{-2}
+    assert z.to_laurent().euler_d() == derivative.to_laurent() * dz
+
+
+def test_to_zpoly_rejects_positive_powers():
+    with pytest.raises(ValueError):
+        LaurentPolyX({-1: 1, 1: 2}).to_zpoly()
 
 
 # --- asymptotics ---

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the library in src/."""
+"""Each demo script runs to completion against the library in src/, and demo 01
+prints exactly its pinned output."""
 
 import os
 import subprocess
@@ -11,8 +12,33 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
+# Demo 01 prints D(Z) as a ZPoly and Z^3 over the spanning list; its output
+# is fixed byte for byte.
+DEMO_01_STDOUT = """\
+The two generators, as exponential generating functions:
+  Y counts rooted labeled trees:    [1, 2, 9, 64, 625, 7776]
+  Z counts vertex-marked ones:      [1, 4, 27, 256, 3125, 46656]
+
+Defining identities, checked to order 20
+  (1 - Y)(1 + Z) == 1: True
+  Y == q * exp(Y):     True
+  Z == D(Y):           True
+
+The total-height numbers A_n (= n! [q^n] Z^2): [0, 2, 24, 312, 4720, 82800]
+
+D(Z) as a polynomial in Z: ZPoly(1*Z^1 + 2*Z^2 + 1*Z^3)
+Z^3 over the spanning list [Z, Z^2, DZ]: [Fraction(-1, 1), Fraction(-2, 1), Fraction(1, 1)]
+
+A series is pinned down by finitely many coefficients.
+The doubly-rooted tree series n^{n-2}/n! identifies as:
+   LaurentPolyX(1/2*X^0 + -1/2*X^2) (verified on 14 surplus orders)
+
+And identification hands out coefficient asymptotics for free:
+  [q^n] Z ~ 1 * (2*pi)^(-1/2) * e^n * n^(1/2 - 1)
+"""
+
+
+def run_demo(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
@@ -21,3 +47,13 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    run_demo(demo)
+
+
+def test_demo_01_stdout_is_pinned():
+    assert run_demo(ROOT / "demos" / "01_tree_series_algebra.py") == DEMO_01_STDOUT

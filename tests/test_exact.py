@@ -223,13 +223,6 @@ def test_series_inverse_roundtrip():
     assert s * s.inverse() == TruncatedSeries.one(4)
 
 
-def test_shift_down_requires_divisibility():
-    s = TruncatedSeries([0, 0, 3, 4])
-    assert s.shift_down(2) == TruncatedSeries([3, 4])
-    with pytest.raises(ValueError):
-        TruncatedSeries([1, 2]).shift_down(1)
-
-
 # --- exact solver ---
 
 
@@ -402,6 +395,14 @@ def test_as_rational_refuses_bool():
         with pytest.raises(TypeError):
             as_rational(x)
     assert as_rational(1) == 1 and as_rational("3/4") == F(3, 4)
+
+
+def test_linear_system_keeps_ints_and_refuses_bools():
+    system = LinearSystem([[1, F(1, 2)]], ["3/4"])
+    assert [type(x) for x in system.matrix[0]] == [int, F] and system.rhs == (F(3, 4),)
+    for bad in (True, 1.5):
+        with pytest.raises(TypeError):
+            LinearSystem([[bad]], [1])
 
 
 def test_rational_formatting():
