@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
+from operator import mul as _mul
 
 from .errors import ConsistencyError, DomainError, Record
 from .exact import (
@@ -155,24 +156,24 @@ class ZPoly(Record):
         return "ZPoly(" + (" + ".join(terms) if terms else "0") + ")"
 
 
-def _dk_zpower(a: int, k: int) -> ZPoly:
-    """D^k (Z^a) as a polynomial in Z: D applied k times to (X^{-1} - 1)^a."""
+def _dk_laurent(a: int, k: int) -> "LaurentPolyX":
+    """D^k (Z^a): D applied k times to (X^{-1} - 1)^a, integer coefficients."""
     if k < 0:
         raise ValueError("k must be >= 0")
     p = LaurentPolyX({-1: 1, 0: -1}) ** a
     for _ in range(k):
         p = p.euler_d()
-    return p.to_zpoly()
+    return p
 
 
 def dkz_poly(k: int) -> ZPoly:
     """D^k Z as a polynomial in Z; leading coefficient (2k-1)!! on Z^{2k+1}."""
-    return _dk_zpower(1, k)
+    return _dk_laurent(1, k).to_zpoly()
 
 
 def dkz2_poly(k: int) -> ZPoly:
     """D^k (Z^2) as a polynomial in Z; leading coefficient (2k)!! on Z^{2k+2}."""
-    return _dk_zpower(2, k)
+    return _dk_laurent(2, k).to_zpoly()
 
 
 def double_factorial(k: int) -> int:
@@ -191,27 +192,22 @@ def zbasis_element(i: int) -> ZPoly:
 def zpower_in_basis(k: int) -> list[Fraction]:
     """Coefficients expressing Z^k over the first k spanning elements.
 
-    Solved exactly and re-verified by expanding the combination as a
-    Laurent polynomial in X against (X^{-1} - 1)^k.
+    Solved exactly on the integer X^{-d} coefficients of the spanning
+    elements against those of (X^{-1} - 1)^k, and re-verified by expanding
+    the combination, on integer numerators, as a Laurent polynomial in X.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    basis = [zbasis_element(i) for i in range(k)]
-    deg = max(p.degree for p in basis)
-    target = [Fraction(0)] * (deg + 1)
-    target[k] = Fraction(1)
-    rows = []
-    rhs = []
-    for d in range(deg + 1):
-        rows.append([p.coeffs[d] if d < len(p.coeffs) else Fraction(0) for p in basis])
-        rhs.append(target[d])
+    basis = [_dk_laurent(i % 2 + 1, i // 2).coeffs for i in range(k)]
+    deg = -min(min(p) for p in basis)
+    rows = [[int(p.get(-d, 0)) for p in basis] for d in range(deg + 1)]
+    rhs = [(-1) ** (k - d) * math.comb(k, d) for d in range(deg + 1)]
     sol = solve_exact(LinearSystem(rows, rhs))
     if not sol.ok:
         raise ConsistencyError(f"Z^{k} did not resolve over the spanning list: {sol.status}")
-    combo = LaurentPolyX({})
-    for c, p in zip(sol.solution, basis):
-        combo = combo + p.to_laurent() * c
-    if combo != ZPoly([0] * k + [1]).to_laurent():
+    scale = math.lcm(*(c.denominator for c in sol.solution))
+    nums = [int(c * scale) for c in sol.solution]
+    if any(sum(map(_mul, row, nums)) != scale * t for row, t in zip(rows, rhs)):
         raise ConsistencyError(f"re-expansion of Z^{k} combination failed")
     return list(sol.solution)
 
@@ -291,17 +287,6 @@ class LaurentPolyX(Record):
             for i in range(1 - j):
                 out[i] += c * math.comb(-j, i)
         return ZPoly(out)
-
-    def to_ypoly(self) -> dict[int, Fraction]:
-        """Rewrite as a polynomial in Y; requires support >= 0 (via X = 1-Y)."""
-        if any(j < 0 for j in self.coeffs):
-            raise ValueError("element has negative X powers; it is not a polynomial in Y")
-        out: dict[int, Fraction] = {}
-        for j, c in self.coeffs.items():
-            for i in range(j + 1):
-                coef = c * math.comb(j, i) * (-1) ** i
-                out[i] = out.get(i, Fraction(0)) + coef
-        return {i: c for i, c in out.items() if c != 0}
 
     def to_series(self, order: int) -> TruncatedSeries:
         """The element's series to q^order, one `coefficient(n)` per n."""
@@ -499,8 +484,9 @@ def leading_asymptotic(p: LaurentPolyX) -> AsymptoticTerm:
     Negative minimal X-degree -L (top Z-degree L): constant is
     a_{-L} / (Gamma(L/2) 2^{L/2}) with gamma = L/2.  A pure polynomial in Y
     falls back to [q^n] Y^k ~ k e^n n^{-3/2}/sqrt(2 pi), so the constant is
-    (sum_k k a'_k)/sqrt(2 pi) with gamma = -1/2; that sum vanishing means
-    the leading term is not captured at this order and is reported as such.
+    (sum_k k a'_k)/sqrt(2 pi) with gamma = -1/2, the sum being -a_1 (the
+    Y-derivative of p(1 - Y) at Y = 1); that sum vanishing means the leading
+    term is not captured at this order and is reported as such.
     """
     if p.is_zero():
         raise ValueError("zero element has no asymptotic")
@@ -509,8 +495,7 @@ def leading_asymptotic(p: LaurentPolyX) -> AsymptoticTerm:
         big_l = -jstar
         const = p.coeffs[jstar] * inv_gamma_half_scaled(big_l)
         return AsymptoticTerm(const, gamma2=big_l)
-    ypoly = p.to_ypoly()
-    weight = sum((k * c for k, c in ypoly.items()), Fraction(0))
+    weight = -p.coeffs.get(1, Fraction(0))
     if weight == 0:
         raise ValueError(
             "polynomial part has sum k*a_k = 0; the leading term needs subleading data"

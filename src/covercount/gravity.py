@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product as _iproduct
 
 from .algebra import (
     AsymptoticTerm,
@@ -90,14 +89,18 @@ def vanishing_combination(d: int) -> list[tuple[int, Fraction]]:
 
 def _bracket_terms(spec: TauSpec) -> dict[tuple[int, ...], Fraction]:
     """Expand prod_i tau_{d_i} over preimage multiplicities b_i in 1..d_i+1:
-    {profile mu = sorted b: summed coefficient}, zero coefficients dropped."""
-    consts: dict[tuple[int, ...], Fraction] = {}
-    for bs in _iproduct(*[range(1, d + 2) for d in spec.ds]):
-        coeff = Fraction(1)
-        for d, b in zip(spec.ds, bs):
-            coeff *= tau_coefficient(d, b)
-        mu = tuple(sorted(bs, reverse=True))
-        consts[mu] = consts.get(mu, Fraction(0)) + coeff
+    {profile mu = sorted b: summed coefficient}, zero coefficients dropped.
+    The factors expand one at a time on the profiles of the ones before, so
+    tuples with the same profile are never expanded apart."""
+    consts: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    for d in spec.ds:
+        weights = [tau_coefficient(d, b) for b in range(1, d + 2)]
+        grown: dict[tuple[int, ...], Fraction] = {}
+        for mu, c in consts.items():
+            for b, w in enumerate(weights, 1):
+                key = tuple(sorted(mu + (b,), reverse=True))
+                grown[key] = grown.get(key, 0) + c * w
+        consts = grown
     return {mu: const for mu, const in consts.items() if const != 0}
 
 

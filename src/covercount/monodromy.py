@@ -34,24 +34,28 @@ exponential formula of the tau-function form of the character sum (Okounkov,
 coefficient at a time.  T_conn is computed only where Riemann-Hurwitz
 allows a connected covering (c = deg rho mod 2, c >= 2m - 2 - deg rho) and
 is 0 elsewhere.  The tests check the table against the Goulden-Jackson
-cut-and-join recursion and a class-level dynamic program over monodromy tuples.
+cut-and-join recursion, a class-level dynamic program over monodromy tuples
+and the Goulden-Jackson-Vakil one-part formula.
 
-Each f_{rho_j}, and cont = f_(2), is one column over the shapes of m
-(``character_column``), computed once per (m, class) and shared by every
-row whose rho holds that class (``symmetric.shape_table`` gives the shapes
-and their dimensions, by the branching rule).  Each (m, rho) stores T_disc
-and T_conn as two rows, lists indexed by c.  A fill stores every row through
-its own c for every m <= n and every sub-multiset of the profiles, so the
-series builders (``hurwitz_series.oracle_data``, ``h_series``) ask for their
-largest n first: one fill covers the series, and smaller n read its rows.
+``symmetric.shape_table`` gives the shapes of m, their dimensions and their
+content sums by the branching rule, so cont = f_(2) needs no character.
+Every other f_{rho_j} is |C| chi / dim over one stored character column
+(``character_column``), one rim-hook step from the column of its class
+without the last part; that prefix is itself a sub-multiset the fill needs,
+so no column is built twice, and each column is shared by every row whose
+rho holds its class.  Each (m, rho) stores T_disc and T_conn as two rows,
+lists indexed by c.  A fill stores every row through its own c for every
+m <= n and every sub-multiset of the profiles, so the series builders
+(``hurwitz_series.oracle_data``, ``h_series``) ask for their largest n
+first: one fill covers the series, and smaller n read its rows.
 ``node_budget`` bounds the products a fill evaluates, from the spec alone
-and before any work (see ``_check_budget``).  These tables and
-``symmetric.shape_table`` are shared and unlocked.  A column or weight list
-is stored once, fully computed; a row grows by a new, longer, fully computed
-list, never by appending to a stored one, and a fill reads rows through its
-own references, so concurrent counts at worst duplicate work and return the
-serial values.  ``clear_caches`` empties every table; it is not meant to run
-during a count (untested).
+and before any work (see ``_check_budget``).  These tables and the shape
+tables and columns of ``symmetric`` are shared and unlocked.  A shape table,
+column or weight list is stored once, fully computed; a row grows by a new,
+longer, fully computed list, never by appending to a stored one, and a fill
+reads rows through its own references, so concurrent counts at worst
+duplicate work and return the serial values.  ``clear_caches`` empties every
+table; it is not meant to run during a count (untested).
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ from operator import mul as _mul
 
 from .errors import BudgetExceeded, DomainError, Record
 from .symmetric import (
+    _COLUMNS,
     Partition,
     character_column,
     conjugacy_class_size,
@@ -120,8 +125,6 @@ class CoveringSpec(Record):
 # ---------------------------------------------------------------------------
 # the count table
 
-# (m, parts) -> f_parts over the shapes of m, see _central
-_CENTRAL: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 # (m, rho) -> [(|content sum| k, W(k))], see _disc_row
 _WEIGHTS: dict[tuple[int, tuple], list[tuple[int, int]]] = {}
 # (m, rho) -> [T_disc(m, rho, c) for c = 0, 1, ...]
@@ -163,17 +166,6 @@ def _partition_count(n: int) -> int:
     return p[n]
 
 
-def _central(m: int, parts: tuple[int, ...]) -> list[int]:
-    """f_parts(lambda) = |C_parts| chi_lambda(parts + 1^(m-|parts|)) / dim(lambda)
-    over the shapes of m, one character column shared by every row."""
-    column = _CENTRAL.get((m, parts))
-    if column is None:
-        size = conjugacy_class_size(Partition(parts), m)
-        pairs = zip(character_column(m, parts), shape_table(m)[1])
-        column = _CENTRAL.setdefault((m, parts), [size * chi // dim for chi, dim in pairs])
-    return column
-
-
 def _disc_row(m: int, rho: tuple, cmax: int) -> list[int]:
     """The T_disc row of (m, rho) through cmax at least, by Frobenius's
     formula grouped by content: sum_k W(k) k^c / m!, where W(k) sums
@@ -186,11 +178,15 @@ def _disc_row(m: int, rho: tuple, cmax: int) -> list[int]:
         return row
     weights = _WEIGHTS.get((m, rho))
     if weights is None:
-        # the content sum is the central character of the transpositions
-        contents = _central(m, (2,)) if m > 1 else [0]
-        terms = [dim * dim for dim in shape_table(m)[1]]
+        _, dims, contents = shape_table(m)
+        terms = [dim * dim for dim in dims]
         for parts in rho:
-            terms = list(map(_mul, terms, _central(m, parts)))
+            if parts == (2,):  # f_(2) is the content sum
+                f = contents
+            else:  # the integer central character f = |C| chi / dim
+                size = conjugacy_class_size(Partition(parts), m)
+                f = [size * chi // dim for chi, dim in zip(character_column(m, parts), dims)]
+            terms = list(map(_mul, terms, f))
         grouped: dict[int, int] = {}
         for k, term in zip(contents, terms):
             if k < 0:
@@ -263,8 +259,8 @@ def _check_budget(n: int, nu: tuple, c: int, budget: int) -> None:
     two terms per shape of S_m: one in its row's content weights (dim^2
     prod_j f_{rho_j} per shape, built once per row) and one in its own sum
     over the content sums.  A T_conn entry costs one product per
-    (m_a, rho_a, c_a).  The central-character columns the weights read, one
-    Murnaghan-Nakayama pass per (m, class) shared by every row, are not
+    (m_a, rho_a, c_a).  The shape tables and character columns the weights
+    read, one rim-hook step per (m, class) shared by every row, are not
     counted.  A profile has prod (multiplicity + 1) sub-multisets over its
     distinct parts.  The bound depends on the spec alone, so a warm table
     cannot change it, and it grows with n and c: a series asks for its
@@ -319,7 +315,7 @@ def hurwitz_disconnected(
 def clear_caches() -> None:
     """Empty every table: shapes, columns, weights and both row tables."""
     shape_table.cache_clear()
-    _CENTRAL.clear()
+    _COLUMNS.clear()
     _WEIGHTS.clear()
     _DISC.clear()
     _CONN.clear()

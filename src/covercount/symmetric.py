@@ -1,6 +1,8 @@
 """Partitions, conjugacy class sizes, and irreducible characters of S_n.
 
-Classes are named by cycle type; no permutation is ever built.
+Classes are named by cycle type; no permutation is ever built.  Shapes are
+beta-sets (James-Kerber, *The Representation Theory of the Symmetric Group*,
+2.7); ``monodromy.clear_caches`` empties the shape tables and columns.
 """
 
 from __future__ import annotations
@@ -81,69 +83,83 @@ def conjugacy_class_size(cycle_partition: Partition, n: int | None = None) -> in
 
 
 @lru_cache(maxsize=None)
-def shape_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def shape_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The shapes of n, their beta-sets lambda_i + n - 1 - i (i < n) as bit
-    masks, and their dimensions, by the branching rule from the table of
-    n - 1: a shape gains a bead at 0, adding a box moves one bead up into an
-    empty place, and dim(lambda) sums the dimensions it grows from.  Masks
-    descend, which is ``partitions_of(n)`` (reverse-lex) order: where two
-    shapes first differ, the larger part holds the higher bead."""
+    masks, dimensions and content sums, by the branching rule from the table
+    of n - 1: a shape gains a bead at 0, adding a box moves one bead up into
+    an empty place, dim(lambda) sums the dimensions it grows from, and the
+    box adds its content, the bead's new place minus n.  Masks descend, which
+    is ``partitions_of(n)`` (reverse-lex) order: where two shapes first
+    differ, the larger part holds the higher bead."""
     if n == 0:
-        return (0,), (1,)
-    dims: dict[int, int] = {}
-    for mask, dim in zip(*shape_table(n - 1)):
+        return (0,), (1,), (0,)
+    table: dict[int, list[int]] = {}  # mask -> [dimension, content sum]
+    for mask, dim, content in zip(*shape_table(n - 1)):
         mask = mask << 1 | 1
         beads = mask & ~(mask >> 1)  # the beads with an empty place above
         while beads:
             low = beads & -beads
             beads ^= low
-            grown = mask ^ low ^ (low << 1)
-            dims[grown] = dims.get(grown, 0) + dim
-    masks = sorted(dims, reverse=True)
-    return tuple(masks), tuple([dims[mask] for mask in masks])
+            grown = mask ^ low * 3  # the bead moves up one place
+            entry = table.get(grown)
+            if entry is None:  # the first parent to reach a shape sets its content
+                table[grown] = [dim, content + low.bit_length() - n]
+            else:
+                entry[0] += dim
+    masks = sorted(table, reverse=True)
+    dims, contents = zip(*map(table.get, masks))
+    return tuple(masks), dims, contents
 
 
-def _bead_mask(parts: tuple[int, ...], n: int) -> int:
-    """The beta-set lambda_i + n - 1 - i (i < n) of a shape of n, as a bit mask."""
-    return sum(1 << (b + n - 1 - i) for i, b in enumerate(parts)) | (1 << n - len(parts)) - 1
+# (m, parts) -> chi_lambda(parts + 1^(m - |parts|)) over the shapes of m
+_COLUMNS: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 
 
 def character_column(m: int, parts) -> list[int]:
     """chi_lambda(parts + 1^(m - |parts|)) for every shape lambda of m, in
     ``partitions_of(m)`` order, by the Murnaghan-Nakayama rule.
 
-    A shape is its beta-set of m beads, a bit mask.  Stripping a rim hook of
-    size k moves a bead from b to an empty b - k, with sign (-1)^(beads
-    strictly between).  The strips run backwards, from the leaves: each shape
-    of m - |parts| carries its dimension (the fixed points' standard
-    tableaux) and moves one bead up by each part in turn, so every shape of m
-    collects its whole signed sum in one pass.
+    A shape is its beta-set of m beads, a bit mask, and a rim hook of size k
+    is a bead moved from b to an empty b + k, with sign (-1)^(beads strictly
+    between).  The column of ``()`` is the dimensions; any other is one step
+    from the stored column of (m - k, parts[:-1]), k = parts[-1]: each shape
+    of m - k gains k beads at the bottom and adds a k-hook at every movable
+    bead.  Each column is computed once and stored; callers share the list.
     """
-    pad = sum(parts)  # the beads a shape of m - |parts| lacks, all at the bottom
-    leaves = zip(*shape_table(m - pad))
-    layer = {mask << pad | (1 << pad) - 1: dim for mask, dim in leaves}
-    for k in parts:
-        nxt: dict[int, int] = {}
-        for mask, w in layer.items():
-            beads = mask
-            while beads:
-                low = beads & -beads
-                beads ^= low
-                high = low << k
-                if not mask & high:
-                    odd = (mask & (high - (low << 1))).bit_count() & 1
-                    moved = mask ^ low ^ high
-                    nxt[moved] = nxt.get(moved, 0) + (-w if odd else w)
-        layer = nxt
-    return [layer.get(mask, 0) for mask in shape_table(m)[0]]
+    parts = tuple(parts)
+    if not parts:
+        return list(shape_table(m)[1])
+    column = _COLUMNS.get((m, parts))
+    if column is not None:
+        return column
+    k = parts[-1]
+    acc: dict[int, int] = {}
+    get = acc.get
+    for mask, w in zip(shape_table(m - k)[0], character_column(m - k, parts[:-1])):
+        if not w:
+            continue
+        mask = mask << k | (1 << k) - 1
+        beads = mask & ~(mask >> k)  # the beads with an empty place k above
+        while beads:
+            low = beads & -beads
+            beads ^= low
+            high = low << k
+            moved = mask ^ low ^ high
+            if (mask & (high - (low << 1))).bit_count() & 1:  # odd beads between
+                acc[moved] = get(moved, 0) - w
+            else:
+                acc[moved] = get(moved, 0) + w
+    column = [get(mask, 0) for mask in shape_table(m)[0]]
+    return _COLUMNS.setdefault((m, parts), column)
 
 
 def character(shape: Partition, class_type: Partition) -> int:
     """Irreducible character chi_shape evaluated on the given class."""
     if shape.m != class_type.m:
         raise DomainError("shape and class are partitions of different n")
-    column = character_column(shape.m, class_type.nontrivial())
-    return column[shape_table(shape.m)[0].index(_bead_mask(shape.parts, shape.m))]
+    n, parts = shape.m, shape.parts  # its beta-set as in shape_table(n)
+    mask = sum(1 << (b + n - 1 - i) for i, b in enumerate(parts)) | (1 << n - len(parts)) - 1
+    return character_column(n, class_type.nontrivial())[shape_table(n)[0].index(mask)]
 
 
 def partitions_of(n: int) -> Iterator[Partition]:

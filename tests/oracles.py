@@ -12,7 +12,12 @@ program and the cut-and-join recursion) and the Murnaghan-Nakayama
 recursion on shapes, references for the character table of
 `covercount.monodromy` and the beta-set characters of
 `covercount.symmetric`.  The former shape table, its dimensions from the
-beta-set formula, checks the branching-rule `covercount.symmetric.shape_table`.
+beta-set formula and its content sums box by box, checks the branching-rule
+`covercount.symmetric.shape_table`, and the former pass from the leaves
+checks the one-step columns of `covercount.symmetric.character_column`.
+The former tuple-by-tuple expansion of a bracket checks
+`covercount.gravity._bracket_terms`, and the Goulden-Jackson-Vakil one-part
+formula checks the count table at frontier sizes.
 The binomial expansion over powers of Y and Z, with each Z^i solved over
 the spanning list Z, Z^2, DZ, D(Z^2), ..., is the former closed-form route
 to [q^n] of a Laurent polynomial in X, the reference for the X-power
@@ -37,8 +42,8 @@ from itertools import combinations, permutations, product
 from covercount.algebra import a_closed, zpower_in_basis
 from covercount.errors import ConsistencyError, Record
 from covercount.exact import LinearSolution
-from covercount.gravity import PainleveSeries, PainleveSolution
-from covercount.symmetric import Partition, conjugacy_class_size, partitions_of
+from covercount.gravity import PainleveSeries, PainleveSolution, tau_coefficient
+from covercount.symmetric import Partition, conjugacy_class_size, partitions_of, shape_table
 from covercount.trees import ENUMERATION_LIMIT, _check_size, dendrology_p
 
 # ---------------------------------------------------------------------------
@@ -414,6 +419,20 @@ def dvv_bracket(g, ds):
     return total / _odd_double_factorial(k + 1)
 
 
+def bracket_terms_by_tuples(ds):
+    """The former ``gravity._bracket_terms`` route: expand prod_i tau_{d_i}
+    over every tuple of preimage multiplicities b_i in 1..d_i+1, one tuple
+    at a time: {sorted b: summed coefficient}, zero coefficients dropped."""
+    consts = {}
+    for bs in product(*[range(1, d + 2) for d in ds]):
+        coeff = Fraction(1)
+        for d, b in zip(ds, bs):
+            coeff *= tau_coefficient(d, b)
+        mu = tuple(sorted(bs, reverse=True))
+        consts[mu] = consts.get(mu, Fraction(0)) + coeff
+    return {mu: const for mu, const in consts.items() if const != 0}
+
+
 # ---------------------------------------------------------------------------
 # labeled trees by Pruefer decoding
 
@@ -581,14 +600,43 @@ def irrep_dimension(shape: Partition) -> int:
 
 def shape_table_from_partitions(n):
     """The former ``shape_table`` route: the shapes of ``partitions_of(n)``
-    in order, their beta-sets with n beads as bit masks, and the dimensions
-    by the formula above."""
+    in order, their beta-sets with n beads as bit masks, the dimensions by
+    the formula above, and the content sums sum (j - i) over the boxes
+    (i, j), row i and column j from 0."""
     shapes = list(partitions_of(n))
     masks = tuple(
         sum(1 << (b + n - 1 - i) for i, b in enumerate(s.parts)) | (1 << n - len(s)) - 1
         for s in shapes
     )
-    return masks, tuple(map(irrep_dimension, shapes))
+    contents = tuple(
+        sum(j - i for i, b in enumerate(s.parts) for j in range(b)) for s in shapes
+    )
+    return masks, tuple(map(irrep_dimension, shapes)), contents
+
+
+def character_column_from_leaves(m, parts):
+    """The former ``character_column`` route: one Murnaghan-Nakayama pass
+    from the leaves.  Each shape of m - |parts| starts with its dimension,
+    gains |parts| beads at the bottom and moves one bead up by each part in
+    turn, with the rim-hook sign (-1)^(beads strictly between), so every
+    shape of m collects its whole signed sum."""
+    pad = sum(parts)
+    masks, dims = shape_table(m - pad)[:2]
+    layer = {mask << pad | (1 << pad) - 1: dim for mask, dim in zip(masks, dims)}
+    for k in parts:
+        nxt = {}
+        for mask, w in layer.items():
+            beads = mask
+            while beads:
+                low = beads & -beads
+                beads ^= low
+                high = low << k
+                if not mask & high:
+                    odd = (mask & (high - (low << 1))).bit_count() & 1
+                    moved = mask ^ low ^ high
+                    nxt[moved] = nxt.get(moved, 0) + (-w if odd else w)
+        layer = nxt
+    return [layer.get(mask, 0) for mask in shape_table(m)[0]]
 
 
 @lru_cache(maxsize=None)
@@ -849,3 +897,28 @@ def cut_join_connected(g, n, mu, table):
     weight = math.comb(n - sum(sigma), sum(1 for b in mu if b == 1))
     count = conjugacy_class_size(Partition(sigma), n) * table[g, nu]
     return Fraction(weight * count, math.factorial(n))
+
+
+# ---------------------------------------------------------------------------
+# one-part double Hurwitz numbers
+
+
+def gjv_one_part(g, beta):
+    """Connected genus-g coverings with one point of full ramification (d)
+    and one of profile beta |- d, by the Goulden-Jackson-Vakil formula
+    ("Towards the geometry of double Hurwitz numbers", Adv. Math. 198, 2005):
+
+        H^g_{(d),beta} = r! d^(r-1) [t^(2g)] prod_i S(beta_i t) / S(t),
+
+    S(t) = sinh(t/2) / (t/2) and r = 2g - 1 + l(beta) simple points.  For
+    beta = 1^d this is Shapiro-Shapiro-Vainshtein (1997).  The series run
+    in u = t^2: S(x t) = sum_k x^(2k) u^k / (4^k (2k+1)!)."""
+    d, r = sum(beta), 2 * g - 1 + len(beta)
+
+    def s_series(x):
+        return [Fraction(x ** (2 * k), 4**k * math.factorial(2 * k + 1)) for k in range(g + 1)]
+
+    prod = series_inverse(s_series(1))
+    for b in beta:
+        prod = cauchy_product(prod, s_series(b))
+    return math.factorial(r) * Fraction(d) ** (r - 1) * prod[g]

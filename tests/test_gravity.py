@@ -8,6 +8,7 @@ from covercount.algebra import LaurentPolyX, Radical, ScaledRational
 from covercount.errors import DomainError
 from covercount.gravity import (
     TauSpec,
+    _bracket_terms,
     b_constant,
     free_energy_coefficient,
     free_energy_coeffs,
@@ -21,7 +22,7 @@ from covercount.gravity import (
     vanishing_combination,
 )
 
-from .oracles import dvv_bracket, painleve_fractions
+from .oracles import bracket_terms_by_tuples, dvv_bracket, painleve_fractions
 
 
 def test_bracket_three_tau0_genus0():
@@ -56,6 +57,29 @@ def test_bracket_higher_genus_known_values():
     assert tau_bracket(TauSpec(2, (4,))) == F(1, 1152)
     assert tau_bracket(TauSpec(2, (3, 2))) == F(29, 5760)
     assert tau_bracket(TauSpec(3, (7,))) == F(1, 82944)
+
+
+@pytest.mark.parametrize(
+    "g, ds",
+    [
+        (0, (0, 0, 0)),
+        (1, (1,)),
+        (0, (0, 1, 2, 3)),
+        (1, (0, 0, 2, 2)),
+        (2, (0, 1, 1, 3, 4)),
+        (2, (2, 2, 2)),
+        (3, (1, 2, 3, 4, 4)),
+        (3, (2,) * 6),
+        (4, (2,) * 9),
+        (4, (0, 3, 3, 3, 3, 3)),
+    ],
+)
+def test_bracket_terms_match_tuple_expansion(g, ds):
+    # factor by factor against one tuple of multiplicities at a time: the same
+    # profiles with the same coefficients, in the same order
+    terms = _bracket_terms(TauSpec(g, ds))
+    expected = bracket_terms_by_tuples(ds)
+    assert terms == expected and list(terms) == list(expected)
 
 
 def test_tau_coefficient_values():
@@ -237,11 +261,11 @@ def test_two_path_consistency_at_genus2():
     assert hg_empty_leading(2) == painleve_solve(2).e[2] == F(7, 1440)
 
 
-def test_hg_empty_leading_matches_painleve_through_genus10():
+def test_hg_empty_leading_matches_painleve_through_genus12():
     # e_g from covering counts alone (fitted normal form) against the
     # Painleve I recursion
-    sol = painleve_solve(10)
-    for g in range(2, 11):
+    sol = painleve_solve(12)
+    for g in range(2, 13):
         assert hg_empty_leading(g) == sol.e[g], g
 
 

@@ -23,6 +23,7 @@ from .oracles import (
     cut_join_table,
     dp_start,
     dp_walk,
+    gjv_one_part,
     naive_connected_count,
     naive_total_count,
 )
@@ -391,6 +392,30 @@ def test_h_tau_series_fills_once_per_profile(fills, g, ds, bracket):
     nus = [monodromy._key([tuple(b for b in mu if b > 1)]) for mu in _bracket_terms(spec)]
     assert len(nus) >= 3
     assert sorted(rho for _, rho, _ in fills) == sorted(nus)
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 3])
+def test_count_table_matches_one_part_formula(g):
+    # one point of full ramification (d) and one of profile beta, every beta
+    # of d <= 10, against Goulden-Jackson-Vakil (|Aut beta| labels the beta
+    # preimages)
+    for d in range(1, 11):
+        for beta in partitions_of(d):
+            spec = CoveringSpec(g, d, [Partition([d]), beta])
+            assert hurwitz_connected(spec) * beta.aut == gjv_one_part(g, beta.parts), (d, beta)
+
+
+@pytest.mark.parametrize(
+    "g, beta",
+    [(4, (1,) * 25), (3, (1,) * 27), (2, (2,) + (1,) * 18), (4, (2, 2) + (1,) * 18)]
+    + [(1, (3,) + (1,) * 21), (3, (7, 7, 7)), (2, (13, 13)), (0, (5, 4, 3, 3, 2, 2, 1, 1, 1))],
+)
+def test_count_table_matches_one_part_formula_at_frontier_sizes(g, beta):
+    # d = 20..27 on cold tables
+    clear_caches()
+    d = sum(beta)
+    spec = CoveringSpec(g, d, [Partition([d]), Partition(beta)])
+    assert hurwitz_connected(spec) * Partition(beta).aut == gjv_one_part(g, beta)
 
 
 def test_counts_do_not_depend_on_the_order_asked():

@@ -3,7 +3,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from covercount import symmetric
 from covercount.errors import DomainError
+from covercount.monodromy import clear_caches
 from covercount.symmetric import (
     Partition,
     character,
@@ -14,6 +16,7 @@ from covercount.symmetric import (
 )
 
 from .oracles import (
+    character_column_from_leaves,
     class_elements,
     irrep_dimension,
     mn_character,
@@ -151,9 +154,40 @@ def test_dimensions_square_sum_to_group_order(n):
 @pytest.mark.parametrize("n", range(21))
 def test_branching_shape_table_matches_partition_route(n):
     # the bead masks of partitions_of(n) in order, with their dimensions
-    # from the beta-set formula; the squares sum to n!
+    # from the beta-set formula and their content sums box by box; the
+    # squares sum to n!
     assert shape_table(n) == shape_table_from_partitions(n)
     assert sum(dim * dim for dim in shape_table(n)[1]) == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
+def test_content_sum_is_transposition_central_character(n):
+    # f_(2) = C(n, 2) chi(transposition) / dim
+    _, dims, contents = shape_table(n)
+    column = character_column(n, (2,))
+    assert [math.comb(n, 2) * chi // dim for chi, dim in zip(column, dims)] == list(contents)
+
+
+@pytest.mark.parametrize("m", range(15))
+def test_step_columns_match_leaves_pass(m):
+    # every class of nontrivial parts that fits in S_m, m <= 14: one rim-hook
+    # step from the stored column of the class's prefix, against the pass
+    # from the leaves
+    clear_caches()
+    classes = [
+        p.parts for j in range(m + 1) for p in partitions_of(j) if min(p.parts, default=2) > 1
+    ]
+    for parts in classes:
+        assert character_column(m, parts) == character_column_from_leaves(m, parts), parts
+    assert len(classes) == len(shape_table(m)[0])  # one per class of S_m
+
+
+def test_clear_caches_empties_the_column_store():
+    columns = {parts: character_column(9, parts) for parts in [(2,), (3, 2), (2, 2, 2), (5, 4)]}
+    assert symmetric._COLUMNS
+    clear_caches()
+    assert not symmetric._COLUMNS and shape_table.cache_info().currsize == 0
+    assert {parts: character_column(9, parts) for parts in columns} == columns
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
