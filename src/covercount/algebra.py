@@ -30,18 +30,14 @@ def series_y(order: int) -> TruncatedSeries:
     """EGF of rooted labeled trees: coefficients n^{n-1}/n!."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return TruncatedSeries(
-        [Fraction(0)] + [Fraction(n ** (n - 1), math.factorial(n)) for n in range(1, order + 1)]
-    )
+    return TruncatedSeries.from_egf([0] + [n ** (n - 1) for n in range(1, order + 1)])
 
 
 def series_z(order: int) -> TruncatedSeries:
     """EGF of rooted trees with one extra marked vertex: coefficients n^n/n!."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return TruncatedSeries(
-        [Fraction(0)] + [Fraction(n ** n, math.factorial(n)) for n in range(1, order + 1)]
-    )
+    return TruncatedSeries.from_egf([0] + [n**n for n in range(1, order + 1)])
 
 
 def seq_a(nmax: int) -> list[int]:
@@ -84,15 +80,16 @@ def a_closed(n: int) -> int:
 def y_over_q_power(a: int, order: int) -> TruncatedSeries:
     """(Y/q)^a for any integer a.  Y = q e^Y, so (Y/q)^a = e^{aY}, and
     Lagrange inversion gives its coefficients a (j+a)^{j-1}/j! (1 at j = 0)."""
-    coeffs = [Fraction(a * (j + a) ** (j - 1), math.factorial(j)) for j in range(1, order + 1)]
-    return TruncatedSeries([1, *coeffs])
+    return TruncatedSeries.from_egf([1] + [a * (j + a) ** (j - 1) for j in range(1, order + 1)])
 
 
 def ypower_closed(k: int, order: int) -> TruncatedSeries:
     """Y^k = q^k (Y/q)^k, coefficients k n^{n-k-1}/(n-k)! (zero below q^k)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return TruncatedSeries(((0,) * k + y_over_q_power(k, max(order - k, 0)).coeffs)[: order + 1])
+    shifted = enumerate(y_over_q_power(k, max(order - k, 0)).nums, start=k)
+    nums = [0] * k + [math.perm(n, k) * x for n, x in shifted]
+    return TruncatedSeries.from_egf(nums[: order + 1])
 
 
 def _x_power_egf(n: int, jmin: int, jmax: int) -> list[int]:
@@ -289,23 +286,30 @@ class LaurentPolyX(Record):
         return ZPoly(out)
 
     def to_series(self, order: int) -> TruncatedSeries:
-        """The element's series to q^order, one `coefficient(n)` per n."""
-        return TruncatedSeries([self.coefficient(n) for n in range(order + 1)])
+        """The element's series to q^order, on integers."""
+        return TruncatedSeries.from_egf(*self._egf_numerators(range(order + 1)))
 
     def coefficient(self, n: int) -> Fraction:
-        """Exact q^n coefficient, with no series products.
-
-        One `_x_power_egf(n, ...)` row over the support gives n! [q^n] X^j
-        for every exponent; the sum of c_j times those integers is divided
-        by n! once.  A_n is computed only when the support reaches X^{-2}.
-        """
+        """Exact q^n coefficient, with no series products."""
         if n < 0:
             raise ValueError("n must be >= 0")
+        (num,), den = self._egf_numerators([n])
+        return Fraction(num, den * math.factorial(n))
+
+    def _egf_numerators(self, ns) -> tuple[list[int], int]:
+        """([L n! [q^n] P for n in ns], L), L the lcm of the c_j's denominators.
+
+        One `_x_power_egf(n, ...)` row over the support gives n! [q^n] X^j
+        for every exponent, weighted by the integers L c_j.  A_n is computed
+        only when the support reaches X^{-2}.
+        """
         if not self.coeffs:
-            return Fraction(0)
-        jmin = self.support[0]
-        e = _x_power_egf(n, jmin, self.support[-1])
-        return Fraction(sum(c * e[j - jmin] for j, c in self.coeffs.items()), math.factorial(n))
+            return [0] * len(ns), 1
+        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        jmin, jmax = self.support[0], self.support[-1]
+        weights = [(j - jmin, c.numerator * (den // c.denominator)) for j, c in self.coeffs.items()]
+        rows = (_x_power_egf(n, jmin, jmax) for n in ns)
+        return [sum(w * e[i] for i, w in weights) for e in rows], den
 
     def to_json(self) -> dict[str, str]:
         return {str(j): format_rational(c) for j, c in self.coeffs.items()}
@@ -363,14 +367,15 @@ def identify_in_a(
     if f.order + 1 < unknowns + slack:
         return Identification("underdetermined")
     order = f.order
-    # row n is [q^n] scaled by n!: integer X-power entries, right side n! f_n
+    # row n is [q^n] scaled by n!, with right side den n! f_n = nums[n], so
+    # the solution is den times P's coefficients
     rows = [_x_power_egf(n, jmin, jmax) for n in range(order + 1)]
-    sol = solve_exact(LinearSystem(rows, [f.egf_coefficient(n) for n in range(order + 1)]))
+    sol = solve_exact(LinearSystem(rows, f.nums))
     if sol.status == "inconsistent":
         return Identification("inconsistent")
     if sol.status == "underdetermined":
         return Identification("underdetermined")
-    element = LaurentPolyX({j: c for j, c in zip(range(jmin, jmax + 1), sol.solution)})
+    element = LaurentPolyX({j: c / f.den for j, c in zip(range(jmin, jmax + 1), sol.solution)})
     return Identification("identified", element, verified_orders=order + 1 - unknowns)
 
 

@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import algebra, gravity, hurwitz_series, trees
 from .errors import BudgetExceeded, ConsistencyError, DomainError
@@ -36,10 +35,9 @@ def _cayley_series(order: int) -> TruncatedSeries:
     """EGF of unrooted labeled trees: coefficients n^{n-2}/n!."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    return TruncatedSeries(
-        [Fraction(0)]
-        + [Fraction(n) ** (n - 2) / math.factorial(n) for n in range(1, order + 1)]
-    )
+    # n = 1 on its own: 1 ** -1 would be a float
+    nums = [0, 1][: order + 1] + [n ** (n - 2) for n in range(2, order + 1)]
+    return TruncatedSeries.from_egf(nums)
 
 
 _SERIES = {

@@ -1,20 +1,18 @@
 """Exact truncated power series over the rationals, and an exact linear solver.
 
-All coefficients are `fractions.Fraction`; no operation in this module ever
-rounds.  Series are stored in the plain convention (coefficient of q^n is
-c_n); helpers give the n!-scaled view used by exponential generating
-functions.
+No operation here ever rounds.  A series keeps c_0..c_N (c_n on q^n) as
+integer EGF numerators over one denominator, c_k = nums[k] / (den k!), with
+den > 0 and gcd(den, *nums) = 1, so equal series have equal fields: the
+single-common-denominator design of FLINT's `fmpq_poly`, with the k! folded
+in so that tree series such as Z (nums[k] = k^k, den = 1) stay integral.
+Series arithmetic never builds a `Fraction`; reading a coefficient does.
 
-Series arithmetic runs on plain integers.  Each operand is rewritten as
-EGF numerators over one common denominator, a_i = D i! c_i, and one kernel,
-`_convolve`, gives the binomial convolution s_k = sum_i C(k, i) a_i b_{k-i}
-for just the orders k asked for, visiting only the i where both factors can
-be nonzero; a square sums each pair i < k - i once and doubles it.  A
-product's coefficients are the reduced `Fraction(s_k, D_a D_b k!)`: the single
-common-denominator design of FLINT's `fmpq_poly`, with the i! folded in so
-that tree series such as Z (a_i = i^i, D = 1) stay integral.  The inverse is
-Newton's iteration on EGF numerators, each step asking the kernel only for
-the new half of the coefficients (Brent and Kung, 1978).
+Products run on one kernel, `_convolve`: the binomial convolution
+s_k = sum_i C(k, i) a_i b_{k-i} for just the orders k asked for, visiting
+only the i where both factors can be nonzero; a square sums each pair
+i < k - i once and doubles it.  The inverse is Newton's iteration, each
+step asking the kernel only for the new half of the coefficients (Brent
+and Kung, 1978).
 
 The linear solver eliminates fraction-free on integer rows, in input order
 until full rank, and checks the surplus rows (the certificate) in integers.
@@ -24,6 +22,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul as _mul
 from typing import Iterable, Sequence
 
 from .errors import Record
@@ -48,32 +48,6 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def _egf_numerators(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(D, [D i! c_i]) with D the least positive integer making all of them ints."""
-    parts = []
-    den = 1
-    fact = 1
-    for i, c in enumerate(coeffs):
-        if i:
-            fact *= i
-        g = math.gcd(c.denominator, fact)
-        d = c.denominator // g
-        parts.append((c.numerator * (fact // g), d))
-        den = den * d // math.gcd(den, d)
-    return den, [p * (den // d) for p, d in parts]
-
-
-def _from_egf_numerators(s: Sequence[int], den: int) -> "TruncatedSeries":
-    """The series with coefficients s_k / (den k!)."""
-    out = []
-    fact = den
-    for k, x in enumerate(s):
-        if k:
-            fact *= k
-        out.append(Fraction(x, fact))
-    return TruncatedSeries(out)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> list[int]:
@@ -111,55 +85,79 @@ def _convolve(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> list[int]
 class TruncatedSeries(Record):
     """A power series in q known exactly up to (and including) order N.
 
-    Arithmetic between two series truncates to the smaller order; mixing
-    with plain rationals treats them as constants.
+    Stored as c_k = nums[k] / (den k!) in canonical form (see the module
+    docstring).  Arithmetic between two series truncates to the smaller
+    order; mixing with plain rationals treats them as constants.
     """
 
-    coeffs: tuple
+    den: int
+    nums: tuple
 
     def __init__(self, coeffs: Iterable):
-        object.__setattr__(self, "coeffs", tuple(as_rational(c) for c in coeffs))
-        if not self.coeffs:
-            raise ValueError("a series needs at least the constant coefficient")
+        coeffs = [as_rational(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        facts = accumulate(range(1, len(coeffs)), _mul, initial=1)
+        self._store([c.numerator * (den // c.denominator) * f for c, f in zip(coeffs, facts)], den)
+
+    @classmethod
+    def from_egf(cls, nums: Sequence[int], den: int = 1) -> "TruncatedSeries":
+        """The series with coefficients nums[k] / (den k!) for ints, in canonical form."""
+        out = cls.__new__(cls)
+        out._store(nums, den)
+        return out
+
+    def _store(self, nums: Sequence[int], den: int) -> None:
+        if not nums or not den:
+            raise ValueError("a series needs a constant coefficient and a nonzero denominator")
+        common = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        if common != 1:
+            den, nums = den // common, [x // common for x in nums]
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", tuple(nums))
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([Fraction(0)] * (order + 1))
+        return cls.from_egf([0] * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls([Fraction(1)] + [Fraction(0)] * order)
+        return cls.from_egf([1] + [0] * order)
 
     @classmethod
     def monomial(cls, n: int, order: int, coeff=1) -> "TruncatedSeries":
-        c = [Fraction(0)] * (order + 1)
-        if n <= order:
-            c[n] = as_rational(coeff)
-        return cls(c)
+        return cls(([0] * n + [coeff])[: order + 1] + [0] * (order - n))
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """c_0..c_N as Fractions, built on each read."""
+        return tuple(map(self.coefficient, range(self.order + 1)))
 
     def coefficient(self, n: int) -> Fraction:
-        return self.coeffs[n]
+        return Fraction(self.nums[n], self.den * math.factorial(n))
 
     def egf_coefficient(self, n: int) -> Fraction:
         """n! * c_n, the exponential-convention view."""
-        return self.coeffs[n] * math.factorial(n)
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        return Fraction(self.nums[n], self.den)
 
     def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            return TruncatedSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-        c = list(self.coeffs)
-        c[0] += as_rational(other)
-        return TruncatedSeries(c)
+        if not isinstance(other, TruncatedSeries):
+            c = as_rational(other)
+            other = TruncatedSeries.from_egf([c.numerator] + [0] * self.order, c.denominator)
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        nums = [x * sa + y * sb for x, y in zip(self.nums, other.nums)]
+        return TruncatedSeries.from_egf(nums, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs])
+        return TruncatedSeries.from_egf([-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, TruncatedSeries) else -as_rational(other))
@@ -169,16 +167,19 @@ class TruncatedSeries(Record):
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
-            a = as_rational(other)
-            return TruncatedSeries([c * a for c in self.coeffs])
+            c = as_rational(other)
+            nums = [x * c.numerator for x in self.nums]
+            return TruncatedSeries.from_egf(nums, self.den * c.denominator)
         n = min(self.order, other.order)
-        da, a = _egf_numerators(self.coeffs[: n + 1])
-        db, b = (da, a) if other is self else _egf_numerators(other.coeffs[: n + 1])
-        return _from_egf_numerators(_convolve(a, b, 0, n), da * db)
+        a = self.nums[: n + 1]
+        b = a if other is self else other.nums[: n + 1]
+        return TruncatedSeries.from_egf(_convolve(a, b, 0, n), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "TruncatedSeries":
+        if not isinstance(k, int):
+            raise TypeError(f"a series power needs an int exponent, not {k!r}")
         if k < 0:
             return self.inverse() ** (-k)
         if k < 2:
@@ -189,7 +190,7 @@ class TruncatedSeries(Record):
 
     def euler_d(self) -> "TruncatedSeries":
         """Apply D = q d/dq: the n-th coefficient becomes n*c_n."""
-        return TruncatedSeries([n * c for n, c in enumerate(self.coeffs)])
+        return TruncatedSeries.from_egf([n * x for n, x in enumerate(self.nums)], self.den)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires a nonzero constant term.
@@ -198,14 +199,12 @@ class TruncatedSeries(Record):
         the step is right to order m = 2h + 1, so a handful of steps reach
         the full order.  f g - 1 vanishes through order h, so each step asks
         `_convolve` only for coefficients h+1..m of f g and then of
-        g (f g - 1), about half of each full product.  g is kept as EGF
-        numerators over the least common denominator throughout.
+        g (f g - 1), about half of each full product.
         """
-        if self.coeffs[0] == 0:
+        a, da = self.nums, self.den
+        if not a[0]:
             raise ValueError("series with zero constant term has no inverse")
-        da, a = _egf_numerators(self.coeffs)
-        g0 = Fraction(da, a[0])
-        den, b = g0.denominator, [g0.numerator]
+        den, b = a[0], [da]  # g_0 = da / a_0; the first step makes den > 0
         while len(b) <= self.order:
             h = len(b) - 1
             m = min(2 * h + 1, self.order)
@@ -216,34 +215,33 @@ class TruncatedSeries(Record):
             common = math.gcd(den * scale, *b)
             b = [x // common for x in b]
             den = den * scale // common
-        return _from_egf_numerators(b, den)
+        return TruncatedSeries.from_egf(b, den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __repr__(self):
-        shown = ", ".join(format_rational(c) for c in self.coeffs[:6])
+        shown = [format_rational(self.coefficient(n)) for n in range(min(self.order + 1, 6))]
         tail = ", ..." if self.order > 5 else ""
-        return f"TruncatedSeries([{shown}{tail}], order={self.order})"
+        return f"TruncatedSeries([{', '.join(shown)}{tail}], order={self.order})"
 
 
 def series_exp(a: TruncatedSeries) -> TruncatedSeries:
     """Exact exp of a series with zero constant term.
 
     A nonzero constant term would force a transcendental factor, so it is
-    rejected.  Uses the first-order recursion n e_n = sum k a_k e_{n-k}.
+    rejected.  E = exp(A) in the exponential convention obeys E' = A' E,
+    E_n = sum_{j<n} C(n-1, j) A_{j+1} E_{n-1-j}; with A_k = nums[k] / D
+    this runs on the integers F_n = D^n E_n, and c_n = F_n D^(N-n) / (D^N n!).
     """
-    if a.coeffs[0] != 0:
+    nums, d = a.nums, a.den
+    if nums[0]:
         raise ValueError("series_exp requires a zero constant term")
-    n = a.order
-    e = [Fraction(1)] + [Fraction(0)] * n
-    for m in range(1, n + 1):
-        s = Fraction(0)
-        for k in range(1, m + 1):
-            if a.coeffs[k] != 0:
-                s += k * a.coeffs[k] * e[m - k]
-        e[m] = s / m
-    return TruncatedSeries(e)
+    top = len(nums) - 1  # N
+    f = [1]  # F_n
+    for n in range(1, top + 1):
+        f.append(sum(math.comb(n - 1, j) * nums[j + 1] * f[n - 1 - j] * d**j for j in range(n)))
+    return TruncatedSeries.from_egf([x * d ** (top - n) for n, x in enumerate(f)], d**top)
 
 
 def _entry(x):

@@ -47,8 +47,9 @@ def h0_closed(n: int, mu) -> Fraction:
     p, r = mu.num_parts, mu.degeneracy
     if n < p + r:
         raise DomainError(f"closed form needs n >= p + r = {p + r}, got {n}")
-    value = math.factorial(2 * n - 2 - r) * normal_form_prefactor(mu)
-    return value * Fraction(n) ** (n - r - 3) / math.factorial(n - p - r)
+    e = n - r - 3
+    num = math.factorial(2 * n - 2 - r) * n ** max(e, 0)
+    return normal_form_prefactor(mu) * Fraction(num, math.factorial(n - p - r) * n ** max(-e, 0))
 
 
 def h1_empty_series(order: int) -> TruncatedSeries:
@@ -59,10 +60,8 @@ def h1_empty_series(order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise DomainError("order must be >= 0")
-    coeffs = [Fraction(0)]
-    for n in range(1, order + 1):
-        coeffs.append(Fraction(a_closed(n), 24 * n * math.factorial(n)))
-    return TruncatedSeries(coeffs)
+    # A_n = n (n-1) P_{n-2} (see a_closed), so A_n / n is an integer
+    return TruncatedSeries.from_egf([0] + [a_closed(n) // n for n in range(1, order + 1)], 24)
 
 
 def phi_degree_bound(g: int, p: int) -> int:
@@ -142,20 +141,17 @@ def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]], slack: int = FIT_S
             f"need at least {unknowns + slack} data points for degree {bound}, "
             f"got {len(data)}"
         )
-    order = max(n for n, _ in data)
-    z = series_z(order)
-    cols = []
-    cur = _normal_form_base(g, mu).to_series(order)
-    for _ in range(unknowns):
-        cols.append(cur)
-        cur = cur * z
+    z = series_z(max(n for n, _ in data))
+    cols = [_normal_form_base(g, mu).to_series(z.order)]
+    while len(cols) < unknowns:
+        cols.append(cols[-1] * z)
     rows, rhs = [], []
     r = mu.degeneracy
     for n, h in data:
         cn = 2 * n + 2 * g - 2 - r
         if cn < 0:
             raise DomainError(f"data point n={n} is outside the valid range")
-        rows.append([cols[l].coefficient(n) for l in range(unknowns)])
+        rows.append([col.coefficient(n) for col in cols])
         rhs.append(Fraction(h) / math.factorial(cn))
     solution = solve_exact(LinearSystem(rows, rhs))
     if solution.status == "inconsistent":

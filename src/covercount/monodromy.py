@@ -42,19 +42,19 @@ content sums by the branching rule, so cont = f_(2) needs no character.
 Every other f_{rho_j} is |C| chi / dim over one stored character column
 (``character_column``), one rim-hook step from the column of its class
 without the last part; that prefix is itself a sub-multiset the fill needs,
-so no column is built twice, and each column is shared by every row whose
-rho holds its class.  Each (m, rho) stores T_disc and T_conn as two rows,
-lists indexed by c.  A fill stores every row through its own c for every
-m <= n and every sub-multiset of the profiles, so the series builders
-(``hurwitz_series.oracle_data``, ``h_series``) ask for their largest n
-first: one fill covers the series, and smaller n read its rows.
-``node_budget`` bounds the products a fill evaluates, from the spec alone
-and before any work (see ``_check_budget``).  These tables and the shape
-tables and columns of ``symmetric`` are shared and unlocked.  A shape table,
-column or weight list is stored once, fully computed; a row grows by a new,
-longer, fully computed list, never by appending to a stored one, and a fill
-reads rows through its own references, so concurrent counts at worst
-duplicate work and return the serial values.  ``clear_caches`` empties every
+so no column is built twice.  Each f list is formed once per (m, class)
+and shared by every row whose rho holds the class.  Each (m, rho) stores
+T_disc and T_conn as two rows, lists indexed by c.  A fill stores every row
+through its own c for every m <= n and every sub-multiset of the profiles,
+so the series builders (``hurwitz_series.oracle_data``, ``h_series``) ask
+for their largest n first: one fill covers the series, and smaller n read
+its rows.  ``node_budget`` bounds the products a fill evaluates, from the
+spec alone and before any work (see ``_check_budget``).  These tables and
+the shape tables and columns of ``symmetric`` are shared and unlocked.  A
+shape table, column, f list or weight list is stored once, fully computed;
+a row grows by a new, longer, fully computed list, never by appending to a
+stored one, and a fill reads rows through its own references, so concurrent
+counts at worst duplicate work and return the serial values.  ``clear_caches`` empties every
 table; it is not meant to run during a count (untested).
 """
 
@@ -125,6 +125,8 @@ class CoveringSpec(Record):
 # ---------------------------------------------------------------------------
 # the count table
 
+# (m, parts) -> [f_parts(lambda) = |C| chi / dim for each shape of m], see _disc_row
+_CENTRAL: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 # (m, rho) -> [(|content sum| k, W(k))], see _disc_row
 _WEIGHTS: dict[tuple[int, tuple], list[tuple[int, int]]] = {}
 # (m, rho) -> [T_disc(m, rho, c) for c = 0, 1, ...]
@@ -181,11 +183,11 @@ def _disc_row(m: int, rho: tuple, cmax: int) -> list[int]:
         _, dims, contents = shape_table(m)
         terms = [dim * dim for dim in dims]
         for parts in rho:
-            if parts == (2,):  # f_(2) is the content sum
-                f = contents
-            else:  # the integer central character f = |C| chi / dim
+            f = contents if parts == (2,) else _CENTRAL.get((m, parts))  # f_(2): content sum
+            if f is None:  # formed once, by the first row that holds the class
                 size = conjugacy_class_size(Partition(parts), m)
                 f = [size * chi // dim for chi, dim in zip(character_column(m, parts), dims)]
+                f = _CENTRAL.setdefault((m, parts), f)
             terms = list(map(_mul, terms, f))
         grouped: dict[int, int] = {}
         for k, term in zip(contents, terms):
@@ -313,9 +315,10 @@ def hurwitz_disconnected(
 
 
 def clear_caches() -> None:
-    """Empty every table: shapes, columns, weights and both row tables."""
+    """Empty every table: shapes, columns, f lists, weights and both row tables."""
     shape_table.cache_clear()
     _COLUMNS.clear()
+    _CENTRAL.clear()
     _WEIGHTS.clear()
     _DISC.clear()
     _CONN.clear()

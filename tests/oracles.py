@@ -5,11 +5,11 @@ enumeration, direct convolutions) so they share no code path with the
 implementations they check.  Every route that enumerates permutations or
 trees lives here, none in the library: permutation products and cycles,
 the elements of a conjugacy class, and labeled trees by Pruefer decoding.
-The Fraction series product, inverse recurrence and A_n sum below are the
-library's former routes, kept here as references for its integer kernels;
-so are the two former covering-count routes (the class-level dynamic
-program and the cut-and-join recursion) and the Murnaghan-Nakayama
-recursion on shapes, references for the character table of
+The Fraction series product, inverse and exp recurrences and A_n sum
+below are the library's former routes, kept here as references for its
+integer kernels; so are the two former covering-count routes (the
+class-level dynamic program and the cut-and-join recursion) and the
+Murnaghan-Nakayama recursion on shapes, references for the character table of
 `covercount.monodromy` and the beta-set characters of
 `covercount.symmetric`.  The former shape table, its dimensions from the
 beta-set formula and its content sums box by box, checks the branching-rule
@@ -240,6 +240,18 @@ def series_inverse(a):
         s = sum((a[i] * inv[k - i] for i in range(1, k + 1) if a[i] != 0), Fraction(0))
         inv.append(-s / a[0])
     return inv
+
+
+def series_exp_fractions(a):
+    """exp of a coefficient list with a zero constant term.
+
+    The Fraction recursion n e_n = sum_k k a_k e_{n-k}.
+    """
+    e = [Fraction(1)]
+    for n in range(1, len(a)):
+        s = sum((k * a[k] * e[n - k] for k in range(1, n + 1) if a[k] != 0), Fraction(0))
+        e.append(s / n)
+    return e
 
 
 def a_closed_fractions(n):

@@ -5,7 +5,10 @@ and the methods of the classes it names (`covercount.algebra.ZPoly` and
 `LaurentPolyX` among them), with no fallback for a missing name.  Every
 traced unit and every `cli` round of the benchmark installs it, so a
 renamed or removed class breaks the benchmark while the rest of the suite
-still passes; this test runs the install in a fresh interpreter.
+still passes; this test runs the install in a fresh interpreter.  Its
+series product and inverse hooks read only `TruncatedSeries.order` and the
+call arguments, so one product and one inverse must each count once, whatever
+fields the series stores.
 """
 
 import subprocess
@@ -24,6 +27,11 @@ tracer.on = True
 import covercount
 print(covercount.dkz_poly(2), covercount.hg_empty_leading(2))
 assert tracer.self_s["algebra"] > 0 and tracer.counts["hurwitz_series.fit_calls"] == 1
+before = dict(tracer.counts)
+z = covercount.series_z(6)
+z * z, (1 + z).inverse()
+grew = {{k: v - before[k] for k, v in tracer.counts.items() if v != before[k]}}
+assert grew == {{"exact.mul_calls": 1, "exact.mul_coeff_ops": 28, "exact.inverse_calls": 1}}, grew
 """
 
 

@@ -1,11 +1,14 @@
+import copy
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covercount.algebra import series_y, series_z
+from covercount.algebra import LaurentPolyX, series_y, series_z, y_over_q_power, ypower_closed
+from covercount.cli import _cayley_series
 from covercount.exact import (
     LinearSolution,
     LinearSystem,
@@ -15,8 +18,15 @@ from covercount.exact import (
     series_exp,
     solve_exact,
 )
+from covercount.hurwitz_series import h1_empty_series
 
-from .oracles import a_closed_fractions, cauchy_product, gauss_jordan, series_inverse
+from .oracles import (
+    a_closed_fractions,
+    cauchy_product,
+    gauss_jordan,
+    series_exp_fractions,
+    series_inverse,
+)
 
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=12
@@ -409,3 +419,142 @@ def test_rational_formatting():
     assert format_rational(F(3, 4)) == "3/4"
     assert format_rational(F(-5, 1)) == "-5"
     assert format_rational(F(0)) == "0"
+
+
+# ---------------------------------------------------------------------------
+# the stored form: EGF numerators over one canonical denominator
+
+coefficient_lists = st.lists(sparse_rationals, min_size=1, max_size=13)
+
+
+def assert_canonical(s):
+    assert s.den > 0 and math.gcd(s.den, *s.nums) == 1
+    assert all(type(x) is int for x in (s.den, *s.nums))
+    assert s.nums == tuple(c * s.den * math.factorial(k) for k, c in enumerate(s.coeffs))
+
+
+@given(coefficient_lists, coefficient_lists, sparse_rationals)
+@settings(max_examples=150, deadline=None)
+def test_linear_operations_match_fraction_references(a, b, r):
+    sa, sb = TruncatedSeries(a), TruncatedSeries(b)
+    n = min(len(a), len(b))
+    assert list(sa.coeffs) == a
+    cases = [
+        (sa + sb, [x + y for x, y in zip(a, b)]),
+        (sa - sb, [x - y for x, y in zip(a, b)]),
+        (-sa, [-x for x in a]),
+        (sa * r, [x * r for x in a]),
+        (r * sa, [r * x for x in a]),
+        (sa + r, [a[0] + r, *a[1:]]),
+        (r - sa, [r - a[0], *(-x for x in a[1:])]),
+        (sa.euler_d(), [k * x for k, x in enumerate(a)]),
+        (sa * sb, cauchy_product(a, b)),
+        (sa * sa, cauchy_product(a, a)),
+        (sa ** 3, cauchy_product(cauchy_product(a, a), a)),
+    ]
+    for got, expected in cases:
+        assert_canonical(got)
+        assert list(got.coeffs) == expected
+    # operands of mixed order truncate to the smaller order
+    assert (sa + sb).order == (sa - sb).order == (sa * sb).order == n - 1
+
+
+@given(st.lists(sparse_rationals, max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_exp_matches_fraction_recursion(tail):
+    a = [F(0), *tail]
+    got = series_exp(TruncatedSeries(a))
+    assert_canonical(got)
+    assert list(got.coeffs) == series_exp_fractions(a)
+
+
+@given(unit_series())
+@settings(max_examples=60, deadline=None)
+def test_inverse_is_canonical(f):
+    assert_canonical(f.inverse())
+
+
+@given(
+    st.dictionaries(st.integers(-3, 2), nonzero_rationals, min_size=1, max_size=4),
+    st.integers(0, 12),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_series_built_three_ways_has_one_stored_form(coeffs, order):
+    p = LaurentPolyX(coeffs)
+    by_to_series = p.to_series(order)
+    from_fractions = TruncatedSeries([p.coefficient(n) for n in range(order + 1)])
+    x = (1 + series_z(order)).inverse()  # X = (1 + Z)^-1
+    by_products = TruncatedSeries.zero(order)
+    for j, c in p.coeffs.items():
+        by_products = by_products + x**j * c
+    for s in (from_fractions, by_products):
+        assert (s.den, s.nums) == (by_to_series.den, by_to_series.nums)
+        assert s == by_to_series and hash(s) == hash(by_to_series)
+    assert_canonical(by_to_series)
+
+
+def test_from_egf_brings_numerators_to_canonical_form():
+    s = TruncatedSeries.from_egf([4, -6, 10], -8)
+    assert (s.den, s.nums) == (4, (-2, 3, -5))
+    assert s == TruncatedSeries([F(-1, 2), F(3, 4), F(-5, 8)])
+    assert (TruncatedSeries.zero(3).den, TruncatedSeries.from_egf([0, 0], 6).den) == (1, 1)
+    for nums, den in (([1], 0), ([], 1)):
+        with pytest.raises(ValueError):
+            TruncatedSeries.from_egf(nums, den)
+
+
+def test_builders_match_their_fraction_formulas():
+    def fractions(f, order):
+        return [F(f(n), math.factorial(n)) for n in range(order + 1)]
+
+    for order in (0, 1, 2, 9):
+        assert list(series_y(order).coeffs) == fractions(lambda n: n ** (n - 1) if n else 0, order)
+        assert list(series_z(order).coeffs) == fractions(lambda n: n**n if n else 0, order)
+        cayley = fractions(lambda n: F(n) ** (n - 2) if n else 0, order)
+        assert list(_cayley_series(order).coeffs) == cayley
+        h1 = fractions(lambda n: F(a_closed_fractions(n), 24 * n) if n else 0, order)
+        assert list(h1_empty_series(order).coeffs) == h1
+        for a in (-3, -1, 0, 2):
+            expected = fractions(lambda j: a * F(j + a) ** (j - 1) if j else 1, order)
+            assert list(y_over_q_power(a, order).coeffs) == expected
+        for k in (1, 2, 3):
+            # k n^(n-k-1) / (n-k)! on q^n, zero below q^k
+            expected = [
+                F(k * F(n) ** (n - k - 1), math.factorial(n - k)) if n >= k else 0
+                for n in range(order + 1)
+            ]
+            assert list(ypower_closed(k, order).coeffs) == expected
+        for s in (series_y(order), _cayley_series(order), h1_empty_series(order)):
+            assert_canonical(s)
+
+
+def test_stored_form_survives_copy_deepcopy_and_pickle():
+    s = (1 + series_z(30)).inverse() * F(5, 7)
+    for clone in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert clone == s and hash(clone) == hash(s) and clone is not s
+        assert (clone.den, clone.nums) == (s.den, s.nums) and repr(clone) == repr(s)
+
+
+def test_repr_shows_the_first_six_coefficients():
+    assert repr(TruncatedSeries([0, 1, F(-3, 4)])) == "TruncatedSeries([0, 1, -3/4], order=2)"
+    assert repr(series_z(8)) == "TruncatedSeries([0, 1, 2, 9/2, 32/3, 625/24, ...], order=8)"
+    assert repr((1 + series_z(7)).inverse() * F(5, 7)) == (
+        "TruncatedSeries([5/7, -5/7, -5/7, -15/14, -40/21, -625/168, ...], order=7)"
+    )
+    assert repr(TruncatedSeries.zero(0)) == "TruncatedSeries([0], order=0)"
+
+
+def test_negative_orders_have_no_coefficient():
+    z = series_z(4)
+    for read in (z.coefficient, z.egf_coefficient):
+        with pytest.raises(ValueError):
+            read(-1)
+        with pytest.raises(IndexError):
+            read(5)
+
+
+def test_power_refuses_non_integer_exponents():
+    z = series_z(4)
+    for k in (F(1, 2), 1.5):
+        with pytest.raises(TypeError):
+            z**k

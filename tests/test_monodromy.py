@@ -15,15 +15,17 @@ from covercount.monodromy import (
     hurwitz_connected,
     hurwitz_disconnected,
 )
-from covercount.symmetric import Partition, partitions_of
+from covercount.symmetric import Partition, conjugacy_class_size, partitions_of
 
 from .oracles import (
     class_dp_connected,
     cut_join_connected,
+    character_column_from_leaves,
     cut_join_table,
     dp_start,
     dp_walk,
     gjv_one_part,
+    irrep_dimension,
     naive_connected_count,
     naive_total_count,
 )
@@ -494,3 +496,20 @@ def test_genus1_exception_values():
     for n in range(1, 5):
         expected = F(math.factorial(2 * n), 24 * n * math.factorial(n)) * a_closed(n)
         assert hurwitz_connected(CoveringSpec(1, n, [])) == expected
+
+
+def test_central_characters_are_formed_once_and_cleared():
+    # every row that holds a class reads the one stored f list of (m, class)
+    spec = CoveringSpec(0, 8, [Partition([3]), Partition([3, 2]), Partition([3])])
+    clear_caches()
+    count = hurwitz_connected(spec)
+    assert monodromy._CENTRAL and (8, (3,)) in monodromy._CENTRAL
+    for (m, parts), f in monodromy._CENTRAL.items():
+        size = conjugacy_class_size(Partition(parts), m)
+        dims = [irrep_dimension(shape) for shape in partitions_of(m)]
+        chi = character_column_from_leaves(m, parts)
+        assert f == [size * x // dim for x, dim in zip(chi, dims)], (m, parts)
+    assert (8, (2,)) not in monodromy._CENTRAL  # f_(2) is the content column
+    clear_caches()
+    assert not monodromy._CENTRAL
+    assert hurwitz_connected(spec) == count
