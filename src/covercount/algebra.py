@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from operator import mul as _mul
 
-from .errors import ConsistencyError, DomainError, Record
+from .errors import ConsistencyError, DomainError, Record, as_int
 from .exact import (
     LinearSystem,
     TruncatedSeries,
@@ -222,8 +222,8 @@ class LaurentPolyX(Record):
     coeffs: dict
 
     def __init__(self, coeffs: dict):
-        clean = {int(j): as_rational(c) for j, c in coeffs.items() if as_rational(c) != 0}
-        object.__setattr__(self, "coeffs", dict(sorted(clean.items())))
+        clean = ((as_int(j), as_rational(c)) for j, c in coeffs.items())
+        object.__setattr__(self, "coeffs", dict(sorted((j, c) for j, c in clean if c)))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -242,10 +242,7 @@ class LaurentPolyX(Record):
         return LaurentPolyX(out)
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for j, c in other.coeffs.items():
-            out[j] = out.get(j, Fraction(0)) - c
-        return LaurentPolyX(out)
+        return self + other * -1
 
     def __mul__(self, other):
         if not isinstance(other, LaurentPolyX):
@@ -353,18 +350,16 @@ class Identification(Record):
         return self.status == "identified"
 
 
-def identify_in_a(
-    f: TruncatedSeries, jmin: int, jmax: int, slack: int = IDENTIFY_SLACK
-) -> Identification:
+def identify_in_a(f: TruncatedSeries, jmin: int, jmax: int) -> Identification:
     """Find P with support in [jmin, jmax] such that P(X(q)) matches f.
 
-    Requires at least (window size + slack) known coefficients so that an
-    accidental low-order match cannot masquerade as membership.
+    Requires at least (window size + IDENTIFY_SLACK) known coefficients so
+    that an accidental low-order match cannot masquerade as membership.
     """
     if jmax < jmin:
         raise ValueError("jmax must be >= jmin")
     unknowns = jmax - jmin + 1
-    if f.order + 1 < unknowns + slack:
+    if f.order + 1 < unknowns + IDENTIFY_SLACK:
         return Identification("underdetermined")
     order = f.order
     # row n is [q^n] scaled by n!, with right side den n! f_n = nums[n], so
@@ -396,35 +391,17 @@ class Radical(enum.Enum):
         return 1.0 / math.sqrt(2.0 * math.pi)
 
 
-_RADICAL_PRODUCTS = {
-    (Radical.ONE, Radical.ONE): (Radical.ONE, Fraction(1)),
-    (Radical.ONE, Radical.SQRT2): (Radical.SQRT2, Fraction(1)),
-    (Radical.SQRT2, Radical.ONE): (Radical.SQRT2, Fraction(1)),
-    (Radical.ONE, Radical.INV_SQRT_2PI): (Radical.INV_SQRT_2PI, Fraction(1)),
-    (Radical.INV_SQRT_2PI, Radical.ONE): (Radical.INV_SQRT_2PI, Fraction(1)),
-    (Radical.SQRT2, Radical.SQRT2): (Radical.ONE, Fraction(2)),
-}
-
-
 class ScaledRational(Record):
-    """An exact rational times one radical marker from {1, sqrt2, (2pi)^{-1/2}}."""
+    """An exact rational times one radical marker from {1, sqrt2, (2pi)^{-1/2}}.
+    It multiplies by rationals only; a product of two markers raises TypeError."""
 
     value: Fraction
     radical: Radical = Radical.ONE
 
     def __mul__(self, other):
-        if isinstance(other, ScaledRational):
-            key = (self.radical, other.radical)
-            if key not in _RADICAL_PRODUCTS:
-                raise ValueError(f"radical product {key} not closed in this algebra")
-            rad, extra = _RADICAL_PRODUCTS[key]
-            return ScaledRational(self.value * other.value * extra, rad)
         return ScaledRational(self.value * as_rational(other), self.radical)
 
     __rmul__ = __mul__
-
-    def to_float(self) -> float:
-        return float(self.value) * self.radical.to_float()
 
     def log(self) -> float:
         if self.value <= 0:

@@ -49,6 +49,16 @@ _SERIES = {
 }
 
 
+def _named_series(args, unknown: str = "") -> TruncatedSeries:
+    """The series --name names, to --order; an unknown name raises DomainError."""
+    maker = _SERIES.get(args.name or "")
+    if maker is None:
+        raise DomainError(
+            unknown or f"unknown series {args.name!r}; choose from {sorted(_SERIES)}"
+        )
+    return maker(args.order)
+
+
 def _series_json(s: TruncatedSeries) -> dict:
     return {
         str(n): format_rational(s.coefficient(n))
@@ -81,10 +91,7 @@ def _emit(args, plain_lines, json_obj, csv_rows=None, csv_header=None):
 
 
 def _cmd_series(args) -> int:
-    maker = _SERIES.get(args.name)
-    if maker is None:
-        raise DomainError(f"unknown series {args.name!r}; choose from {sorted(_SERIES)}")
-    s = maker(args.order)
+    s = _named_series(args)
     pick = s.egf_coefficient if args.egf else s.coefficient
     rows = [(n, format_rational(pick(n))) for n in range(s.order + 1)]
     _emit(
@@ -98,10 +105,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    maker = _SERIES.get(args.name)
-    if maker is None:
-        raise DomainError(f"unknown series {args.name!r}; choose from {sorted(_SERIES)}")
-    s = maker(args.order)
+    s = _named_series(args)
     ident = algebra.identify_in_a(s, args.jmin, args.jmax)
     obj = {"status": ident.status, "verified_orders": ident.verified_orders}
     lines = [f"status: {ident.status} (verified orders: {ident.verified_orders})"]
@@ -116,10 +120,7 @@ def _cmd_asymptotic(args) -> int:
     if args.laurent:
         element = algebra.LaurentPolyX.from_json(json.loads(args.laurent))
     else:
-        maker = _SERIES.get(args.name or "")
-        if maker is None:
-            raise DomainError("provide --laurent JSON or --name of a known series")
-        s = maker(args.order)
+        s = _named_series(args, "provide --laurent JSON or --name of a known series")
         ident = algebra.identify_in_a(s, args.jmin, args.jmax)
         if not ident.ok:
             raise DomainError(f"series does not identify on the window: {ident.status}")

@@ -1,5 +1,6 @@
-"""Shared exception types, which the CLI maps to exit codes, and ``Record``,
-the frozen base class of the library's value records."""
+"""Shared exception types, which the CLI maps to exit codes, ``Record``, the
+frozen base class of the library's value records, and ``as_int``, the check
+on their integer fields."""
 
 
 class DomainError(ValueError):
@@ -13,6 +14,13 @@ class BudgetExceeded(RuntimeError):
 class ConsistencyError(AssertionError):
     """Two independent exact routes disagreed; this falsifies an identity
     the artifact relies on and is never recoverable."""
+
+
+def as_int(x) -> int:
+    """x itself if it is an int; anything else, bools and floats too, raises TypeError."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise TypeError(f"not an int: {x!r}")
 
 
 class Record:

@@ -125,6 +125,8 @@ class TruncatedSeries(Record):
 
     @classmethod
     def monomial(cls, n: int, order: int, coeff=1) -> "TruncatedSeries":
+        if n < 0:
+            raise ValueError("a monomial needs n >= 0")
         return cls(([0] * n + [coeff])[: order + 1] + [0] * (order - n))
 
     @property

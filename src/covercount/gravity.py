@@ -18,11 +18,10 @@ from .algebra import (
     LaurentPolyX,
     Radical,
     ScaledRational,
-    identify_in_a,
     inv_gamma_half_scaled,
     y_over_q_power,
 )
-from .errors import ConsistencyError, DomainError, Record
+from .errors import ConsistencyError, DomainError, Record, as_int
 from .exact import TruncatedSeries, as_rational
 from .hurwitz_series import fit_phi, oracle_data, phi_degree_bound
 from .monodromy import DEFAULT_NODE_BUDGET, CoveringSpec, hurwitz_connected
@@ -36,12 +35,12 @@ class TauSpec(Record):
     ds: tuple[int, ...]
 
     def __init__(self, g: int, ds):
-        ds = tuple(sorted(int(d) for d in ds))
+        ds = tuple(sorted(map(as_int, ds)))
         if any(d < 0 for d in ds):
             raise DomainError("tau indices must be nonnegative")
         if not ds:
             raise DomainError("at least one tau factor is required")
-        object.__setattr__(self, "g", int(g))
+        object.__setattr__(self, "g", as_int(g))
         object.__setattr__(self, "ds", ds)
         if self.g < 0:
             raise DomainError("genus must be >= 0")
@@ -108,18 +107,17 @@ def tau_bracket(spec: TauSpec, node_budget: int = DEFAULT_NODE_BUDGET) -> Fracti
     """Exact bracket value as a finite combination of covering counts.
 
     Each tau_d contributes preimage multiplicities b in 1..d+1; a term with
-    multiplicities (b_1..b_p) reads off the count at n = sum b_i with
-    c(n) = n + p + 2g - 2 simple points.
+    multiplicities (b_1..b_p) reads off the count at n = sum b_i with its
+    c = n + p + 2g - 2 simple points.
     """
     if not spec.dimension_ok:
         return Fraction(0)
     total = Fraction(0)
     for parts, const in _bracket_terms(spec).items():
         mu = Partition(parts)
-        n = mu.m
-        cn = n + spec.p + 2 * spec.g - 2
-        h = hurwitz_connected(CoveringSpec(spec.g, n, [mu]), node_budget)
-        total += const * mu.aut * h / math.factorial(cn)
+        covering = CoveringSpec(spec.g, mu.m, [mu])
+        h = hurwitz_connected(covering, node_budget)
+        total += const * mu.aut * h / math.factorial(covering.c)
     return total
 
 
@@ -141,20 +139,14 @@ def h_tau_series(
 ) -> TauSeriesResult:
     """The bracket series: sum of const * |Aut| * H_{g;mu} / Y^{sum b}.
 
-    Identifies the sum as a single power bracket * (Z+1)^{2g-2+p} with the
-    requested number of surplus verified coefficients; any other outcome
-    falsifies the bracket/oracle pair and raises.
+    The theorem makes it the single term bracket * (Z+1)^{2g-2+p}, so the
+    sum through q^(surplus + 1) must equal that term's series; any other
+    outcome falsifies the bracket/oracle pair and raises.
     """
-    if not spec.dimension_ok:
-        return TauSeriesResult(
-            spec,
-            Fraction(0),
-            TruncatedSeries.zero(surplus + 1),
-            Identification("identified", LaurentPolyX({}), surplus + 1),
-        )
-    order = surplus + 1  # one order solves the single unknown
+    order = surplus + 1  # q^0 gives the bracket, the rest verify it
     total = TruncatedSeries.zero(order)
-    for mu_parts, const in _bracket_terms(spec).items():
+    terms = _bracket_terms(spec) if spec.dimension_ok else {}  # off dimension: 0
+    for mu_parts, const in terms.items():
         mu = Partition(mu_parts)
         m, r = mu.m, mu.degeneracy
         data = oracle_data(spec.g, mu, range(m, m + order + 1), node_budget)
@@ -162,21 +154,13 @@ def h_tau_series(
         h_shifted = TruncatedSeries(coeffs)  # H_{g;mu} / q^m
         quotient = h_shifted * y_over_q_power(-m, order)  # / (Y/q)^m
         total = total + quotient * (const * mu.aut)
-    chi = spec.chi
-    ident = identify_in_a(total, -chi, -chi, slack=min(surplus, total.order))
-    if not ident.ok:
-        raise ConsistencyError(
-            f"bracket series for {spec} did not identify as a single (Z+1)^{chi} term"
-        )
     # c(m) = 2m + 2g - 2 - r = m + p + 2g - 2 and (Y/q)^-m starts at 1, so the
     # q^0 coefficient is tau_bracket's sum, term for term, on the same counts
     bracket = total.coefficient(0)
-    if ident.element.coeffs.get(-chi, Fraction(0)) != bracket:
-        raise ConsistencyError(
-            f"bracket series coefficient {ident.element} disagrees with the "
-            f"bracket value {bracket}"
-        )
-    return TauSeriesResult(spec, bracket, total, ident)
+    element = LaurentPolyX({-spec.chi: bracket})
+    if total != element.to_series(order):
+        raise ConsistencyError(f"bracket series for {spec} is not the single term {element}")
+    return TauSeriesResult(spec, bracket, total, Identification("identified", element, order))
 
 
 def tau_series_asymptotic(spec: TauSpec, bracket: Fraction) -> AsymptoticTerm:

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .algebra import (
-    IDENTIFY_SLACK,
     Identification,
     LaurentPolyX,
     ZPoly,
@@ -33,17 +32,13 @@ from .symmetric import Partition
 FIT_SLACK = 2
 
 
-def _as_partition(mu) -> Partition:
-    return mu if isinstance(mu, Partition) else Partition(mu)
-
-
 def h0_closed(n: int, mu) -> Fraction:
     """Genus-zero covering count in closed form.
 
     (2n-2-r)!/|Aut| * prod b^b/b! * n^{n-r-3}/(n-p-r)!, valid for any
     n >= p + r including the empty profile.
     """
-    mu = _as_partition(mu)
+    mu = Partition(mu)
     p, r = mu.num_parts, mu.degeneracy
     if n < p + r:
         raise DomainError(f"closed form needs n >= p + r = {p + r}, got {n}")
@@ -114,7 +109,7 @@ def _normal_form_base(g: int, mu: Partition) -> LaurentPolyX:
 
 def normal_form_series(g: int, mu, phi: PhiPolynomial, order: int) -> TruncatedSeries:
     """Evaluate the normal form prefactor * Y^m (Z+1)^{2g-2+p} phi(Z)."""
-    mu = _as_partition(mu)
+    mu = Partition(mu)
     if (phi.g, phi.mu) != (g, mu):
         raise DomainError("phi was fitted for a different (genus, profile) pair")
     return (_normal_form_base(g, mu) * phi.poly.to_laurent()).to_series(order)
@@ -125,34 +120,37 @@ class PhiFit(Record):
     surplus_verified: int
 
 
-def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]], slack: int = FIT_SLACK) -> PhiFit:
+def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]]) -> PhiFit:
     """Solve for phi's coefficients from exact covering counts.
 
     data holds (n, h_{g,n;mu}) pairs.  The linear system is over-determined
-    by at least `slack` rows; any inconsistency falsifies either the normal
-    form or the counting oracle, so it raises instead of returning.
+    by at least FIT_SLACK rows; any inconsistency falsifies either the normal
+    form or the counting oracle, so it raises instead of returning.  Row n is
+    [q^n] of the columns times L n!, L the lcm of their denominators: the
+    integers nums[n] L / den, with right side h L n! / c(n)!.
     """
-    mu = _as_partition(mu)
+    mu = Partition(mu)
     data = sorted(dict(data).items())
     bound = phi_degree_bound(g, mu.num_parts)
     unknowns = bound + 1
-    if len(data) < unknowns + slack:
+    if len(data) < unknowns + FIT_SLACK:
         raise DomainError(
-            f"need at least {unknowns + slack} data points for degree {bound}, "
+            f"need at least {unknowns + FIT_SLACK} data points for degree {bound}, "
             f"got {len(data)}"
         )
     z = series_z(max(n for n, _ in data))
     cols = [_normal_form_base(g, mu).to_series(z.order)]
     while len(cols) < unknowns:
         cols.append(cols[-1] * z)
+    lcm = math.lcm(*(col.den for col in cols))
     rows, rhs = [], []
     r = mu.degeneracy
     for n, h in data:
         cn = 2 * n + 2 * g - 2 - r
         if cn < 0:
             raise DomainError(f"data point n={n} is outside the valid range")
-        rows.append([col.coefficient(n) for col in cols])
-        rhs.append(Fraction(h) / math.factorial(cn))
+        rows.append([col.nums[n] * (lcm // col.den) for col in cols])
+        rhs.append(Fraction(h) * (lcm * math.factorial(n)) / math.factorial(cn))
     solution = solve_exact(LinearSystem(rows, rhs))
     if solution.status == "inconsistent":
         raise ConsistencyError(
@@ -171,7 +169,7 @@ def oracle_data(
 ) -> list[tuple[int, Fraction]]:
     """Exact covering counts for the given sheet numbers, in their order.
     The largest n is counted first, so one table fill covers them all."""
-    mu = _as_partition(mu)
+    mu = Partition(mu)
     specs = [CoveringSpec(g, n, [mu]) for n in n_range]
     largest_first = sorted(specs, key=lambda spec: spec.n, reverse=True)
     counts = {spec.n: hurwitz_connected(spec, node_budget) for spec in largest_first}
@@ -202,14 +200,13 @@ def h_series(
     order: int,
     window: tuple[int, int] | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    slack: int = IDENTIFY_SLACK,
 ) -> HurwitzSeries:
     """Build sum h_{g,n}/c(n)! q^n from the counting oracle and certify it.
 
     The certificate is the exact identification over the support window;
     it fails (by design) only for genus one with no profiles.
     """
-    mus = tuple(_as_partition(mu) for mu in mus)
+    mus = tuple(map(Partition, mus))
     n_min = max([1] + [mu.m for mu in mus])
     r = sum(mu.degeneracy for mu in mus)
     coeffs = [Fraction(0)] * (order + 1)
@@ -221,5 +218,5 @@ def h_series(
             coeffs[n] = h / math.factorial(cn)
     series = TruncatedSeries(coeffs)
     jmin, jmax = window if window is not None else default_window(g, mus)
-    certificate = identify_in_a(series, jmin, jmax, slack=slack)
+    certificate = identify_in_a(series, jmin, jmax)
     return HurwitzSeries(g, mus, series, certificate)

@@ -67,7 +67,7 @@ from functools import lru_cache
 from itertools import product as _iproduct
 from operator import mul as _mul
 
-from .errors import BudgetExceeded, DomainError, Record
+from .errors import BudgetExceeded, DomainError, Record, as_int
 from .symmetric import (
     _COLUMNS,
     Partition,
@@ -88,9 +88,9 @@ class CoveringSpec(Record):
     mus: tuple[Partition, ...] = ()
 
     def __init__(self, g: int, n: int, mus=()):
-        mus = tuple(mu if isinstance(mu, Partition) else Partition(mu) for mu in mus)
-        object.__setattr__(self, "g", int(g))
-        object.__setattr__(self, "n", int(n))
+        mus = tuple(map(Partition, mus))
+        object.__setattr__(self, "g", as_int(g))
+        object.__setattr__(self, "n", as_int(n))
         object.__setattr__(self, "mus", mus)
         if self.g < 0:
             raise DomainError("genus must be >= 0")

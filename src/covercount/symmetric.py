@@ -11,7 +11,7 @@ import math
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import DomainError, Record
+from .errors import DomainError, Record, as_int
 
 
 class Partition(Record):
@@ -20,7 +20,7 @@ class Partition(Record):
     parts: tuple[int, ...]
 
     def __init__(self, parts=()):
-        p = tuple(sorted((int(b) for b in parts), reverse=True))
+        p = tuple(sorted(map(as_int, parts), reverse=True))
         if any(b < 1 for b in p):
             raise DomainError(f"partition parts must be positive: {parts}")
         object.__setattr__(self, "parts", p)

@@ -428,11 +428,13 @@ def test_numeric_asymptotics_y_tight_at_1e4():
     assert abs(ratio - 1.0) < 0.01
 
 
-def test_scaled_rational_products_closed():
+def test_scaled_rational_multiplies_by_rationals_only():
     r2 = ScaledRational(F(3), Radical.SQRT2)
-    assert r2 * r2 == ScaledRational(F(18), Radical.ONE)
-    with pytest.raises(ValueError):
-        _ = r2 * ScaledRational(F(1), Radical.INV_SQRT_2PI)
+    assert r2 * F(1, 6) == F(1, 6) * r2 == ScaledRational(F(1, 2), Radical.SQRT2)
+    assert 2 * r2 == ScaledRational(F(6), Radical.SQRT2)
+    for other in (r2, ScaledRational(F(1)), ScaledRational(F(1), Radical.INV_SQRT_2PI)):
+        with pytest.raises(TypeError):
+            _ = r2 * other
 
 
 def test_scaled_rational_rendering():

@@ -553,6 +553,13 @@ def test_negative_orders_have_no_coefficient():
             read(5)
 
 
+def test_monomial_refuses_negative_degree():
+    with pytest.raises(ValueError):
+        TruncatedSeries.monomial(-1, 3)
+    assert TruncatedSeries.monomial(0, 3) == TruncatedSeries.one(3)
+    assert TruncatedSeries.monomial(5, 3) == TruncatedSeries.zero(3)
+
+
 def test_power_refuses_non_integer_exponents():
     z = series_z(4)
     for k in (F(1, 2), 1.5):

@@ -4,8 +4,9 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from covercount import gravity
 from covercount.algebra import LaurentPolyX, Radical, ScaledRational
-from covercount.errors import DomainError
+from covercount.errors import ConsistencyError, DomainError
 from covercount.gravity import (
     TauSpec,
     _bracket_terms,
@@ -162,6 +163,30 @@ def test_bracket_series_constant_term_matches_direct_bracket():
     assert len(specs) == 35
     for spec in specs:
         assert h_tau_series(spec).bracket == tau_bracket(spec), spec
+
+
+@pytest.mark.parametrize("point", [0, 3, -1])
+def test_h_tau_series_raises_on_one_perturbed_count(monkeypatch, point):
+    # tau_1 at genus one expands to the profiles (1) and (2); one count of
+    # the first term off by 1/7 breaks the single (Z+1)^1 term
+    spec = TauSpec(1, (1,))
+    assert len(_bracket_terms(spec)) == 2
+    real = gravity.oracle_data
+    calls = []
+
+    def perturbed(*args, **kwargs):
+        data = real(*args, **kwargs)
+        calls.append(data)
+        if len(calls) == 1:
+            n, h = data[point]
+            data[point] = (n, h + F(1, 7))
+        return data
+
+    monkeypatch.setattr(gravity, "oracle_data", perturbed)
+    with pytest.raises(ConsistencyError):
+        h_tau_series(spec)
+    monkeypatch.undo()
+    assert h_tau_series(spec).bracket == F(1, 24)
 
 
 def test_tau_series_asymptotic_statement():

@@ -159,6 +159,18 @@ def test_fit_at_high_genus_predicts_further_counts(g, mu):
         assert series.coefficient(n) == h / math.factorial(cn)
 
 
+@pytest.mark.parametrize("g,mu", [(0, (1,)), (0, (2, 1)), (1, (2,)), (2, ())])
+def test_fit_scales_with_the_data(g, mu):
+    # counts over 7 give right sides that are not integers on the integer rows
+    mu = Partition(mu)
+    n0 = max(1, mu.m)
+    data = oracle_data(g, mu, range(n0, n0 + phi_degree_bound(g, mu.num_parts) + 3))
+    phi = fit_phi(g, mu, data).phi.poly
+    scaled = fit_phi(g, mu, [(n, h / 7) for n, h in data]).phi.poly
+    assert not phi.is_zero()
+    assert scaled == ZPoly([c / 7 for c in phi.coeffs])
+
+
 def test_fit_rejects_too_few_points():
     mu = Partition([1])
     data = oracle_data(0, mu, range(1, 3))

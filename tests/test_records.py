@@ -223,6 +223,42 @@ def test_validators_fire():
     PhiPolynomial(0, Partition([2]), ZPoly([1, 1]))
 
 
+NOT_INTS = (2.5, 0.9, 1.0, True, False, F(1), "1", None)
+
+
+@pytest.mark.parametrize("bad", NOT_INTS)
+def test_partition_refuses_non_int_parts(bad):
+    with pytest.raises(TypeError):
+        Partition([bad, 1])
+    assert Partition([2, 1]).parts == (2, 1)
+
+
+@pytest.mark.parametrize("bad", NOT_INTS)
+def test_covering_spec_refuses_non_int_genus_and_sheets(bad):
+    for args in ((bad, 3), (0, bad), (0, 3, [(bad,)])):
+        with pytest.raises(TypeError):
+            CoveringSpec(*args)
+    assert CoveringSpec(0, 3, [(2,)]).mus == (Partition([2]),)
+
+
+@pytest.mark.parametrize("bad", NOT_INTS)
+def test_tau_spec_refuses_non_int_genus_and_indices(bad):
+    for args in ((bad, [1]), (1, [bad])):
+        with pytest.raises(TypeError):
+            TauSpec(*args)
+    assert TauSpec(1, [1]).ds == (1,)
+
+
+@pytest.mark.parametrize("bad", NOT_INTS)
+def test_laurent_poly_refuses_non_int_exponents(bad):
+    with pytest.raises(TypeError):
+        LaurentPolyX({bad: 2})
+    assert LaurentPolyX({1: 2}).coeffs == {1: 2}
+    # parsed input keeps its domain-error exit
+    with pytest.raises(DomainError):
+        LaurentPolyX.from_json({"1.5": "2"})
+
+
 def test_import_loads_no_dataclass_machinery():
     # every CLI command is a fresh process; dataclasses pulls these modules in,
     # and with the decorators it cost ~25 ms of import on each one
