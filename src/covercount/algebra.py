@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul as _mul
 
 from .errors import ConsistencyError, DomainError, Record, as_int
@@ -61,20 +62,35 @@ def seq_a(nmax: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
 def a_closed(n: int) -> int:
-    """A_n = n! sum_{k=0}^{n-2} n^k/k!, as an exact integer.
+    """A_n = n! sum_{k=0}^{n-2} n^k/k!, as an exact integer, memoized per n.
 
-    Integer Horner: P_k = sum_{j<=k} n^j k!/j! obeys P_k = k P_{k-1} + n^k,
-    and A_n = n (n-1) P_{n-2}.
+    Binary splitting (Haible and Papanikolaou, 1998): over a range (a, b]
+    let f = sum_{j=a+1}^{b} n^(j-a-1) prod_{i=j+1}^{b} i and p = b!/a!.
+    Halves combine as f(a, b) = f(a, c) p(c, b) + n^(c-a) f(c, b) and
+    p(a, b) = p(a, c) p(c, b), so the big products are balanced, and with
+    m = n - 2, A_n = n (n-1) (p(0, m) + n f(0, m)).
     """
     if n < 2:
         return 0
-    p = 1
-    power = 1  # n^k
-    for k in range(1, n - 1):
-        power *= n
-        p = k * p + power
-    return n * (n - 1) * p
+    f, p, _ = _split(n, 0, n - 2)
+    return n * (n - 1) * (p + n * f)
+
+
+def _split(n: int, a: int, b: int) -> tuple[int, int, int]:
+    """(f, p, n^(b-a)) over (a, b], see `a_closed`; short ranges step f <- f i + n^(i-a-1)."""
+    if b - a <= 32:
+        f, p, power = 0, 1, 1
+        for i in range(a + 1, b + 1):
+            f = f * i + power
+            p *= i
+            power *= n
+        return f, p, power
+    c = (a + b) // 2
+    f1, p1, w1 = _split(n, a, c)
+    f2, p2, w2 = _split(n, c, b)
+    return f1 * p2 + w1 * f2, p1 * p2, w1 * w2
 
 
 def y_over_q_power(a: int, order: int) -> TruncatedSeries:

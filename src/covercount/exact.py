@@ -67,13 +67,14 @@ def _convolve(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> list[int]
         if a is b:
             last = min(last, (k - 1) // 2)
         s = 0
-        j = k - i
-        binom = math.comb(k, i)
-        for x in a[i : last + 1]:
-            s += x * b[j] * binom
-            i += 1
-            binom = binom * j // i
-            j -= 1
+        if i <= last:  # an empty range; a negative last would wrap the slice
+            j = k - i
+            binom = math.comb(k, i)
+            for x in a[i : last + 1]:
+                s += x * b[j] * binom
+                i += 1
+                binom = binom * j // i
+                j -= 1
         if a is b:
             s *= 2
             if not k & 1 and za <= k // 2:

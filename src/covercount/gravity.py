@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .errors import ConsistencyError, DomainError, Record, as_int
 from .exact import TruncatedSeries, as_rational
-from .hurwitz_series import fit_phi, oracle_data, phi_degree_bound
+from .hurwitz_series import count_series, fit_phi, oracle_data, phi_degree_bound
 from .monodromy import DEFAULT_NODE_BUDGET, CoveringSpec, hurwitz_connected
 from .symmetric import Partition
 
@@ -148,10 +148,9 @@ def h_tau_series(
     terms = _bracket_terms(spec) if spec.dimension_ok else {}  # off dimension: 0
     for mu_parts, const in terms.items():
         mu = Partition(mu_parts)
-        m, r = mu.m, mu.degeneracy
+        m = mu.m
         data = oracle_data(spec.g, mu, range(m, m + order + 1), node_budget)
-        coeffs = [h / math.factorial(2 * n + 2 * spec.g - 2 - r) for n, h in data]
-        h_shifted = TruncatedSeries(coeffs)  # H_{g;mu} / q^m
+        h_shifted = count_series(spec.g, mu.degeneracy, data)  # H_{g;mu} / q^m
         quotient = h_shifted * y_over_q_power(-m, order)  # / (Y/q)^m
         total = total + quotient * (const * mu.aut)
     # c(m) = 2m + 2g - 2 - r = m + p + 2g - 2 and (Y/q)^-m starts at 1, so the

@@ -55,7 +55,7 @@ def h1_empty_series(order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise DomainError("order must be >= 0")
-    # A_n = n (n-1) P_{n-2} (see a_closed), so A_n / n is an integer
+    # A_n / n = sum_{k<=n-2} n^k (n-1)!/k!, and k < n makes each term an integer
     return TruncatedSeries.from_egf([0] + [a_closed(n) // n for n in range(1, order + 1)], 24)
 
 
@@ -144,9 +144,8 @@ def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]]) -> PhiFit:
         cols.append(cols[-1] * z)
     lcm = math.lcm(*(col.den for col in cols))
     rows, rhs = [], []
-    r = mu.degeneracy
     for n, h in data:
-        cn = 2 * n + 2 * g - 2 - r
+        cn = CoveringSpec.simple_points(g, n, mu.degeneracy)
         if cn < 0:
             raise DomainError(f"data point n={n} is outside the valid range")
         rows.append([col.nums[n] * (lcm // col.den) for col in cols])
@@ -174,6 +173,21 @@ def oracle_data(
     largest_first = sorted(specs, key=lambda spec: spec.n, reverse=True)
     counts = {spec.n: hurwitz_connected(spec, node_budget) for spec in largest_first}
     return [(spec.n, counts[spec.n]) for spec in specs]
+
+
+def count_series(g: int, r: int, data: Sequence[tuple[int, Fraction]]) -> TruncatedSeries:
+    """sum_k h / c(n)! q^k over the pairs (n, h) = data[k], c(n) the simple
+    points at total degeneracy r, on integers: with L the lcm of the counts'
+    denominators and C the largest c(n) of a nonzero count, each numerator
+    k! h / c(n)! is h L k! C!/c(n)! over L C!."""
+    cs = [CoveringSpec.simple_points(g, n, r) if h else 0 for n, h in data]
+    lcm = math.lcm(*(h.denominator for _, h in data))
+    top = math.factorial(max(cs, default=0))
+    nums = [
+        h.numerator * (lcm // h.denominator) * math.factorial(k) * (top // math.factorial(c))
+        for k, ((_, h), c) in enumerate(zip(data, cs))
+    ]
+    return TruncatedSeries.from_egf(nums, lcm * top)
 
 
 class HurwitzSeries(Record):
@@ -206,17 +220,17 @@ def h_series(
     The certificate is the exact identification over the support window;
     it fails (by design) only for genus one with no profiles.
     """
+    if order < 0:
+        raise DomainError("order must be >= 0")
     mus = tuple(map(Partition, mus))
     n_min = max([1] + [mu.m for mu in mus])
     r = sum(mu.degeneracy for mu in mus)
-    coeffs = [Fraction(0)] * (order + 1)
+    data = [(n, Fraction(0)) for n in range(order + 1)]
     # the largest n first: its fill covers the smaller ones
     for n in range(order, n_min - 1, -1):
-        cn = 2 * n + 2 * g - 2 - r
-        if cn >= 0:
-            h = hurwitz_connected(CoveringSpec(g, n, mus), node_budget)
-            coeffs[n] = h / math.factorial(cn)
-    series = TruncatedSeries(coeffs)
+        if CoveringSpec.simple_points(g, n, r) >= 0:
+            data[n] = (n, hurwitz_connected(CoveringSpec(g, n, mus), node_budget))
+    series = count_series(g, r, data)
     jmin, jmax = window if window is not None else default_window(g, mus)
     certificate = identify_in_a(series, jmin, jmax)
     return HurwitzSeries(g, mus, series, certificate)

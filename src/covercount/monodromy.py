@@ -108,10 +108,16 @@ class CoveringSpec(Record):
     def total_degeneracy(self) -> int:
         return sum(mu.degeneracy for mu in self.mus)
 
+    @staticmethod
+    def simple_points(g: int, n: int, degeneracy: int) -> int:
+        """c(n) = 2n + 2g - 2 - r, the simple ramification points Riemann-Hurwitz
+        leaves to n sheets of genus g at total degeneracy r."""
+        return 2 * n + 2 * g - 2 - degeneracy
+
     @property
     def c(self) -> int:
         """Number of simple ramification points, fixed by Riemann-Hurwitz."""
-        return 2 * self.n + 2 * self.g - 2 - self.total_degeneracy
+        return self.simple_points(self.g, self.n, self.total_degeneracy)
 
     def marking_weight(self) -> int:
         """Product of binomials choosing the marked simple preimages."""

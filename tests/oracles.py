@@ -5,19 +5,20 @@ enumeration, direct convolutions) so they share no code path with the
 implementations they check.  Every route that enumerates permutations or
 trees lives here, none in the library: permutation products and cycles,
 the elements of a conjugacy class, and labeled trees by Pruefer decoding.
-The Fraction series product, inverse and exp recurrences and A_n sum
-below are the library's former routes, kept here as references for its
-integer kernels; so are the two former covering-count routes (the
-class-level dynamic program and the cut-and-join recursion) and the
-Murnaghan-Nakayama recursion on shapes, references for the character table of
-`covercount.monodromy` and the beta-set characters of
-`covercount.symmetric`.  The former shape table, its dimensions from the
-beta-set formula and its content sums box by box, checks the branching-rule
-`covercount.symmetric.shape_table`, and the former pass from the leaves
-checks the one-step columns of `covercount.symmetric.character_column`.
-The former tuple-by-tuple expansion of a bracket checks
-`covercount.gravity._bracket_terms`, and the Goulden-Jackson-Vakil one-part
-formula checks the count table at frontier sizes.
+The Fraction series product, inverse and exp recurrences, the A_n sum
+and the integer Horner loop for A_n below are the library's former
+routes, kept here as references for its integer kernels; so are the two
+former covering-count routes (the class-level dynamic program and the
+cut-and-join recursion) and the Murnaghan-Nakayama recursion on shapes,
+references for the character table of `covercount.monodromy` and the
+beta-set characters of `covercount.symmetric`.  The former shape table,
+its dimensions from the beta-set formula and its content sums box by
+box, checks the branching-rule `covercount.symmetric.shape_table`, and
+the former pass from the leaves checks the one-step columns of
+`covercount.symmetric.character_column`.  The former tuple-by-tuple
+expansion of a bracket checks `covercount.gravity._bracket_terms`, and
+the Goulden-Jackson-Vakil one-part formula checks the count table at
+frontier sizes.
 The binomial expansion over powers of Y and Z, with each Z^i solved over
 the spanning list Z, Z^2, DZ, D(Z^2), ..., is the former closed-form route
 to [q^n] of a Laurent polynomial in X, the reference for the X-power
@@ -39,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from covercount.algebra import a_closed, zpower_in_basis
+from covercount.algebra import zpower_in_basis
 from covercount.errors import ConsistencyError, Record
 from covercount.exact import LinearSolution
 from covercount.gravity import PainleveSeries, PainleveSolution, tau_coefficient
@@ -268,6 +269,19 @@ def a_closed_fractions(n):
     return value.numerator
 
 
+def a_closed_horner(n):
+    """A_n by integer Horner: P_k = sum_{j<=k} n^j k!/j! obeys
+    P_k = k P_{k-1} + n^k, and A_n = n (n-1) P_{n-2}."""
+    if n < 2:
+        return 0
+    p = 1
+    power = 1  # n^k
+    for k in range(1, n - 1):
+        power *= n
+        p = k * p + power
+    return n * (n - 1) * p
+
+
 @lru_cache(maxsize=None)
 def _zpower_combination(k):
     return tuple(zpower_in_basis(k))
@@ -281,7 +295,7 @@ def laurent_coefficient_spanning(p, n):
     the spanning list Z, Z^2, DZ, D(Z^2), ... (`zpower_in_basis`), where
     D^k Z contributes n^(n+k) and D^k(Z^2) contributes n^k A_n.
     """
-    a_n = a_closed(n)
+    a_n = a_closed_horner(n)
     total = Fraction(0)
     for j, c in p.coeffs.items():
         for i in range(abs(j) + 1):

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import pytest
@@ -30,6 +32,7 @@ from covercount.exact import LinearSolution, TruncatedSeries, series_exp
 
 from .oracles import (
     a_closed_fractions,
+    a_closed_horner,
     cauchy_product,
     first_correction,
     laurent_coefficient_spanning,
@@ -75,6 +78,32 @@ def test_a_matches_z_squared():
 def test_a_closed_matches_fraction_sum():
     for n in [*range(301), 2000]:
         assert a_closed(n) == a_closed_fractions(n)
+
+
+def test_a_closed_matches_horner_across_split_boundaries():
+    # short ranges run inline, longer ones split: n - 2 = 32, 33, 64, 65, ...
+    for n in [*range(301), 1999, 2000, 2001, 4096]:
+        assert a_closed(n) == a_closed_horner(n), n
+
+
+def test_a_closed_memo_repeats_and_recomputes():
+    first = a_closed(777)
+    assert a_closed(777) == first
+    a_closed.cache_clear()
+    assert a_closed(777) == first == a_closed_horner(777)
+
+
+def test_a_closed_concurrent_calls_agree():
+    a_closed.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(a_closed, 3000) for _ in range(4)]
+            values = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert values == [a_closed_horner(3000)] * 4
 
 
 def test_tree_series_products_match_fraction_routes():
@@ -287,6 +316,16 @@ def test_laurent_coefficient_closed_form_matches_series():
 def test_laurent_coefficient_matches_spanning_list_at_2000(jmin, jmax):
     p = LaurentPolyX({j: F(j + 10, 3 - j) for j in range(jmin, jmax + 1)})
     assert p.coefficient(2000) == laurent_coefficient_spanning(p, 2000)
+
+
+def test_criterion_12_coefficients_match_spanning_list_at_2000():
+    from covercount.gravity import TauSpec, h_tau_series
+
+    z = LaurentPolyX({-1: 1, 0: -1})
+    y = LaurentPolyX({0: 1, 1: -1})
+    h_tau0_cubed = h_tau_series(TauSpec(0, (0, 0, 0))).element
+    for p in (z, z * z, z * z * z, y, h_tau0_cubed):
+        assert p.coefficient(2000) == laurent_coefficient_spanning(p, 2000), p
 
 
 @pytest.mark.parametrize("coeffs", [{}, {1: 1}, {-3: 1, 2: F(1, 2)}])

@@ -160,6 +160,11 @@ def test_negative_order_exit2_for_every_series(capsys, command, name):
     assert "error" in err
 
 
+def test_hseries_negative_order_exit2(capsys):
+    code, out, err = run(capsys, "hseries", "--g", "0", "--order", "-1")
+    assert (code, out, err) == (2, "", "error: order must be >= 0\n")
+
+
 @pytest.mark.parametrize("name", sorted(cli._SERIES))
 def test_order_zero_for_every_series(capsys, name):
     code, out, err = run(capsys, "series", "--name", name, "--order", "0")

@@ -13,6 +13,7 @@ from covercount.exact import (
     LinearSolution,
     LinearSystem,
     TruncatedSeries,
+    _convolve,
     as_rational,
     format_rational,
     series_exp,
@@ -53,6 +54,34 @@ def unit_series(max_order=12):
     return st.tuples(nonzero_rationals, st.lists(sparse_rationals, max_size=max_order)).map(
         lambda t: TruncatedSeries([t[0], *t[1]])
     )
+
+
+# integer lists with up to four leading zeros, which the kernel skips; the
+# length is drawn evenly, so a long first factor meets a short second one
+padded_ints = st.tuples(st.integers(0, 4), st.integers(1, 10)).flatmap(
+    lambda t: st.lists(st.integers(-9, 9), min_size=t[1], max_size=t[1]).map(
+        lambda tail: [0] * t[0] + tail
+    )
+)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_convolve_matches_binomial_sum(data):
+    a = data.draw(padded_ints)
+    b = a if data.draw(st.booleans()) else data.draw(padded_ints)
+    hi = data.draw(st.integers(0, len(a) + len(b) - 1))
+    lo = data.draw(st.integers(0, hi))
+    expected = [
+        sum(math.comb(k, i) * a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+        for k in range(lo, hi + 1)
+    ]
+    assert _convolve(a, b, lo, hi) == expected
+
+
+def test_convolve_leading_zeros_of_a_shorter_second_factor():
+    # k < 2 would end the range at a negative index, which a slice wraps
+    assert _convolve([1] * 10, [0, 0, 0, 1], 0, 5) == [0, 0, 0, 1, 4, 10]
 
 
 def test_difference_of_squares():

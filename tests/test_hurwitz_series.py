@@ -5,6 +5,7 @@ import pytest
 
 from covercount.algebra import LaurentPolyX, ZPoly, a_closed, identify_in_a, series_z
 from covercount.errors import ConsistencyError, DomainError
+from covercount.exact import TruncatedSeries
 from covercount.hurwitz_series import (
     PhiPolynomial,
     fit_phi,
@@ -221,6 +222,25 @@ def test_h_series_two_marked_sheets_genus1():
     assert result.certificate.element == LaurentPolyX(
         {-4: F(1, 12), -3: F(-1, 6), -2: F(1, 12)}
     )
+
+
+def test_h_series_rejects_negative_order():
+    with pytest.raises(DomainError, match="order must be >= 0"):
+        h_series(0, [], -1)
+
+
+@pytest.mark.parametrize(
+    "g, mus, order", [(0, [], 8), (1, [(2,)], 7), (0, [(2,), (2,)], 6), (2, [(3,)], 4)]
+)
+def test_h_series_matches_fraction_route(g, mus, order):
+    # sum h_{g,n} / c(n)! q^n with each coefficient divided out as a Fraction
+    r = sum(sum(mu) - len(mu) for mu in mus)
+    coeffs = [F(0)] * (order + 1)
+    for n in range(max([1] + [sum(mu) for mu in mus]), order + 1):
+        c = 2 * n + 2 * g - 2 - r
+        if c >= 0:
+            coeffs[n] = hurwitz_connected(CoveringSpec(g, n, mus)) / math.factorial(c)
+    assert h_series(g, mus, order).series == TruncatedSeries(coeffs)
 
 
 def test_h_series_genus1_no_profile_fails_identification():
