@@ -42,24 +42,10 @@ def series_z(order: int) -> TruncatedSeries:
 
 
 def seq_a(nmax: int) -> list[int]:
-    """A_1..A_nmax by the defining convolution sum n!/(p!q!) p^p q^q.
-
-    Cross-checked on construction against the closed form
-    A_n = n! sum_{k<=n-2} n^k/k!; a mismatch would mean a broken build.
-    """
+    """A_1..A_nmax, A_n = n! [q^n] Z^2, from the closed form (`a_closed`)."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    out = []
-    for n in range(1, nmax + 1):
-        s = 0
-        for p in range(1, n):
-            q = n - p
-            s += math.factorial(n) // (math.factorial(p) * math.factorial(q)) * p**p * q**q
-        closed = a_closed(n)
-        if s != closed:
-            raise ConsistencyError(f"A_{n}: convolution {s} != closed form {closed}")
-        out.append(s)
-    return out
+    return [a_closed(n) for n in range(1, nmax + 1)]
 
 
 @lru_cache(maxsize=None)

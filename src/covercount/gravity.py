@@ -67,23 +67,14 @@ def tau_coefficient(d: int, b: int) -> Fraction:
 
 
 def vanishing_combination(d: int) -> list[tuple[int, Fraction]]:
-    """Coefficients c_b with sum_b c_b/(1 - b psi) = psi^d + O(psi^{d+1}).
-
-    Returns [(b, (1/d!) (-1)^{d+1-b} C(d, b-1))] and verifies the first d
-    orders vanish and the psi^d coefficient is 1 by direct expansion.
-    """
+    """Coefficients c_b with sum_b c_b/(1 - b psi) = psi^d + O(psi^{d+1}):
+    [(b, (1/d!) (-1)^{d+1-b} C(d, b-1))] for b = 1..d+1."""
     if d < 0:
         raise DomainError("d must be >= 0")
-    combo = [
+    return [
         (b, Fraction((-1) ** (d + 1 - b) * math.comb(d, b - 1), math.factorial(d)))
         for b in range(1, d + 2)
     ]
-    for j in range(d + 1):
-        total = sum((c * b**j for b, c in combo), Fraction(0))
-        expected = Fraction(1 if j == d else 0)
-        if total != expected:
-            raise ConsistencyError(f"psi^{j} coefficient is {total}, expected {expected}")
-    return combo
 
 
 def _bracket_terms(spec: TauSpec) -> dict[tuple[int, ...], Fraction]:

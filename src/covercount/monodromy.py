@@ -42,20 +42,22 @@ content sums by the branching rule, so cont = f_(2) needs no character.
 Every other f_{rho_j} is |C| chi / dim over one stored character column
 (``character_column``), one rim-hook step from the column of its class
 without the last part; that prefix is itself a sub-multiset the fill needs,
-so no column is built twice.  Each f list is formed once per (m, class)
-and shared by every row whose rho holds the class.  Each (m, rho) stores
-T_disc and T_conn as two rows, lists indexed by c.  A fill stores every row
+so no column is built twice.  Each f list is formed once per (m, class) and
+shared by every row whose rho holds the class.  Each (m, rho) stores T_disc
+and T_conn as two rows, lists indexed by c, and each rho one split plan
+(``_plan``) that every fill holding rho reads.  A fill stores every row
 through its own c for every m <= n and every sub-multiset of the profiles,
 so the series builders (``hurwitz_series.oracle_data``, ``h_series``) ask
 for their largest n first: one fill covers the series, and smaller n read
 its rows.  ``node_budget`` bounds the products a fill evaluates, from the
 spec alone and before any work (see ``_check_budget``).  These tables and
 the shape tables and columns of ``symmetric`` are shared and unlocked.  A
-shape table, column, f list or weight list is stored once, fully computed;
-a row grows by a new, longer, fully computed list, never by appending to a
-stored one, and a fill reads rows through its own references, so concurrent
-counts at worst duplicate work and return the serial values.  ``clear_caches`` empties every
-table; it is not meant to run during a count (untested).
+shape table, column, f list, weight list or plan is stored once, fully
+computed; a row grows by a new, longer, fully computed list, never by
+appending to a stored one, and a fill reads rows through its own references
+and forms its products in lists of its own, so concurrent counts at worst
+duplicate work and return the serial values.  ``clear_caches`` empties
+every table; it is not meant to run during a count (untested).
 """
 
 from __future__ import annotations
@@ -139,6 +141,8 @@ _WEIGHTS: dict[tuple[int, tuple], list[tuple[int, int]]] = {}
 _DISC: dict[tuple[int, tuple], list[int]] = {}
 # (m, rho) -> [T_conn(m, rho, c) for c = 0, 1, ...]
 _CONN: dict[tuple[int, tuple], list[int]] = {}
+# rho -> (deg rho, size rho, [(rho_a, rho_b, size rho_a, size rho_b, deg rho_a, k)])
+_PLANS: dict[tuple, tuple[int, int, list[tuple]]] = {}
 
 
 def _key(profiles) -> tuple[tuple[int, ...], ...]:
@@ -150,10 +154,11 @@ def _degree(rho) -> int:
 
 
 def _size(rho) -> int:
-    """The fewest sheets that hold every profile of rho."""
-    return max(map(sum, rho), default=0)
+    """The fewest sheets, at least one, that hold every profile of rho."""
+    return max(map(sum, rho), default=1)
 
 
+@lru_cache(maxsize=None)
 def _splits(parts: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every (sub-multiset, complement) pair of a weakly decreasing parts tuple."""
     counts = Counter(parts)
@@ -174,12 +179,12 @@ def _partition_count(n: int) -> int:
     return p[n]
 
 
-def _disc_row(m: int, rho: tuple, cmax: int) -> list[int]:
-    """The T_disc row of (m, rho) through cmax at least, by Frobenius's
-    formula grouped by content: sum_k W(k) k^c / m!, where W(k) sums
-    dim^2 prod_j f_{rho_j} over the shapes of content sum k.  Only c of the
-    parity of deg rho give nonzero entries, so k and -k share one weight."""
-    deg = _degree(rho)
+def _disc_row(m: int, rho: tuple, deg: int, cmax: int) -> list[int]:
+    """The T_disc row of (m, rho) through cmax at least, deg = deg rho, by
+    Frobenius's formula grouped by content: sum_k W(k) k^c / m!, where W(k)
+    sums dim^2 prod_j f_{rho_j} over the shapes of content sum k.  Only c of
+    the parity of deg give nonzero entries, and a conjugate shape has content
+    sum -k and (-1)^deg its term, so W(k) is twice the sum over k > 0."""
     top = cmax - (cmax - deg) % 2  # the last c of the parity of deg
     row = _DISC.get((m, rho), [])
     if len(row) > top:
@@ -197,67 +202,80 @@ def _disc_row(m: int, rho: tuple, cmax: int) -> list[int]:
             terms = list(map(_mul, terms, f))
         grouped: dict[int, int] = {}
         for k, term in zip(contents, terms):
-            if k < 0:
-                k, term = -k, -term if deg % 2 else term
-            grouped[k] = grouped.get(k, 0) + term
+            if k >= 0:
+                grouped[k] = grouped.get(k, 0) + (2 * term if k else term)
         weights = [(k, w) for k, w in grouped.items() if w]
         weights = _WEIGHTS.setdefault((m, rho), weights)
-    sums = [0] * (top + 1 - len(row))
+    new = [0] * (top + 1 - len(row))
     first = (deg - len(row)) % 2  # the first new c of the parity of deg
-    for k, w in weights:
-        term, step = w * k ** (len(row) + first), k * k
-        for i in range(first, len(sums), 2):
-            sums[i] += term
-            term *= step
+    terms = [w * k ** (len(row) + first) for k, w in weights]
+    steps = [k * k for k, _ in weights]
     fm = math.factorial(m)
-    row = _DISC[m, rho] = row + [t // fm for t in sums]
+    for i in range(first, len(new), 2):
+        terms = terms if i == first else list(map(_mul, terms, steps))
+        new[i] = sum(terms) // fm
+    row = _DISC[m, rho] = row + new
     return row
+
+
+def _plan(rho: tuple) -> tuple[int, int, list[tuple]]:
+    """The stored split plan of rho (see _PLANS): one pair per distinct
+    profilewise split rho_a + rho_b = rho, k the splits that give it
+    (profiles of one type sort alike)."""
+    plan = _PLANS.get(rho)
+    if plan is None:
+        splits = Counter()
+        for pick in _iproduct(*map(_splits, rho)):
+            splits[_key(a for a, _ in pick), _key(b for _, b in pick)] += 1
+        pairs = [(a, b, _size(a), _size(b), _degree(a), k) for (a, b), k in splits.items()]
+        plan = _PLANS.setdefault(rho, (_degree(rho), _size(rho), pairs))
+    return plan
 
 
 def _fill(n: int, nu: tuple, cmax: int) -> list[int]:
     """Store the T_disc and T_conn rows through cmax for every m <= n and
     every profilewise sub-multiset rho of nu, smallest m first; return the
     T_conn row of (n, nu)."""
-    plans = []
-    for rho in {_key(a for a, _ in pick) for pick in _iproduct(*map(_splits, nu))}:
-        pairs = []
-        for pick in _iproduct(*map(_splits, rho)):
-            a, b = _key(x for x, _ in pick), _key(y for _, y in pick)
-            pairs.append((a, b, _size(a), _size(b), _degree(a)))
-        plans.append((rho, _degree(rho), _size(rho), pairs))
-    binom = [[math.comb(c, j) for j in range(c + 1)] for c in range(cmax + 1)]
-    disc: dict[tuple[int, tuple], list[int]] = {}
-    conn: dict[tuple[int, tuple], list[int]] = {}
+    plans = [(rho, *_plan(rho)) for rho in {a for a, *_ in _plan(nu)[2]}]
+    binom = [[math.comb(c, j) for j in range(c + 1)] for c in range(max(cmax, n) + 1)]
+    # rho -> the T_disc row of (m, rho) at index m
+    disc: dict[tuple, list] = {rho: [None] * (n + 1) for rho, *_ in plans}
+    # rho -> (T_conn row of (m, rho), its lowest connected c, [C(c, c_a) T_conn(m, rho, c_a)
+    # over c_a, for each c]) at index m; a list of products is formed on first use
+    conn: dict[tuple, list] = {rho: [None] * (n + 1) for rho, *_ in plans}
     for m in range(1, n + 1):
         for rho, deg, size, pairs in plans:
             if size > m:
                 continue
-            drow = disc[m, rho] = _disc_row(m, rho, cmax)
+            drow = disc[rho][m] = _disc_row(m, rho, deg, cmax)
             top = cmax - (cmax - deg) % 2
-            row = conn[m, rho] = _CONN.get((m, rho), [])
-            if len(row) > top:
-                continue
-            # the first sheet's orbit, m_a < m: (C(m-1, m_a-1), T_conn row of
-            # (m_a, rho_a), T_disc row of (m-m_a, rho-rho_a), lowest c_a)
-            terms = [
-                (math.comb(m - 1, m_a - 1), conn[m_a, a], disc[m - m_a, b], low_a)
-                for m_a in range(1, m)
-                for a, b, size_a, size_b, deg_a in pairs
-                if size_a <= m_a and size_b <= m - m_a
-                for low_a in [max(deg_a % 2, 2 * m_a - 2 - deg_a)]
-            ]
-            # zero below the lowest connected c and off the parity of deg
-            new = [0] * (top + 1 - len(row))
-            low = max(2 * m - 2 - deg, len(row) + (deg - len(row)) % 2)
-            for c in range(low, top + 1, 2):
-                bc, total = binom[c], drow[c]
-                for ways, crow, brow, low_a in terms:
-                    if low_a <= c:
-                        inner = map(_mul, bc[low_a : c + 1 : 2], crow[low_a : c + 1 : 2])
-                        total -= ways * sum(map(_mul, inner, brow[c - low_a :: -2]))
-                new[c - len(row)] = total
-            conn[m, rho] = _CONN[m, rho] = row + new
-    return conn[n, nu]
+            row = _CONN.get((m, rho), [])
+            if len(row) <= top:
+                # the first sheet's orbit, m_a < m: (k C(m-1, m_a-1), T_conn row, lowest c_a
+                # and products of (m_a, rho_a), T_disc row of (m-m_a, rho-rho_a)), for the
+                # m_a that hold both parts and reach a connected c <= top
+                terms = [
+                    (k * binom[m - 1][m_a - 1], *conn_a[m_a], disc_b[m - m_a])
+                    for a, b, size_a, size_b, deg_a, k in pairs
+                    for conn_a, disc_b in [(conn[a], disc[b])]
+                    for m_a in range(size_a, min(m - size_b, (top + deg_a) // 2 + 1) + 1)
+                ]
+                # zero below the lowest connected c and off the parity of deg
+                new = [0] * (top + 1 - len(row))
+                low = max(2 * m - 2 - deg, len(row) + (deg - len(row)) % 2)
+                for c in range(low, top + 1, 2):
+                    total, bc = drow[c], binom[c]
+                    for ways, crow, low_a, products, brow in terms:
+                        if low_a <= c:
+                            inner = products[c]
+                            if inner is None:
+                                inner = map(_mul, bc[low_a : c + 1 : 2], crow[low_a : c + 1 : 2])
+                                inner = products[c] = list(inner)
+                            total -= ways * sum(map(_mul, inner, brow[c - low_a :: -2]))
+                    new[c - len(row)] = total
+                row = _CONN[m, rho] = row + new
+            conn[rho][m] = row, max(deg % 2, 2 * m - 2 - deg), [None] * (cmax + 1)
+    return conn[nu][n][0]
 
 
 def _check_budget(n: int, nu: tuple, c: int, budget: int) -> None:
@@ -266,14 +284,15 @@ def _check_budget(n: int, nu: tuple, c: int, budget: int) -> None:
     number of profilewise sub-multisets of nu.  A T_disc entry costs at most
     two terms per shape of S_m: one in its row's content weights (dim^2
     prod_j f_{rho_j} per shape, built once per row) and one in its own sum
-    over the content sums.  A T_conn entry costs one product per
-    (m_a, rho_a, c_a).  The shape tables and character columns the weights
-    read, one rim-hook step per (m, class) shared by every row, are not
-    counted.  A profile has prod (multiplicity + 1) sub-multisets over its
-    distinct parts.  The bound depends on the spec alone, so a warm table
-    cannot change it, and it grows with n and c: a series asks for its
-    largest n first, so a budget that refuses any of its counts refuses
-    before the first fill."""
+    over the content sums.  A T_conn entry costs at most one product
+    C(c, c_a) T_conn T_disc per (m_a, rho_a, c_a); a fill forms each
+    C(c, c_a) T_conn once.  The shape tables, the character columns the
+    weights read (one rim-hook step per (m, class) shared by every row) and
+    the split plans are not counted.  A profile has prod (multiplicity + 1)
+    sub-multisets over its distinct parts.  The bound depends on the spec
+    alone, so a warm table cannot change it, and it grows with n and c: a
+    series asks for its largest n first, so a budget that refuses any of its
+    counts refuses before the first fill."""
     subs = math.prod(k + 1 for parts in nu for k in Counter(parts).values())
     entries = n * subs * (c // 2 + 1)
     work = entries * (2 * _partition_count(n) + n * subs * (c // 2 + 1))
@@ -317,14 +336,17 @@ def hurwitz_disconnected(
     if weight == 0:
         return Fraction(0)
     nu = _key(mu.nontrivial() for mu in spec.mus)
-    return Fraction(weight * _disc_row(n, nu, c)[c], math.factorial(n))
+    return Fraction(weight * _disc_row(n, nu, _degree(nu), c)[c], math.factorial(n))
 
 
 def clear_caches() -> None:
-    """Empty every table: shapes, columns, f lists, weights and both row tables."""
+    """Empty every table and memo here and in ``symmetric``."""
     shape_table.cache_clear()
     _COLUMNS.clear()
     _CENTRAL.clear()
     _WEIGHTS.clear()
     _DISC.clear()
     _CONN.clear()
+    _PLANS.clear()
+    _splits.cache_clear()
+    _partition_count.cache_clear()

@@ -4,17 +4,18 @@ These deliberately use the dumbest correct method available (full tuple
 enumeration, direct convolutions) so they share no code path with the
 implementations they check.  Every route that enumerates permutations or
 trees lives here, none in the library: permutation products and cycles,
-the elements of a conjugacy class, and labeled trees by Pruefer decoding.
-The Fraction series product, inverse and exp recurrences, the A_n sum
-and the integer Horner loop for A_n below are the library's former
-routes, kept here as references for its integer kernels; so are the two
-former covering-count routes (the class-level dynamic program and the
-cut-and-join recursion) and the Murnaghan-Nakayama recursion on shapes,
-references for the character table of `covercount.monodromy` and the
-beta-set characters of `covercount.symmetric`.  The former shape table,
-its dimensions from the beta-set formula and its content sums box by
-box, checks the branching-rule `covercount.symmetric.shape_table`, and
-the former pass from the leaves checks the one-step columns of
+the elements of a conjugacy class, and labeled trees by Pruefer
+decoding.  The Fraction series product, inverse and exp recurrences, the
+A_n sum, the defining convolution for A_n and the integer Horner loop
+for A_n below are the library's former routes, kept here as references
+for its integer kernels; so are the two former covering-count routes
+(the class-level dynamic program and the cut-and-join recursion) and the
+Murnaghan-Nakayama recursion on shapes, references for the character
+table of `covercount.monodromy` and the beta-set characters of
+`covercount.symmetric`.  The former shape table, its dimensions from the
+beta-set formula and its content sums box by box, checks the
+branching-rule `covercount.symmetric.shape_table`, and the former pass
+from the leaves checks the one-step columns of
 `covercount.symmetric.character_column`.  The former tuple-by-tuple
 expansion of a bracket checks `covercount.gravity._bracket_terms`, and
 the Goulden-Jackson-Vakil one-part formula checks the count table at
@@ -267,6 +268,15 @@ def a_closed_fractions(n):
     value = total * math.factorial(n)
     assert value.denominator == 1
     return value.numerator
+
+
+def seq_a_convolution(nmax):
+    """A_1..A_nmax by the defining convolution sum_{p+q=n} n!/(p! q!) p^p q^q
+    (p, q >= 1), O(n^2) terms in all; the former `covercount.algebra.seq_a`."""
+    return [
+        sum(math.comb(n, p) * p**p * (n - p) ** (n - p) for p in range(1, n))
+        for n in range(1, nmax + 1)
+    ]
 
 
 def a_closed_horner(n):

@@ -36,6 +36,7 @@ from .oracles import (
     cauchy_product,
     first_correction,
     laurent_coefficient_spanning,
+    seq_a_convolution,
     series_inverse,
 )
 
@@ -62,6 +63,10 @@ def test_functional_equation_of_y():
 
 def test_a_sequence_first_values():
     assert seq_a(5) == [0, 2, 24, 312, 4720]
+
+
+def test_a_sequence_matches_defining_convolution():
+    assert seq_a(60) == seq_a_convolution(60)
 
 
 def test_a_two_term_closed_form_small_case():
@@ -490,13 +495,13 @@ def test_serialization_formats():
 
 
 def test_route_disagreement_raises_consistency_error(monkeypatch):
-    # a broken closed form for A_n, and a wrong solve behind Z^k; both are
-    # AssertionErrors too, so existing callers still catch them
+    # seq_a has one route, the closed form, so a broken closed form for A_n
+    # shows against the convolution oracle; a wrong solve behind Z^k raises,
+    # and ConsistencyError is an AssertionError too, so callers still catch it
     from covercount import algebra
 
     monkeypatch.setattr(algebra, "a_closed", lambda n: -1)
-    with pytest.raises(ConsistencyError):
-        seq_a(4)
+    assert seq_a(4) == [-1] * 4 != seq_a_convolution(4)
 
     def zero_solution(system):
         return LinearSolution("unique", (F(0),) * len(system.matrix[0]))

@@ -97,11 +97,12 @@ def test_vanishing_combination_small_cases():
 
 @pytest.mark.parametrize("d", range(7))
 def test_vanishing_combination_formal_expansion(d):
-    combo = vanishing_combination(d)  # verifies internally by expansion
-    # independent re-check out to order d+3: tail starts at psi^d with value 1
+    # sum_b c_b/(1 - b psi) = sum_j (sum_b c_b b^j) psi^j: the orders below
+    # d vanish and psi^d has coefficient 1
+    combo = vanishing_combination(d)
     for j in range(d + 1):
         total = sum(c * b**j for b, c in combo)
-        assert total == (1 if j == d else 0)
+        assert total == (1 if j == d else 0), j
 
 
 # --- string and dilaton ---

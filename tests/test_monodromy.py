@@ -1,11 +1,12 @@
 import math
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import pytest
 
-from covercount import monodromy
+from covercount import monodromy, symmetric
 from covercount.errors import BudgetExceeded, DomainError
 from covercount.gravity import TauSpec, _bracket_terms, h_tau_series
 from covercount.hurwitz_series import h_series, oracle_data
@@ -275,6 +276,44 @@ def test_profile_pool_counts_on_cold_tables(rotate):
     for g, n, mus, expected in PROFILE_POOL_COUNTS:
         mus = mus[rotate:] + mus[:rotate]
         assert hurwitz_connected(CoveringSpec(g, n, mus)) == expected, (g, n, mus)
+
+
+def test_profile_pool_counts_on_warm_tables():
+    # the whole pool on one table, in two fixed shuffled orders: specs share
+    # the plans of common sub-multisets, and a spec of larger genus extends
+    # rows another spec stored by parity steps.  Every stored T_conn row must
+    # equal the row of a cold fill through the same c.
+    clear_caches()
+    for seed in (1, 2):
+        for g, n, mus, expected in random.Random(seed).sample(PROFILE_POOL_COUNTS, 25):
+            assert hurwitz_connected(CoveringSpec(g, n, mus)) == expected, (g, n, mus)
+    warm = dict(monodromy._CONN)
+    assert len(warm) > 100
+    for (m, rho), row in warm.items():
+        clear_caches()
+        assert monodromy._fill(m, rho, len(row) - 1) == row, (m, rho)
+
+
+def test_clear_caches_empties_every_module_cache():
+    # every module-level dict and lru_cache of both modules, found by
+    # introspection, so a cache added later cannot be left out
+    spec = CoveringSpec(1, 7, [Partition([3]), Partition([2, 2]), Partition([2, 2])])
+    hurwitz_connected(spec)
+    hurwitz_disconnected(spec)
+    caches = {
+        (module.__name__, name): obj
+        for module in (monodromy, symmetric)
+        for name, obj in vars(module).items()
+        if not name.startswith("__") and (isinstance(obj, dict) or hasattr(obj, "cache_info"))
+    }
+
+    def size(obj):
+        return obj.cache_info().currsize if hasattr(obj, "cache_info") else len(obj)
+
+    assert ("covercount.monodromy", "_PLANS") in caches and len(caches) >= 10
+    assert all(size(obj) for obj in caches.values()), caches  # every one is in use
+    clear_caches()
+    assert [key for key, obj in caches.items() if size(obj)] == []
 
 
 def test_budget_refuses_three_profiles_cold_and_warm():
