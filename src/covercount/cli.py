@@ -61,9 +61,7 @@ def _named_series(args, unknown: str = "") -> TruncatedSeries:
 
 def _series_json(s: TruncatedSeries) -> dict:
     return {
-        str(n): format_rational(s.coefficient(n))
-        for n in range(s.order + 1)
-        if s.coefficient(n) != 0
+        str(n): format_rational(s.coefficient(n)) for n, num in enumerate(s.nums) if num
     }
 
 
@@ -78,9 +76,9 @@ def _parse_mu(text: str) -> Partition:
 
 
 def _emit(args, plain_lines, json_obj, csv_rows=None, csv_header=None):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(json_obj))
-    elif getattr(args, "csv", False) and csv_rows is not None:
+    elif csv_rows is not None and args.csv:
         if csv_header:
             print(",".join(csv_header))
         for row in csv_rows:
@@ -172,6 +170,8 @@ def _cmd_hurwitz(args) -> int:
 
 def _cmd_hseries(args) -> int:
     mus = [_parse_mu(text) for text in args.mu or []]
+    if args.fit_phi and len(mus) != 1:
+        raise DomainError("--fit-phi needs exactly one --mu")
     result = hurwitz_series.h_series(
         args.g, mus, args.order, node_budget=args.max_nodes
     )
@@ -185,8 +185,6 @@ def _cmd_hseries(args) -> int:
     if result.certificate.ok:
         obj["laurent_identification"]["element"] = result.certificate.element.to_json()
     if args.fit_phi:
-        if len(mus) != 1:
-            raise DomainError("--fit-phi needs exactly one --mu")
         mu = mus[0]
         bound = hurwitz_series.phi_degree_bound(args.g, mu.num_parts)
         n_lo = max(1, mu.m)
@@ -247,9 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_output(p, csv=False):
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--csv", action="store_true", help="CSV output where tabular")
+        if csv:
+            p.add_argument("--csv", action="store_true", help="CSV output")
+
+    def add_max_nodes(p):
         p.add_argument(
             "--max-nodes",
             type=int,
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True)
     p.add_argument("--order", type=int, default=10)
     p.add_argument("--egf", action="store_true", help="show n!-scaled coefficients")
-    add_common(p)
+    add_output(p, csv=True)
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("identify", help="identify a named series in the algebra")
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=20)
     p.add_argument("--jmin", type=int, default=-4)
     p.add_argument("--jmax", type=int, default=4)
-    add_common(p)
+    add_output(p)
     p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser("asymptotic", help="leading coefficient growth of an element")
@@ -278,14 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=20)
     p.add_argument("--jmin", type=int, default=-4)
     p.add_argument("--jmax", type=int, default=4)
-    add_common(p)
+    add_output(p)
     p.set_defaults(func=_cmd_asymptotic)
 
     p = sub.add_parser("cayley", help="marked-tree distance statistics")
     p.add_argument("--nmax", type=int, default=6)
     p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--limit", type=int, default=trees.ENUMERATION_LIMIT)
-    add_common(p)
+    add_output(p, csv=True)
     p.set_defaults(func=_cmd_cayley)
 
     p = sub.add_parser("hurwitz", help="exact connected marked covering count")
@@ -294,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", action="append", help='partition as "b1,b2,..."; repeatable')
     p.add_argument("--disconnected", action="store_true")
     p.add_argument("--max-character-n", type=int, default=DEFAULT_CHARACTER_LIMIT)
-    add_common(p)
+    add_output(p)
+    add_max_nodes(p)
     p.set_defaults(func=_cmd_hurwitz)
 
     p = sub.add_parser("hseries", help="oracle-built generating series + certificate")
@@ -302,23 +304,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", action="append")
     p.add_argument("--order", type=int, default=10)
     p.add_argument("--fit-phi", action="store_true")
-    add_common(p)
+    add_max_nodes(p)
     p.set_defaults(func=_cmd_hseries)
 
     p = sub.add_parser("tau", help="psi-class bracket from covering counts")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--d", required=True, help='indices as "d1,d2,..."')
-    add_common(p)
+    add_output(p)
+    add_max_nodes(p)
     p.set_defaults(func=_cmd_tau)
 
     p = sub.add_parser("painleve", help="formal Painleve I coefficients e_g")
     p.add_argument("--gmax", type=int, required=True)
-    add_common(p)
+    add_output(p, csv=True)
     p.set_defaults(func=_cmd_painleve)
 
     p = sub.add_parser("gravity", help="e_g, b_g, and free-energy coefficients")
     p.add_argument("--gmax", type=int, required=True)
-    add_common(p)
+    add_output(p, csv=True)
     p.set_defaults(func=_cmd_gravity)
 
     return parser

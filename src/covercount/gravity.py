@@ -262,9 +262,10 @@ def painleve_solve(g_max: int) -> PainleveSolution:
     a_g = (5-5g)(3-5g) e_g forced by the residual at s^{5g-2}.  On integers
     b_g = 24^g a_g that residual vanishes when 12 b_g = 6 sum_{0<i<g}
     b_i b_{g-i} + 24 k(k+2) b_{g-1}, k = 5g - 6; the division must be exact
-    (a scale of 12 fails at g = 2).  The residual certificate through
-    `residual_max_order(g_max)` is checked on the same integers (24^m times
-    the residual at s^{5m-2}; no other order holds a term).
+    (a scale of 12 fails at g = 2).  No residual is checked afterwards: 24^m
+    times the residual at s^{5m-2} (no other order holds a term) is 1/6 of
+    that equation, and b_0 = -1, b_1 = 2 make it b_0^2 - 1 = 0 and -4 + 4 = 0
+    at m = 0 and 1.  The tests check the `Fraction` residual of the result.
     """
     if g_max < 2:
         raise DomainError("g_max must be >= 2")
@@ -276,11 +277,6 @@ def painleve_solve(g_max: int) -> PainleveSolution:
         if rem:
             raise ConsistencyError(f"Painleve numerator b_{g} is not an integer")
         b.append(bg)
-    for m in range(g_max + 1):
-        k = 5 * m - 6
-        r = sum(b[i] * b[m - i] for i in range(m + 1))  # u^2
-        if r + (4 * k * (k + 2) * b[m - 1] if m else -1):  # + u''/6, or - 2y at m = 0
-            raise ConsistencyError(f"Painleve residual is nonzero at s^{5 * m - 2}")
     u = PainleveSeries({5 * g - 1: Fraction(bg, 24**g) for g, bg in enumerate(b)})
     e = {g: Fraction(b[g], 24**g * (5 - 5 * g) * (3 - 5 * g)) for g in range(2, g_max + 1)}
     return PainleveSolution(u, e)
@@ -346,8 +342,9 @@ def free_energy_coeffs(g_max: int) -> list[tuple[int, ScaledRational]]:
 def hg_empty_leading(g: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Fraction:
     """Top Z-coefficient of the no-profile series at genus g >= 2.
 
-    Fitted from covering counts through the normal form; the value must
-    agree with the Painleve route e_g (two independent derivations).
+    Fitted from covering counts through the normal form.  Nothing here
+    compares it with the Painleve route e_g; the tests and the benchmark's
+    `brackets` workload check that the two derivations agree.
     """
     if g == 0:
         raise DomainError("genus zero has no leading-Z form; use h0_closed")

@@ -1,4 +1,7 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +10,11 @@ from covercount.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one invocation, argparse's exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -240,3 +247,141 @@ def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["series", "--name", "Z", "--bogus"])
     assert exc.value.code == 2
+
+
+def parser_options():
+    """{subcommand: [(option, required), ...]} in declaration order, without --help."""
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: [(a.option_strings[-1], a.required) for a in p._actions if a.dest != "help"]
+        for name, p in subparsers.choices.items()
+    }
+
+
+# (subcommand, option) -> (an invocation without the option, the arguments that
+# give it); the option acts if adding them changes stdout or the exit code
+OPTION_EFFECTS = {
+    ("series", "--name"): (("--order", "3"), ("--name", "Z")),
+    ("series", "--order"): (("--name", "Z"), ("--order", "3")),
+    ("series", "--egf"): (("--name", "Z", "--order", "3"), ("--egf",)),
+    ("series", "--json"): (("--name", "Z", "--order", "3"), ("--json",)),
+    ("series", "--csv"): (("--name", "Z", "--order", "3"), ("--csv",)),
+    ("identify", "--name"): (("--order", "12"), ("--name", "Z")),
+    ("identify", "--order"): (("--name", "Z"), ("--order", "12")),
+    ("identify", "--jmin"): (("--name", "Z"), ("--jmin", "0")),
+    ("identify", "--jmax"): (("--name", "Z"), ("--jmax", "-2")),
+    ("identify", "--json"): (("--name", "Z"), ("--json",)),
+    ("asymptotic", "--laurent"): ((), ("--laurent", '{"-1":"1","0":"-1"}')),
+    ("asymptotic", "--name"): ((), ("--name", "Z")),
+    ("asymptotic", "--order"): (("--name", "Z"), ("--order", "3")),
+    ("asymptotic", "--jmin"): (("--name", "Z"), ("--jmin", "0")),
+    ("asymptotic", "--jmax"): (("--name", "Z"), ("--jmax", "-2")),
+    ("asymptotic", "--json"): (("--name", "Z"), ("--json",)),
+    ("cayley", "--nmax"): (("--kmax", "1"), ("--nmax", "3")),
+    ("cayley", "--kmax"): (("--nmax", "3"), ("--kmax", "1")),
+    ("cayley", "--limit"): (("--nmax", "3", "--kmax", "1"), ("--limit", "2")),
+    ("cayley", "--json"): (("--nmax", "3", "--kmax", "1"), ("--json",)),
+    ("cayley", "--csv"): (("--nmax", "3", "--kmax", "1"), ("--csv",)),
+    ("hurwitz", "--g"): (("--n", "3"), ("--g", "0")),
+    ("hurwitz", "--n"): (("--g", "0"), ("--n", "3")),
+    ("hurwitz", "--mu"): (("--g", "0", "--n", "3"), ("--mu", "3")),
+    ("hurwitz", "--disconnected"): (("--g", "0", "--n", "3"), ("--disconnected",)),
+    ("hurwitz", "--max-character-n"): (
+        ("--g", "0", "--n", "3", "--disconnected"),
+        ("--max-character-n", "2"),
+    ),
+    ("hurwitz", "--json"): (("--g", "0", "--n", "3"), ("--json",)),
+    ("hurwitz", "--max-nodes"): (("--g", "0", "--n", "3"), ("--max-nodes", "1")),
+    ("hseries", "--g"): (("--order", "4"), ("--g", "0")),
+    ("hseries", "--mu"): (("--g", "0", "--order", "4"), ("--mu", "2")),
+    ("hseries", "--order"): (("--g", "0"), ("--order", "4")),
+    ("hseries", "--fit-phi"): (("--g", "1", "--mu", "1", "--order", "8"), ("--fit-phi",)),
+    ("hseries", "--max-nodes"): (("--g", "0", "--order", "4"), ("--max-nodes", "1")),
+    ("tau", "--g"): (("--d", "1"), ("--g", "1")),
+    ("tau", "--d"): (("--g", "1"), ("--d", "1")),
+    ("tau", "--json"): (("--g", "1", "--d", "1"), ("--json",)),
+    ("tau", "--max-nodes"): (("--g", "1", "--d", "1"), ("--max-nodes", "1")),
+    ("painleve", "--gmax"): ((), ("--gmax", "3")),
+    ("painleve", "--json"): (("--gmax", "3"), ("--json",)),
+    ("painleve", "--csv"): (("--gmax", "3"), ("--csv",)),
+    ("gravity", "--gmax"): ((), ("--gmax", "3")),
+    ("gravity", "--json"): (("--gmax", "3"), ("--json",)),
+    ("gravity", "--csv"): (("--gmax", "3"), ("--csv",)),
+}
+
+# flags every subcommand used to accept, with an argument where one is taken;
+# each was ignored by the subcommands listed here and is no longer declared there
+FORMER_COMMON = {"--json": (), "--csv": (), "--max-nodes": ("1",)}
+REMOVED_FLAGS = {
+    ("series", "--max-nodes"): ("--name", "Z", "--order", "3"),
+    ("identify", "--csv"): ("--name", "Z"),
+    ("identify", "--max-nodes"): ("--name", "Z"),
+    ("asymptotic", "--csv"): ("--name", "Z"),
+    ("asymptotic", "--max-nodes"): ("--name", "Z"),
+    ("cayley", "--max-nodes"): ("--nmax", "3", "--kmax", "1"),
+    ("hurwitz", "--csv"): ("--g", "0", "--n", "3"),
+    ("hseries", "--json"): ("--g", "0", "--order", "4"),
+    ("hseries", "--csv"): ("--g", "0", "--order", "4"),
+    ("tau", "--csv"): ("--g", "1", "--d", "1"),
+    ("painleve", "--max-nodes"): ("--gmax", "3"),
+    ("gravity", "--max-nodes"): ("--gmax", "3"),
+}
+
+
+def test_parser_declares_exactly_the_options_that_act():
+    declared = {(sub, opt) for sub, opts in parser_options().items() for opt, _ in opts}
+    assert declared == set(OPTION_EFFECTS)
+    assert len(declared) == 43
+    # the former common flags split into the kept and the removed ones
+    kept = {key for key in OPTION_EFFECTS if key[1] in FORMER_COMMON}
+    assert kept.isdisjoint(REMOVED_FLAGS)
+    assert kept | set(REMOVED_FLAGS) == {
+        (sub, flag) for sub in parser_options() for flag in FORMER_COMMON
+    }
+
+
+@pytest.mark.parametrize("key", sorted(OPTION_EFFECTS), ids=" ".join)
+def test_every_option_changes_stdout_or_exit_code(capsys, key):
+    sub, option = key
+    base, given = OPTION_EFFECTS[key]
+    assert option in given
+    without = run(capsys, sub, *base)
+    with_option = run(capsys, sub, *base, *given)
+    assert without[:2] != with_option[:2]
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_FLAGS), ids=" ".join)
+def test_removed_flag_is_an_unrecognized_argument(capsys, key):
+    sub, flag = key
+    base = (sub,) + REMOVED_FLAGS[key]
+    assert run(capsys, *base)[0] == 0
+    code, out, err = run(capsys, *base, flag, *FORMER_COMMON[flag])
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("mus", [(), ("1", "2")])
+def test_fit_phi_without_one_mu_refused_before_counting(capsys, monkeypatch, mus):
+    from covercount import hurwitz_series
+
+    def no_count(*args, **kwargs):
+        raise AssertionError("counted before refusing --fit-phi")
+
+    monkeypatch.setattr(hurwitz_series, "hurwitz_connected", no_count)
+    argv = ["hseries", "--g", "10", "--order", "34", "--fit-phi"]
+    for mu in mus:
+        argv += ["--mu", mu]
+    assert run(capsys, *argv) == (2, "", "error: --fit-phi needs exactly one --mu\n")
+
+
+def test_readme_lists_each_subcommands_options():
+    # one table row per subcommand: `name` | `--option` (required), `--option`, ...
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, re.MULTILINE)
+    listed = {
+        sub: [(opt, bool(req)) for opt, req in re.findall(r"`(--[\w-]+)`( \(required\))?", cell)]
+        for sub, cell in rows
+    }
+    assert listed == parser_options()

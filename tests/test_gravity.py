@@ -224,7 +224,7 @@ def test_painleve_first_coefficients():
 
 
 def test_painleve_residual_vanishes_through_g10():
-    # the public Fraction residual, independent of the integer certificate
+    # the public Fraction residual: painleve_solve checks no residual of its own
     for g_max in (10, 60):
         sol = painleve_solve(g_max)
         for t in range(-2, sol.residual_max_order(g_max) + 1):
