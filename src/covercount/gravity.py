@@ -5,6 +5,16 @@ combination coefficients come from the finite-difference identity that
 isolates psi^d.  Downstream: the bracket series theorem, string/dilaton
 reductions, the formal Painleve I solution, and the asymptotic constants
 b_g with their radical bookkeeping.
+
+The brackets are the psi-class intersection numbers of Witten's
+conjecture ("Two-dimensional gravity and intersection theory on moduli
+space", Surveys in Differential Geometry 1, 1991), proved by Kontsevich
+("Intersection theory on the moduli space of curves and the matrix Airy
+function", Comm. Math. Phys. 147, 1992): their generating function solves
+the KdV hierarchy, and the string equation with the recursion of
+Dijkgraaf, Verlinde and Verlinde ("Loop equations and Virasoro
+constraints in non-perturbative two-dimensional quantum gravity", Nucl.
+Phys. B 348, 1991) determines them.  That recursion is a test oracle here.
 """
 
 from __future__ import annotations
@@ -60,7 +70,14 @@ class TauSpec(Record):
 
 
 def tau_coefficient(d: int, b: int) -> Fraction:
-    """Weight of the b-fold preimage term inside one tau_d replacement."""
+    """Weight of the b-fold preimage term inside one tau_d replacement.
+
+    It is vanishing_combination(d)'s c_b divided by b^b / b!, the factor a
+    part b carries in the ELSV formula (Ekedahl, Lando, Shapiro and
+    Vainshtein, "Hurwitz numbers and intersections on moduli spaces of
+    curves", Invent. Math. 146, 2001), so a sum of counts with these
+    weights is a sum of ELSV integrals with the factors c_b / (1 - b psi).
+    """
     if not 1 <= b <= d + 1:
         raise DomainError("need 1 <= b <= d+1")
     return Fraction((-1) ** (d + 1 - b), math.factorial(d + 1 - b) * b ** (b - 1))
@@ -68,7 +85,13 @@ def tau_coefficient(d: int, b: int) -> Fraction:
 
 def vanishing_combination(d: int) -> list[tuple[int, Fraction]]:
     """Coefficients c_b with sum_b c_b/(1 - b psi) = psi^d + O(psi^{d+1}):
-    [(b, (1/d!) (-1)^{d+1-b} C(d, b-1))] for b = 1..d+1."""
+    [(b, (1/d!) (-1)^{d+1-b} C(d, b-1))] for b = 1..d+1.
+
+    In the ELSV formula (Ekedahl, Lando, Shapiro and Vainshtein, Invent.
+    Math. 146, 2001) a part b of the profile contributes 1/(1 - b psi) to
+    the integrand over the moduli space of curves.  This combination keeps
+    psi^d from it; the higher orders and the Hodge classes exceed the
+    dimension of a bracket with sum d_i = 3g - 3 + p and integrate to 0."""
     if d < 0:
         raise DomainError("d must be >= 0")
     return [

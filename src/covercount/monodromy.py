@@ -45,19 +45,24 @@ without the last part; that prefix is itself a sub-multiset the fill needs,
 so no column is built twice.  Each f list is formed once per (m, class) and
 shared by every row whose rho holds the class.  Each (m, rho) stores T_disc
 and T_conn as two rows, lists indexed by c, and each rho one split plan
-(``_plan``) that every fill holding rho reads.  A fill stores every row
-through its own c for every m <= n and every sub-multiset of the profiles,
-so the series builders (``hurwitz_series.oracle_data``, ``h_series``) ask
-for their largest n first: one fill covers the series, and smaller n read
-its rows.  ``node_budget`` bounds the products a fill evaluates, from the
-spec alone and before any work (see ``_check_budget``).  These tables and
-the shape tables and columns of ``symmetric`` are shared and unlocked.  A
-shape table, column, f list, weight list or plan is stored once, fully
-computed; a row grows by a new, longer, fully computed list, never by
-appending to a stored one, and a fill reads rows through its own references
-and forms its products in lists of its own, so concurrent counts at worst
-duplicate work and return the serial values.  ``clear_caches`` empties
-every table; it is not meant to run during a count (untested).
+(``_plan``) that every fill holding rho reads.  A fill of (n, nu) stores,
+through its own c, only the rows its count can read: those of nu for every
+m <= n, and those of a proper sub-multiset rho for m <= n - size(nu - rho),
+since the rest of nu needs sheets of its own.  So the series builders
+(``hurwitz_series.oracle_data``, ``h_series``) ask for their largest n
+first: one fill covers the series, and smaller n read its rows of nu.  A
+later count that needs a row no fill stored starts its own fill, which
+computes the missing rows and reads the stored ones.  ``node_budget``
+bounds the products a fill evaluates, from the spec alone and before any
+work (see ``_check_budget``).  These tables and the shape tables and
+columns of ``symmetric`` are shared and unlocked.  A shape table, column,
+f list, weight list or plan is stored once, fully computed; a row is
+stored whole or not at all, and grows by a new, longer, fully computed
+list, never by appending to a stored one; a fill reads rows through its
+own references and forms its products in lists of its own, so concurrent
+counts at worst duplicate work and return the serial values.
+``clear_caches`` empties every table; it is not meant to run during a
+count (untested).
 """
 
 from __future__ import annotations
@@ -233,19 +238,26 @@ def _plan(rho: tuple) -> tuple[int, int, list[tuple]]:
 
 
 def _fill(n: int, nu: tuple, cmax: int) -> list[int]:
-    """Store the T_disc and T_conn rows through cmax for every m <= n and
-    every profilewise sub-multiset rho of nu, smallest m first; return the
-    T_conn row of (n, nu)."""
-    plans = [(rho, *_plan(rho)) for rho in {a for a, *_ in _plan(nu)[2]}]
+    """Store the T_disc and T_conn rows through cmax that a count of (n, nu)
+    can read, smallest m first; return the T_conn row of (n, nu).  Those are
+    the rows of nu for every m <= n and, for each proper profilewise
+    sub-multiset rho of nu, the rows with m <= n - size(nu - rho), the
+    complement taken at its fewest sheets: the rest of nu needs sheets of
+    its own.  A split of rho reads rows of its parts inside these limits,
+    because _size is subadditive over profilewise unions."""
+    limit = {nu: n}
+    for a, _, _, size_b, *_ in _plan(nu)[2]:
+        limit[a] = max(limit.get(a, 0), n - size_b)
+    plans = [(rho, top_m, *_plan(rho)) for rho, top_m in limit.items() if top_m >= _size(rho)]
     binom = [[math.comb(c, j) for j in range(c + 1)] for c in range(max(cmax, n) + 1)]
     # rho -> the T_disc row of (m, rho) at index m
-    disc: dict[tuple, list] = {rho: [None] * (n + 1) for rho, *_ in plans}
+    disc: dict[tuple, list] = {rho: [None] * (n + 1) for rho in limit}
     # rho -> (T_conn row of (m, rho), its lowest connected c, [C(c, c_a) T_conn(m, rho, c_a)
     # over c_a, for each c]) at index m; a list of products is formed on first use
-    conn: dict[tuple, list] = {rho: [None] * (n + 1) for rho, *_ in plans}
+    conn: dict[tuple, list] = {rho: [None] * (n + 1) for rho in limit}
     for m in range(1, n + 1):
-        for rho, deg, size, pairs in plans:
-            if size > m:
+        for rho, top_m, deg, size, pairs in plans:
+            if not size <= m <= top_m:
                 continue
             drow = disc[rho][m] = _disc_row(m, rho, deg, cmax)
             top = cmax - (cmax - deg) % 2
@@ -280,19 +292,22 @@ def _fill(n: int, nu: tuple, cmax: int) -> list[int]:
 
 def _check_budget(n: int, nu: tuple, c: int, budget: int) -> None:
     """Refuse a fill whose bound on the products it evaluates exceeds the
-    budget.  The table holds at most n x subs x (c//2 + 1) entries, subs the
-    number of profilewise sub-multisets of nu.  A T_disc entry costs at most
-    two terms per shape of S_m: one in its row's content weights (dim^2
-    prod_j f_{rho_j} per shape, built once per row) and one in its own sum
-    over the content sums.  A T_conn entry costs at most one product
-    C(c, c_a) T_conn T_disc per (m_a, rho_a, c_a); a fill forms each
-    C(c, c_a) T_conn once.  The shape tables, the character columns the
-    weights read (one rim-hook step per (m, class) shared by every row) and
-    the split plans are not counted.  A profile has prod (multiplicity + 1)
-    sub-multisets over its distinct parts.  The bound depends on the spec
-    alone, so a warm table cannot change it, and it grows with n and c: a
-    series asks for its largest n first, so a budget that refuses any of its
-    counts refuses before the first fill."""
+    budget.  A fill stores at most n x subs x (c//2 + 1) entries, subs the
+    number of profilewise sub-multisets of nu.  The bound counts every
+    m <= n for each sub-multiset, so it is looser than the fill, which
+    stores the rows of a proper sub-multiset only at the m its count can
+    read (see _fill).  A T_disc entry costs at most two terms per shape of
+    S_m: one in its row's content weights (dim^2 prod_j f_{rho_j} per shape,
+    built once per row) and one in its own sum over the content sums.  A
+    T_conn entry costs at most one product C(c, c_a) T_conn T_disc per
+    (m_a, rho_a, c_a); a fill forms each C(c, c_a) T_conn once.  The shape
+    tables, the character columns the weights read (one rim-hook step per
+    (m, class) shared by every row) and the split plans are not counted.  A
+    profile has prod (multiplicity + 1) sub-multisets over its distinct
+    parts.  The bound depends on the spec alone, so a warm table cannot
+    change it, and it grows with n and c: a series asks for its largest n
+    first, so a budget that refuses any of its counts refuses before the
+    first fill."""
     subs = math.prod(k + 1 for parts in nu for k in Counter(parts).values())
     entries = n * subs * (c // 2 + 1)
     work = entries * (2 * _partition_count(n) + n * subs * (c // 2 + 1))

@@ -22,6 +22,7 @@ from covercount.gravity import (
     tau_series_asymptotic,
     vanishing_combination,
 )
+from covercount.monodromy import clear_caches
 
 from .oracles import bracket_terms_by_tuples, dvv_bracket, painleve_fractions
 
@@ -309,6 +310,14 @@ def test_dvv_matches_covering_brackets():
     assert len(specs) == 140
     for g, ds in specs:
         assert dvv_bracket(g, ds) == tau_bracket(TauSpec(g, ds)), (g, ds)
+
+
+def test_genus4_nine_point_bracket_matches_painleve():
+    # <tau_2^9>_4 = 9! e_4 from covering counts on cold tables: 55 counts,
+    # each of one profile with nine parts in 1..3, up to n = 27 sheets
+    clear_caches()
+    bracket = tau_bracket(TauSpec(4, (2,) * 9))
+    assert bracket == math.factorial(9) * painleve_solve(4).e[4] == F(1816871, 48)
 
 
 def test_dvv_matches_painleve_through_genus8():

@@ -3,6 +3,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import pytest
 
@@ -292,6 +293,63 @@ def test_profile_pool_counts_on_warm_tables():
     for (m, rho), row in warm.items():
         clear_caches()
         assert monodromy._fill(m, rho, len(row) - 1) == row, (m, rho)
+
+
+def _readable_limits(n, nu):
+    """{rho: the largest m at which a count of (n, nu) can read a row of rho},
+    by brute force over every profilewise assignment of nu's parts: the parts
+    left out of rho need sheets of their own, at least one."""
+    limits = {nu: n}
+    subsets = [
+        [idx for r in range(len(parts) + 1) for idx in combinations(range(len(parts)), r)]
+        for parts in nu
+    ]
+    for pick in product(*subsets):
+        taken = [tuple(parts[i] for i in idx) for parts, idx in zip(nu, pick)]
+        left = [sum(parts) - sum(t) for parts, t in zip(nu, taken)]
+        rho = tuple(sorted(t for t in taken if t))
+        limits[rho] = max(limits.get(rho, 0), n - max(left + [1]))
+    return limits
+
+
+READABLE_ROW_SPECS = [PROFILE_POOL_COUNTS[k][:3] for k in (0, 4, 10, 14, 23)] + [
+    (1, 9, ((3, 2, 2, 1),)),
+    (2, 8, ()),
+]
+
+
+@pytest.mark.parametrize("g, n, mus", READABLE_ROW_SPECS)
+def test_cold_fill_stores_exactly_the_readable_rows(g, n, mus):
+    # a proper sub-multiset rho of nu is read only at m <= n - size(nu - rho);
+    # the rows of nu itself are stored for every m <= n, so the smaller n of
+    # a series read them
+    clear_caches()
+    hurwitz_connected(CoveringSpec(g, n, mus))
+    nu = monodromy._key(tuple(b for b in mu if b > 1) for mu in mus)
+    limits = _readable_limits(n, nu)
+    size = {rho: max([sum(parts) for parts in rho] + [1]) for rho in limits}
+    expected = {(m, rho) for rho, top in limits.items() for m in range(size[rho], top + 1)}
+    assert {(m, nu) for m in range(size[nu], n + 1)} <= set(monodromy._CONN)
+    assert set(monodromy._CONN) == expected
+    assert set(monodromy._DISC) == expected
+
+
+@pytest.mark.parametrize("g, n, mus", [READABLE_ROW_SPECS[k] for k in (0, 2, 5)])
+def test_counts_extend_the_rows_a_first_fill_skipped(g, n, mus):
+    # after a count of (n, nu), each (n, rho) of a proper sub-multiset rho is a
+    # row the fill skipped; counting it extends the warm tables and must give
+    # the cold value
+    nu = monodromy._key(tuple(b for b in mu if b > 1) for mu in mus)
+    subs = [rho for rho in _readable_limits(n, nu) if rho != nu]
+    clear_caches()
+    hurwitz_connected(CoveringSpec(g, n, mus))
+    warm = {}
+    for rho in subs:
+        assert (n, rho) not in monodromy._CONN, rho
+        warm[rho] = hurwitz_connected(CoveringSpec(g, n, rho))
+    for rho in subs:
+        clear_caches()
+        assert hurwitz_connected(CoveringSpec(g, n, rho)) == warm[rho], rho
 
 
 def test_clear_caches_empties_every_module_cache():
