@@ -17,7 +17,6 @@ from . import algebra, gravity, hurwitz_series, trees
 from .errors import BudgetExceeded, ConsistencyError, DomainError
 from .exact import TruncatedSeries, format_rational
 from .monodromy import (
-    DEFAULT_CHARACTER_LIMIT,
     DEFAULT_NODE_BUDGET,
     CoveringSpec,
     hurwitz_connected,
@@ -154,10 +153,8 @@ def _cmd_cayley(args) -> int:
 def _cmd_hurwitz(args) -> int:
     mus = [_parse_mu(text) for text in args.mu or []]
     spec = CoveringSpec(args.g, args.n, mus)
-    if args.disconnected:
-        value = hurwitz_disconnected(spec, character_limit=args.max_character_n)
-    else:
-        value = hurwitz_connected(spec, node_budget=args.max_nodes)
+    count = hurwitz_disconnected if args.disconnected else hurwitz_connected
+    value = count(spec, node_budget=args.max_nodes)
     tuple_count = value * math.factorial(spec.n)
     obj = {
         "value": format_rational(value),
@@ -294,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mu", action="append", help='partition as "b1,b2,..."; repeatable')
     p.add_argument("--disconnected", action="store_true")
-    p.add_argument("--max-character-n", type=int, default=DEFAULT_CHARACTER_LIMIT)
     add_output(p)
     add_max_nodes(p)
     p.set_defaults(func=_cmd_hurwitz)

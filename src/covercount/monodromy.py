@@ -53,14 +53,14 @@ since the rest of nu needs sheets of its own.  So the series builders
 first: one fill covers the series, and smaller n read its rows of nu.  A
 later count that needs a row no fill stored starts its own fill, which
 computes the missing rows and reads the stored ones.  ``node_budget``
-bounds the products a fill evaluates, from the spec alone and before any
-work (see ``_check_budget``).  These tables and the shape tables and
-columns of ``symmetric`` are shared and unlocked.  A shape table, column,
-f list, weight list or plan is stored once, fully computed; a row is
-stored whole or not at all, and grows by a new, longer, fully computed
-list, never by appending to a stored one; a fill reads rows through its
-own references and forms its products in lists of its own, so concurrent
-counts at worst duplicate work and return the serial values.
+bounds both counts of a spec by the work of the rows its fill stores, from
+the spec alone and before any work (see ``_check_budget``).  These tables
+and the shape tables and columns of ``symmetric`` are shared and unlocked.
+A shape table, column, f list, weight list or plan is stored once, fully
+computed; a row is stored whole or not at all, and grows by a new, longer,
+fully computed list, never by appending to a stored one; a fill reads rows
+through its own references and forms its products in lists of its own, so
+concurrent counts at worst duplicate work and return the serial values.
 ``clear_caches`` empties every table; it is not meant to run during a
 count (untested).
 """
@@ -84,7 +84,6 @@ from .symmetric import (
 )
 
 DEFAULT_NODE_BUDGET = 10**9
-DEFAULT_CHARACTER_LIMIT = 10
 
 
 class CoveringSpec(Record):
@@ -146,8 +145,8 @@ _WEIGHTS: dict[tuple[int, tuple], list[tuple[int, int]]] = {}
 _DISC: dict[tuple[int, tuple], list[int]] = {}
 # (m, rho) -> [T_conn(m, rho, c) for c = 0, 1, ...]
 _CONN: dict[tuple[int, tuple], list[int]] = {}
-# rho -> (deg rho, size rho, [(rho_a, rho_b, size rho_a, size rho_b, deg rho_a, k)])
-_PLANS: dict[tuple, tuple[int, int, list[tuple]]] = {}
+# rho -> (deg rho, [(rho_a, rho_b, size rho_a, size rho_b, deg rho_a, k)])
+_PLANS: dict[tuple, tuple[int, list[tuple]]] = {}
 
 
 def _key(profiles) -> tuple[tuple[int, ...], ...]:
@@ -223,7 +222,7 @@ def _disc_row(m: int, rho: tuple, deg: int, cmax: int) -> list[int]:
     return row
 
 
-def _plan(rho: tuple) -> tuple[int, int, list[tuple]]:
+def _plan(rho: tuple) -> tuple[int, list[tuple]]:
     """The stored split plan of rho (see _PLANS): one pair per distinct
     profilewise split rho_a + rho_b = rho, k the splits that give it
     (profiles of one type sort alike)."""
@@ -233,31 +232,44 @@ def _plan(rho: tuple) -> tuple[int, int, list[tuple]]:
         for pick in _iproduct(*map(_splits, rho)):
             splits[_key(a for a, _ in pick), _key(b for _, b in pick)] += 1
         pairs = [(a, b, _size(a), _size(b), _degree(a), k) for (a, b), k in splits.items()]
-        plan = _PLANS.setdefault(rho, (_degree(rho), _size(rho), pairs))
+        plan = _PLANS.setdefault(rho, (_degree(rho), pairs))
     return plan
+
+
+@lru_cache(maxsize=None)
+def _gaps(nu: tuple) -> tuple[tuple[tuple, int, int], ...]:
+    """(rho, size(rho), gap) for every profilewise sub-multiset rho of nu,
+    gap the fewest sheets the rest of nu needs: 0 for nu itself, and the
+    least size(nu - rho) over nu's split plan for a proper one."""
+    gaps, size = {nu: 0}, {}
+    for a, _, size_a, size_b, *_ in _plan(nu)[1]:
+        gaps[a] = min(gaps.get(a, size_b), size_b)
+        size[a] = size_a
+    return tuple((rho, size[rho], gap) for rho, gap in gaps.items())
+
+
+def _rows(n: int, nu: tuple) -> dict[tuple, range]:
+    """rho -> the m of the rows (m, rho) a count of (n, nu) can read:
+    size(rho) <= m <= n - gap (see _gaps), because the rest of nu needs
+    sheets of its own.  A split of rho reads rows of its parts inside these
+    ranges, because _size is subadditive over profilewise unions."""
+    return {rho: range(size, n + 1 - gap) for rho, size, gap in _gaps(nu)}
 
 
 def _fill(n: int, nu: tuple, cmax: int) -> list[int]:
     """Store the T_disc and T_conn rows through cmax that a count of (n, nu)
-    can read, smallest m first; return the T_conn row of (n, nu).  Those are
-    the rows of nu for every m <= n and, for each proper profilewise
-    sub-multiset rho of nu, the rows with m <= n - size(nu - rho), the
-    complement taken at its fewest sheets: the rest of nu needs sheets of
-    its own.  A split of rho reads rows of its parts inside these limits,
-    because _size is subadditive over profilewise unions."""
-    limit = {nu: n}
-    for a, _, _, size_b, *_ in _plan(nu)[2]:
-        limit[a] = max(limit.get(a, 0), n - size_b)
-    plans = [(rho, top_m, *_plan(rho)) for rho, top_m in limit.items() if top_m >= _size(rho)]
+    can read (see _rows), smallest m first; return the T_conn row of (n, nu)."""
+    rows = _rows(n, nu)
+    plans = [(rho, ms, *_plan(rho)) for rho, ms in rows.items() if ms]
     binom = [[math.comb(c, j) for j in range(c + 1)] for c in range(max(cmax, n) + 1)]
     # rho -> the T_disc row of (m, rho) at index m
-    disc: dict[tuple, list] = {rho: [None] * (n + 1) for rho in limit}
+    disc: dict[tuple, list] = {rho: [None] * (n + 1) for rho in rows}
     # rho -> (T_conn row of (m, rho), its lowest connected c, [C(c, c_a) T_conn(m, rho, c_a)
     # over c_a, for each c]) at index m; a list of products is formed on first use
-    conn: dict[tuple, list] = {rho: [None] * (n + 1) for rho in limit}
+    conn: dict[tuple, list] = {rho: [None] * (n + 1) for rho in rows}
     for m in range(1, n + 1):
-        for rho, top_m, deg, size, pairs in plans:
-            if not size <= m <= top_m:
+        for rho, ms, deg, pairs in plans:
+            if m not in ms:
                 continue
             drow = disc[rho][m] = _disc_row(m, rho, deg, cmax)
             top = cmax - (cmax - deg) % 2
@@ -291,26 +303,17 @@ def _fill(n: int, nu: tuple, cmax: int) -> list[int]:
 
 
 def _check_budget(n: int, nu: tuple, c: int, budget: int) -> None:
-    """Refuse a fill whose bound on the products it evaluates exceeds the
-    budget.  A fill stores at most n x subs x (c//2 + 1) entries, subs the
-    number of profilewise sub-multisets of nu.  The bound counts every
-    m <= n for each sub-multiset, so it is looser than the fill, which
-    stores the rows of a proper sub-multiset only at the m its count can
-    read (see _fill).  A T_disc entry costs at most two terms per shape of
-    S_m: one in its row's content weights (dim^2 prod_j f_{rho_j} per shape,
-    built once per row) and one in its own sum over the content sums.  A
-    T_conn entry costs at most one product C(c, c_a) T_conn T_disc per
-    (m_a, rho_a, c_a); a fill forms each C(c, c_a) T_conn once.  The shape
-    tables, the character columns the weights read (one rim-hook step per
-    (m, class) shared by every row) and the split plans are not counted.  A
-    profile has prod (multiplicity + 1) sub-multisets over its distinct
-    parts.  The bound depends on the spec alone, so a warm table cannot
-    change it, and it grows with n and c: a series asks for its largest n
-    first, so a budget that refuses any of its counts refuses before the
-    first fill."""
-    subs = math.prod(k + 1 for parts in nu for k in Counter(parts).values())
-    entries = n * subs * (c // 2 + 1)
-    work = entries * (2 * _partition_count(n) + n * subs * (c // 2 + 1))
+    """Refuse a count of (n, nu) at c, connected or not, whose fill would
+    exceed the budget.  The fill stores R rows (see _rows) of C = c//2 + 1
+    entries of one parity; each entry is charged 2 p(n) shape terms (its
+    row's content weights and its own sum over content sums) and R C
+    recursion products, and the branching passes of the shape tables up to
+    n are charged n p(n).  Stored state is not charged, so a warm table
+    cannot change the outcome; the charge grows with n, so a series, which
+    asks for its largest n first, is refused before its first fill."""
+    entries = sum(map(len, _rows(n, nu).values())) * (c // 2 + 1)
+    p = _partition_count(n)
+    work = entries * (2 * p + entries) + n * p
     if work > budget:
         raise BudgetExceeded(
             f"count table for n={n} would evaluate up to {work} products (> {budget})"
@@ -338,19 +341,17 @@ def hurwitz_connected(
 
 
 def hurwitz_disconnected(
-    spec: CoveringSpec, character_limit: int = DEFAULT_CHARACTER_LIMIT
+    spec: CoveringSpec, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> Fraction:
     """The same weighted count without the transitivity requirement:
-    marking_weight x T_disc(n, nu, c) / n!."""
-    n, c = spec.n, spec.c
-    if n > character_limit:
-        raise BudgetExceeded(
-            f"character table for n={n} exceeds the configured limit {character_limit}"
-        )
+    marking_weight x T_disc(n, nu, c) / n!, admitted by the budget of the
+    connected count (its row is one the connected fill stores)."""
     weight = spec.marking_weight()
     if weight == 0:
         return Fraction(0)
+    n, c = spec.n, spec.c
     nu = _key(mu.nontrivial() for mu in spec.mus)
+    _check_budget(n, nu, c, node_budget)
     return Fraction(weight * _disc_row(n, nu, _degree(nu), c)[c], math.factorial(n))
 
 
@@ -364,4 +365,5 @@ def clear_caches() -> None:
     _CONN.clear()
     _PLANS.clear()
     _splits.cache_clear()
+    _gaps.cache_clear()
     _partition_count.cache_clear()

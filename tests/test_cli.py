@@ -60,6 +60,17 @@ def test_hurwitz_budget_exit3(capsys):
     assert code == 3 and "refused" in err
 
 
+def test_disconnected_count_reads_max_nodes(capsys):
+    # both counts of a spec read the one budget; the former
+    # --max-character-n of the disconnected count is gone
+    base = ("hurwitz", "--g", "0", "--n", "3", "--disconnected")
+    code, out, err = run(capsys, *base, "--max-nodes", "1")
+    assert (code, out) == (3, "") and err.startswith("refused: ")
+    code, out, err = run(capsys, *base, "--max-character-n", "2")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --max-character-n" in err
+
+
 def test_consistency_error_exit4(capsys, monkeypatch):
     import covercount.cli as cli
     from covercount.errors import ConsistencyError
@@ -288,10 +299,6 @@ OPTION_EFFECTS = {
     ("hurwitz", "--n"): (("--g", "0"), ("--n", "3")),
     ("hurwitz", "--mu"): (("--g", "0", "--n", "3"), ("--mu", "3")),
     ("hurwitz", "--disconnected"): (("--g", "0", "--n", "3"), ("--disconnected",)),
-    ("hurwitz", "--max-character-n"): (
-        ("--g", "0", "--n", "3", "--disconnected"),
-        ("--max-character-n", "2"),
-    ),
     ("hurwitz", "--json"): (("--g", "0", "--n", "3"), ("--json",)),
     ("hurwitz", "--max-nodes"): (("--g", "0", "--n", "3"), ("--max-nodes", "1")),
     ("hseries", "--g"): (("--order", "4"), ("--g", "0")),
@@ -333,7 +340,7 @@ REMOVED_FLAGS = {
 def test_parser_declares_exactly_the_options_that_act():
     declared = {(sub, opt) for sub, opts in parser_options().items() for opt, _ in opts}
     assert declared == set(OPTION_EFFECTS)
-    assert len(declared) == 43
+    assert len(declared) == 42
     # the former common flags split into the kept and the removed ones
     kept = {key for key in OPTION_EFFECTS if key[1] in FORMER_COMMON}
     assert kept.isdisjoint(REMOVED_FLAGS)

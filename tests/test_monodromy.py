@@ -315,7 +315,10 @@ def _readable_limits(n, nu):
 READABLE_ROW_SPECS = [PROFILE_POOL_COUNTS[k][:3] for k in (0, 4, 10, 14, 23)] + [
     (1, 9, ((3, 2, 2, 1),)),
     (2, 8, ()),
+    (4, 27, ((3,) * 9,)),  # the largest count of <tau_2^9>_4
 ]
+# rows a cold count stores; n x (sub-multisets of nu) would be 160 and 270
+STORED_ROWS = {READABLE_ROW_SPECS[0]: 38, READABLE_ROW_SPECS[7]: 9}
 
 
 @pytest.mark.parametrize("g, n, mus", READABLE_ROW_SPECS)
@@ -332,6 +335,9 @@ def test_cold_fill_stores_exactly_the_readable_rows(g, n, mus):
     assert {(m, nu) for m in range(size[nu], n + 1)} <= set(monodromy._CONN)
     assert set(monodromy._CONN) == expected
     assert set(monodromy._DISC) == expected
+    # the budget's row count R (see _check_budget) is exactly these rows
+    rows = sum(map(len, monodromy._rows(n, nu).values()))
+    assert rows == len(expected) == STORED_ROWS.get((g, n, mus), rows)
 
 
 @pytest.mark.parametrize("g, n, mus", [READABLE_ROW_SPECS[k] for k in (0, 2, 5)])
@@ -375,17 +381,19 @@ def test_clear_caches_empties_every_module_cache():
 
 
 def test_budget_refuses_three_profiles_cold_and_warm():
-    # g = 0, n = 3, three (2) profiles, c = 1.  Each profile has 2
-    # sub-multisets, so 8 in all; the table bound is 3 * 8 * (1//2 + 1) = 24
-    # entries, each up to 2 * p(3) = 6 shape terms plus 3 * 8 * 1 products:
-    # 24 * 30 = 720.  The bound depends on the spec alone, so a table that
-    # already holds the answer must not let a smaller budget through.
+    # g = 0, n = 3, three (2) profiles, c = 1.  The fill stores R = 3 rows:
+    # (2, nu) and (3, nu) for nu = ((2,), (2,), (2,)), and (1, ()); a proper
+    # nonempty sub-multiset would need m <= 3 - 2 = 1 sheets, fewer than its
+    # 2.  So R * (1//2 + 1) = 3 entries, each up to 2 * p(3) = 6 shape terms
+    # plus 3 products, and 3 * p(3) = 9 for the shape tables: 3 * 9 + 9 = 36.
+    # The bound depends on the spec alone, so a table that already holds the
+    # answer must not let a smaller budget through.
     spec = CoveringSpec(0, 3, [Partition([2])] * 3)
     clear_caches()
     for _ in ("cold", "warm"):
         with pytest.raises(BudgetExceeded):
-            hurwitz_connected(spec, node_budget=719)
-        assert hurwitz_connected(spec, node_budget=720) == naive_connected_count(
+            hurwitz_connected(spec, node_budget=35)
+        assert hurwitz_connected(spec, node_budget=36) == naive_connected_count(
             0, 3, [(2,)] * 3
         )
 
@@ -527,15 +535,17 @@ def test_counts_do_not_depend_on_the_order_asked():
 
 
 def test_series_budget_refuses_before_any_work():
-    # g = 2, no profiles: n = 10 (c = 22) bounds 10 * 12 * (2 p(10) + 10 * 12)
-    # = 24480 products and n = 11 (c = 24) 11 * 13 * (2 p(11) + 11 * 13) =
-    # 36465, so this budget admits every n but the largest.  The largest is
-    # asked for first and refused while the table is still empty.
+    # g = 2, no profiles: a fill of n sheets stores the n rows of the empty
+    # profile set, so n = 10 (c = 22) bounds 10 * 12 * (2 p(10) + 10 * 12) +
+    # 10 p(10) = 24900 products and n = 11 (c = 24) 11 * 13 * (2 p(11) +
+    # 11 * 13) + 11 p(11) = 37081, so this budget admits every n but the
+    # largest.  The largest is asked for first and refused while the table
+    # is still empty.
     clear_caches()
     with pytest.raises(BudgetExceeded):
-        oracle_data(2, (), range(1, 12), node_budget=24480)
+        oracle_data(2, (), range(1, 12), node_budget=24900)
     assert not monodromy._CONN and not monodromy._DISC
-    assert len(oracle_data(2, (), range(1, 11), node_budget=24480)) == 10
+    assert len(oracle_data(2, (), range(1, 11), node_budget=24900)) == 10
 
 
 @pytest.mark.parametrize("g", [0, 1, 2])
@@ -571,9 +581,28 @@ def test_count_table_matches_cut_and_join(g):
                 )
 
 
-def test_character_limit_refusal():
-    with pytest.raises(BudgetExceeded):
-        hurwitz_disconnected(CoveringSpec(0, 12, []), character_limit=10)
+def test_disconnected_budget_refusal():
+    # a disconnected count is admitted exactly when the connected count of its
+    # spec is: g = 0, n = 12 (c = 22), no profiles, 12 rows of 12 entries,
+    # 144 * (2 p(12) + 144) + 12 p(12) = 43836
+    spec = CoveringSpec(0, 12, [])
+    clear_caches()
+    for count in (hurwitz_disconnected, hurwitz_connected):
+        with pytest.raises(BudgetExceeded):
+            count(spec, node_budget=43835)
+        assert count(spec, node_budget=43836) == count(spec)
+
+
+def test_refusal_builds_no_table():
+    # both counts refuse from the spec alone, before any shape table,
+    # character column or row is built
+    spec = CoveringSpec(0, 40, [])
+    clear_caches()
+    for count in (hurwitz_disconnected, hurwitz_connected):
+        with pytest.raises(BudgetExceeded):
+            count(spec, node_budget=10**6)
+        assert symmetric.shape_table.cache_info().currsize == 0
+        assert not symmetric._COLUMNS and not monodromy._DISC and not monodromy._CONN
 
 
 def test_no_transpositions_available_gives_zero():
