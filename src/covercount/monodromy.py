@@ -54,13 +54,14 @@ first: one fill covers the series, and smaller n read its rows of nu.  A
 later count that needs a row no fill stored starts its own fill, which
 computes the missing rows and reads the stored ones.  ``node_budget``
 bounds both counts of a spec by the work of the rows its fill stores, from
-the spec alone and before any work (see ``_check_budget``).  These tables
-and the shape tables and columns of ``symmetric`` are shared and unlocked.
-A shape table, column, f list, weight list or plan is stored once, fully
-computed; a row is stored whole or not at all, and grows by a new, longer,
-fully computed list, never by appending to a stored one; a fill reads rows
-through its own references and forms its products in lists of its own, so
-concurrent counts at worst duplicate work and return the serial values.
+the spec alone and before any table is built (see ``_check_budget``).
+These tables and the shape tables and columns of ``symmetric`` are shared
+and unlocked.  A shape table, column, f list, weight list or plan is stored
+once, fully computed; a row is stored whole or not at all, and grows by a
+new, longer, fully computed list, never by appending to a stored one; a
+fill reads rows through its own references and forms its products in lists
+of its own, so concurrent counts at worst duplicate work and return the
+serial values.
 ``clear_caches`` empties every table; it is not meant to run during a
 count (untested).
 """
@@ -145,8 +146,9 @@ _WEIGHTS: dict[tuple[int, tuple], list[tuple[int, int]]] = {}
 _DISC: dict[tuple[int, tuple], list[int]] = {}
 # (m, rho) -> [T_conn(m, rho, c) for c = 0, 1, ...]
 _CONN: dict[tuple[int, tuple], list[int]] = {}
-# rho -> (deg rho, [(rho_a, rho_b, size rho_a, size rho_b, deg rho_a, k)])
-_PLANS: dict[tuple, tuple[int, list[tuple]]] = {}
+# rho -> (deg rho, [(rho_a, rho_b, size rho_a, size rho_b, deg rho_a, k)],
+#         [(rho_a, size rho_a, gap)]), see _split_plan
+_PLANS: dict[tuple, tuple[int, list[tuple], list[tuple]]] = {}
 
 
 def _key(profiles) -> tuple[tuple[int, ...], ...]:
@@ -222,45 +224,38 @@ def _disc_row(m: int, rho: tuple, deg: int, cmax: int) -> list[int]:
     return row
 
 
-def _plan(rho: tuple) -> tuple[int, list[tuple]]:
-    """The stored split plan of rho (see _PLANS): one pair per distinct
-    profilewise split rho_a + rho_b = rho, k the splits that give it
-    (profiles of one type sort alike)."""
-    plan = _PLANS.get(rho)
-    if plan is None:
-        splits = Counter()
-        for pick in _iproduct(*map(_splits, rho)):
-            splits[_key(a for a, _ in pick), _key(b for _, b in pick)] += 1
-        pairs = [(a, b, _size(a), _size(b), _degree(a), k) for (a, b), k in splits.items()]
-        plan = _PLANS.setdefault(rho, (_degree(rho), pairs))
-    return plan
+def _split_plan(rho: tuple) -> tuple[int, list[tuple], list[tuple]]:
+    """rho's split plan (see _PLANS): a pair per distinct profilewise split
+    rho_a + rho_b = rho, k the splits that give it (profiles of one type
+    sort alike), and each rho_a's size and gap, the fewest sheets the rest
+    of rho needs: 0 for rho itself, else the least size rho_b of its pairs."""
+    splits = Counter()
+    for pick in _iproduct(*map(_splits, rho)):
+        splits[_key(a for a, _ in pick), _key(b for _, b in pick)] += 1
+    pairs = [(a, b, _size(a), _size(b), _degree(a), k) for (a, b), k in splits.items()]
+    limits = {rho: (_size(rho), 0)}
+    for a, _, size_a, size_b, *_ in pairs:
+        limits[a] = size_a, min(limits.get(a, (0, size_b))[1], size_b)
+    return _degree(rho), pairs, [(a, *limit) for a, limit in limits.items()]
 
 
-@lru_cache(maxsize=None)
-def _gaps(nu: tuple) -> tuple[tuple[tuple, int, int], ...]:
-    """(rho, size(rho), gap) for every profilewise sub-multiset rho of nu,
-    gap the fewest sheets the rest of nu needs: 0 for nu itself, and the
-    least size(nu - rho) over nu's split plan for a proper one."""
-    gaps, size = {nu: 0}, {}
-    for a, _, size_a, size_b, *_ in _plan(nu)[1]:
-        gaps[a] = min(gaps.get(a, size_b), size_b)
-        size[a] = size_a
-    return tuple((rho, size[rho], gap) for rho, gap in gaps.items())
+def _plan(rho: tuple) -> tuple[int, list[tuple], list[tuple]]:
+    """The stored split plan of rho."""
+    return _PLANS.get(rho) or _PLANS.setdefault(rho, _split_plan(rho))
 
 
-def _rows(n: int, nu: tuple) -> dict[tuple, range]:
-    """rho -> the m of the rows (m, rho) a count of (n, nu) can read:
-    size(rho) <= m <= n - gap (see _gaps), because the rest of nu needs
-    sheets of its own.  A split of rho reads rows of its parts inside these
-    ranges, because _size is subadditive over profilewise unions."""
-    return {rho: range(size, n + 1 - gap) for rho, size, gap in _gaps(nu)}
+def _rows(n: int, plan: tuple) -> dict[tuple, range]:
+    """rho -> the m of the rows (m, rho) a count of (n, nu), plan nu's split
+    plan, can read: size(rho) <= m <= n - gap.  A split of rho reads rows
+    inside these ranges, as _size is subadditive over profilewise unions."""
+    return {rho: range(size, n + 1 - gap) for rho, size, gap in plan[2]}
 
 
 def _fill(n: int, nu: tuple, cmax: int) -> list[int]:
     """Store the T_disc and T_conn rows through cmax that a count of (n, nu)
     can read (see _rows), smallest m first; return the T_conn row of (n, nu)."""
-    rows = _rows(n, nu)
-    plans = [(rho, ms, *_plan(rho)) for rho, ms in rows.items() if ms]
+    rows = _rows(n, _plan(nu))
+    plans = [(rho, ms, *_plan(rho)[:2]) for rho, ms in rows.items() if ms]
     binom = [[math.comb(c, j) for j in range(c + 1)] for c in range(max(cmax, n) + 1)]
     # rho -> the T_disc row of (m, rho) at index m
     disc: dict[tuple, list] = {rho: [None] * (n + 1) for rho in rows}
@@ -305,19 +300,27 @@ def _fill(n: int, nu: tuple, cmax: int) -> list[int]:
 def _check_budget(n: int, nu: tuple, c: int, budget: int) -> None:
     """Refuse a count of (n, nu) at c, connected or not, whose fill would
     exceed the budget.  The fill stores R rows (see _rows) of C = c//2 + 1
-    entries of one parity; each entry is charged 2 p(n) shape terms (its
-    row's content weights and its own sum over content sums) and R C
-    recursion products, and the branching passes of the shape tables up to
-    n are charged n p(n).  Stored state is not charged, so a warm table
-    cannot change the outcome; the charge grows with n, so a series, which
+    entries.  Each row is charged the subs splits of nu (prod (multiplicity
+    + 1) over each profile's distinct parts), which bound the plan its terms
+    walk; each entry 2 p(n) shape terms (its row's content weights and its
+    own sum over content sums) and R C recursion products; the shape tables'
+    branching passes n p(n).  subs is tested before nu's plan is built, so a
+    refusal takes at most the budget and stores nothing.  No stored state is
+    charged, so a warm table cannot change the outcome, and a series, which
     asks for its largest n first, is refused before its first fill."""
-    entries = sum(map(len, _rows(n, nu).values())) * (c // 2 + 1)
-    p = _partition_count(n)
-    work = entries * (2 * p + entries) + n * p
-    if work > budget:
-        raise BudgetExceeded(
-            f"count table for n={n} would evaluate up to {work} products (> {budget})"
-        )
+    subs = math.prod(parts.count(b) + 1 for parts in nu for b in set(parts))
+    work = subs  # past the budget, refuse before building nu's plan
+    if work <= budget:
+        plan = _PLANS.get(nu) or _split_plan(nu)
+        rows = sum(map(len, _rows(n, plan).values()))
+        entries, p = rows * (c // 2 + 1), _partition_count(n)
+        work = rows * subs + entries * (2 * p + entries) + n * p
+        if work <= budget:
+            _PLANS.setdefault(nu, plan)
+            return
+    raise BudgetExceeded(
+        f"count table for n={n} would evaluate up to {work} products (> {budget})"
+    )
 
 
 def hurwitz_connected(
@@ -365,5 +368,4 @@ def clear_caches() -> None:
     _CONN.clear()
     _PLANS.clear()
     _splits.cache_clear()
-    _gaps.cache_clear()
     _partition_count.cache_clear()

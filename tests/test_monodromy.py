@@ -336,7 +336,7 @@ def test_cold_fill_stores_exactly_the_readable_rows(g, n, mus):
     assert set(monodromy._CONN) == expected
     assert set(monodromy._DISC) == expected
     # the budget's row count R (see _check_budget) is exactly these rows
-    rows = sum(map(len, monodromy._rows(n, nu).values()))
+    rows = sum(map(len, monodromy._rows(n, monodromy._plan(nu)).values()))
     assert rows == len(expected) == STORED_ROWS.get((g, n, mus), rows)
 
 
@@ -384,16 +384,17 @@ def test_budget_refuses_three_profiles_cold_and_warm():
     # g = 0, n = 3, three (2) profiles, c = 1.  The fill stores R = 3 rows:
     # (2, nu) and (3, nu) for nu = ((2,), (2,), (2,)), and (1, ()); a proper
     # nonempty sub-multiset would need m <= 3 - 2 = 1 sheets, fewer than its
-    # 2.  So R * (1//2 + 1) = 3 entries, each up to 2 * p(3) = 6 shape terms
-    # plus 3 products, and 3 * p(3) = 9 for the shape tables: 3 * 9 + 9 = 36.
+    # 2.  Each row is charged the 2^3 = 8 splits of nu; R * (1//2 + 1) = 3
+    # entries, each up to 2 * p(3) = 6 shape terms plus 3 products; and
+    # 3 * p(3) = 9 for the shape tables: 3 * 8 + 3 * 9 + 9 = 60.
     # The bound depends on the spec alone, so a table that already holds the
     # answer must not let a smaller budget through.
     spec = CoveringSpec(0, 3, [Partition([2])] * 3)
     clear_caches()
     for _ in ("cold", "warm"):
         with pytest.raises(BudgetExceeded):
-            hurwitz_connected(spec, node_budget=35)
-        assert hurwitz_connected(spec, node_budget=36) == naive_connected_count(
+            hurwitz_connected(spec, node_budget=59)
+        assert hurwitz_connected(spec, node_budget=60) == naive_connected_count(
             0, 3, [(2,)] * 3
         )
 
@@ -536,16 +537,16 @@ def test_counts_do_not_depend_on_the_order_asked():
 
 def test_series_budget_refuses_before_any_work():
     # g = 2, no profiles: a fill of n sheets stores the n rows of the empty
-    # profile set, so n = 10 (c = 22) bounds 10 * 12 * (2 p(10) + 10 * 12) +
-    # 10 p(10) = 24900 products and n = 11 (c = 24) 11 * 13 * (2 p(11) +
-    # 11 * 13) + 11 p(11) = 37081, so this budget admits every n but the
-    # largest.  The largest is asked for first and refused while the table
-    # is still empty.
+    # profile set, each charged the 1 split of (), so n = 10 (c = 22) bounds
+    # 10 + 10 * 12 * (2 p(10) + 10 * 12) + 10 p(10) = 24910 products and
+    # n = 11 (c = 24) 11 + 11 * 13 * (2 p(11) + 11 * 13) + 11 p(11) = 37092,
+    # so this budget admits every n but the largest.  The largest is asked
+    # for first and refused while the table is still empty.
     clear_caches()
     with pytest.raises(BudgetExceeded):
-        oracle_data(2, (), range(1, 12), node_budget=24900)
+        oracle_data(2, (), range(1, 12), node_budget=24910)
     assert not monodromy._CONN and not monodromy._DISC
-    assert len(oracle_data(2, (), range(1, 11), node_budget=24900)) == 10
+    assert len(oracle_data(2, (), range(1, 11), node_budget=24910)) == 10
 
 
 @pytest.mark.parametrize("g", [0, 1, 2])
@@ -584,24 +585,33 @@ def test_count_table_matches_cut_and_join(g):
 def test_disconnected_budget_refusal():
     # a disconnected count is admitted exactly when the connected count of its
     # spec is: g = 0, n = 12 (c = 22), no profiles, 12 rows of 12 entries,
-    # 144 * (2 p(12) + 144) + 12 p(12) = 43836
+    # 12 + 144 * (2 p(12) + 144) + 12 p(12) = 43848
     spec = CoveringSpec(0, 12, [])
     clear_caches()
     for count in (hurwitz_disconnected, hurwitz_connected):
         with pytest.raises(BudgetExceeded):
-            count(spec, node_budget=43835)
-        assert count(spec, node_budget=43836) == count(spec)
+            count(spec, node_budget=43847)
+        assert count(spec, node_budget=43848) == count(spec)
 
 
-def test_refusal_builds_no_table():
-    # both counts refuse from the spec alone, before any shape table,
-    # character column or row is built
-    spec = CoveringSpec(0, 40, [])
+@pytest.mark.parametrize(
+    "spec, budget",
+    [
+        (CoveringSpec(0, 40, []), 10**6),
+        # 40 (2) profiles: nu has 2^40 splits, refused before its plan is
+        # enumerated, though the fill would store only 3 rows
+        (CoveringSpec(20, 3, [Partition([2])] * 40), 10**9),
+    ],
+)
+def test_refusal_builds_no_table(spec, budget):
+    # both counts refuse from the spec alone, before any split plan, shape
+    # table, character column or row is built
     clear_caches()
     for count in (hurwitz_disconnected, hurwitz_connected):
         with pytest.raises(BudgetExceeded):
-            count(spec, node_budget=10**6)
+            count(spec, node_budget=budget)
         assert symmetric.shape_table.cache_info().currsize == 0
+        assert monodromy._splits.cache_info().currsize == 0 and not monodromy._PLANS
         assert not symmetric._COLUMNS and not monodromy._DISC and not monodromy._CONN
 
 
