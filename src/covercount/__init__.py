@@ -46,7 +46,6 @@ from .gravity import (
     painleve_solve,
     string_dilaton_check,
     tau_bracket,
-    tau_series_asymptotic,
     vanishing_combination,
 )
 from .hurwitz_series import (

@@ -30,20 +30,12 @@ EXIT_BUDGET = 3
 EXIT_CONSISTENCY = 4
 
 
-def _cayley_series(order: int) -> TruncatedSeries:
-    """EGF of unrooted labeled trees: coefficients n^{n-2}/n!."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    # n = 1 on its own: 1 ** -1 would be a float
-    nums = [0, 1][: order + 1] + [n ** (n - 2) for n in range(2, order + 1)]
-    return TruncatedSeries.from_egf(nums)
-
-
 _SERIES = {
     "Y": algebra.series_y,
     "Z": algebra.series_z,
     "Z2": lambda order: algebra.series_z(order) ** 2,
-    "cayley": _cayley_series,
+    # unrooted labeled trees, n^(n-2)/n! = [q^n] (Y - Y^2/2) = [q^n] (1 - X^2)/2
+    "cayley": algebra.LaurentPolyX({0: "1/2", 2: "-1/2"}).to_series,
     "h1empty": hurwitz_series.h1_empty_series,
 }
 
@@ -136,8 +128,8 @@ def _cmd_cayley(args) -> int:
                 (
                     n,
                     k,
-                    format_rational(trees.dendrology_m(n, k, args.limit)),
-                    format_rational(trees.dendrology_p(n, k, args.limit)),
+                    format_rational(trees.dendrology_m(n, k)),
+                    format_rational(trees.dendrology_p(n, k)),
                 )
             )
     _emit(
@@ -282,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cayley", help="marked-tree distance statistics")
     p.add_argument("--nmax", type=int, default=6)
     p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--limit", type=int, default=trees.ENUMERATION_LIMIT)
     add_output(p, csv=True)
     p.set_defaults(func=_cmd_cayley)
 

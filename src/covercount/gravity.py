@@ -23,7 +23,6 @@ import math
 from fractions import Fraction
 
 from .algebra import (
-    AsymptoticTerm,
     Identification,
     LaurentPolyX,
     Radical,
@@ -174,15 +173,6 @@ def h_tau_series(
     if total != element.to_series(order):
         raise ConsistencyError(f"bracket series for {spec} is not the single term {element}")
     return TauSeriesResult(spec, bracket, total, Identification("identified", element, order))
-
-
-def tau_series_asymptotic(spec: TauSpec, bracket: Fraction) -> AsymptoticTerm:
-    """Leading growth of the bracket series: bracket/(2^{chi/2} Gamma(chi/2))
-    e^n n^{chi/2 - 1}."""
-    chi = spec.chi
-    if chi < 1:
-        raise DomainError("asymptotic statement needs chi >= 1")
-    return AsymptoticTerm(bracket * inv_gamma_half_scaled(chi), gamma2=chi)
 
 
 # ---------------------------------------------------------------------------

@@ -208,16 +208,10 @@ def default_window(g: int, mus: Sequence[Partition]) -> tuple[int, int]:
     return (min(0, -chi - dmax) - 1, max(m, m - chi) + 1)
 
 
-def h_series(
-    g: int,
-    mus,
-    order: int,
-    window: tuple[int, int] | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> HurwitzSeries:
+def h_series(g: int, mus, order: int, node_budget: int = DEFAULT_NODE_BUDGET) -> HurwitzSeries:
     """Build sum h_{g,n}/c(n)! q^n from the counting oracle and certify it.
 
-    The certificate is the exact identification over the support window;
+    The certificate is the exact identification over `default_window`;
     it fails (by design) only for genus one with no profiles.
     """
     if order < 0:
@@ -231,6 +225,5 @@ def h_series(
         if CoveringSpec.simple_points(g, n, r) >= 0:
             data[n] = (n, hurwitz_connected(CoveringSpec(g, n, mus), node_budget))
     series = count_series(g, r, data)
-    jmin, jmax = window if window is not None else default_window(g, mus)
-    certificate = identify_in_a(series, jmin, jmax)
+    certificate = identify_in_a(series, *default_window(g, mus))
     return HurwitzSeries(g, mus, series, certificate)

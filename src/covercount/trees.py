@@ -14,42 +14,30 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import BudgetExceeded
 
-ENUMERATION_LIMIT = 8
-
-
-def _check_size(n: int, limit: int) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > limit:
-        raise BudgetExceeded(f"tree enumeration for n={n} exceeds the configured limit {limit}")
-
-
-def distance_histogram(n: int, limit: int = ENUMERATION_LIMIT) -> tuple[int, ...]:
+def distance_histogram(n: int) -> tuple[int, ...]:
     """hist[l] = number of (tree, ordered pair (a, b), a != b) at distance l.
 
     Closed form: the a-b path is one of n!/(n-l-1)! sequences of l+1
     distinct vertices, and the trees containing it are the rooted forests
     with those l+1 roots, (l+1) n^(n-l-1) / n of them (one when l = n-1).
-    The limit is kept for CLI compatibility: n above it is refused
-    (`cayley --limit`, exit 3).
     """
-    _check_size(n, limit)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return (0,) + tuple(math.perm(n, l + 1) * (l + 1) * n ** (n - l - 1) // n for l in range(1, n))
 
 
-def dendrology_p(n: int, k: int, limit: int = ENUMERATION_LIMIT) -> Fraction:
+def dendrology_p(n: int, k: int) -> Fraction:
     """sum over marked trees of C(l, k); equals n! [q^n] Z^{k+1}."""
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
-    hist = distance_histogram(n, limit)
+    hist = distance_histogram(n)
     return Fraction(sum(count * math.comb(l, k) for l, count in enumerate(hist)))
 
 
-def dendrology_m(n: int, k: int, limit: int = ENUMERATION_LIMIT) -> Fraction:
+def dendrology_m(n: int, k: int) -> Fraction:
     """sum over marked trees of l^k (the k-th moment of the mark distance)."""
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
-    hist = distance_histogram(n, limit)
+    hist = distance_histogram(n)
     return Fraction(sum(count * l**k for l, count in enumerate(hist)))

@@ -42,11 +42,11 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from covercount.algebra import zpower_in_basis
-from covercount.errors import ConsistencyError, Record
+from covercount.errors import BudgetExceeded, ConsistencyError, Record
 from covercount.exact import LinearSolution
 from covercount.gravity import PainleveSeries, PainleveSolution, tau_coefficient
 from covercount.symmetric import Partition, conjugacy_class_size, partitions_of, shape_table
-from covercount.trees import ENUMERATION_LIMIT, _check_size, dendrology_p
+from covercount.trees import dendrology_p
 
 # ---------------------------------------------------------------------------
 # permutations
@@ -542,10 +542,17 @@ def tree_from_pruefer(seq, n):
     return LabeledTree(n, tuple(edges))
 
 
-def enumerate_trees(n, limit=ENUMERATION_LIMIT):
-    """Stream all labeled trees on n vertices (n^{n-2} of them for n >= 2),
-    refused above the library's tree limit as `covercount.trees` refuses."""
-    _check_size(n, limit)
+# the largest n whose n^(n-2) Pruefer sequences are enumerated (262,144 at 8)
+ENUMERATION_LIMIT = 8
+
+
+def enumerate_trees(n):
+    """Stream all labeled trees on n vertices (n^{n-2} of them for n >= 2);
+    n above ENUMERATION_LIMIT is refused."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > ENUMERATION_LIMIT:
+        raise BudgetExceeded(f"tree enumeration for n={n} exceeds {ENUMERATION_LIMIT}")
     if n == 1:
         yield LabeledTree(1, ())
         return
@@ -581,11 +588,11 @@ def stirling_second(k, j):
     return j * stirling_second(k - 1, j) + stirling_second(k - 1, j - 1)
 
 
-def moment_from_binomials(n, k, limit=ENUMERATION_LIMIT):
+def moment_from_binomials(n, k):
     """m_{n,k} recomputed as sum_j S(k,j) j! p_{n,j}; independent route."""
     total = Fraction(0)
     for j in range(1, k + 1):
-        total += stirling_second(k, j) * math.factorial(j) * dendrology_p(n, j, limit)
+        total += stirling_second(k, j) * math.factorial(j) * dendrology_p(n, j)
     return total
 
 

@@ -209,7 +209,7 @@ def test_zpower_three_by_expansion():
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_zpower_reexpansion_all_k(k):
-    # zpower_in_basis re-verifies internally; also check the series route
+    # the combination re-expanded on the series route
     combo = zpower_in_basis(k)
     s = TruncatedSeries.zero(16)
     for c, i in zip(combo, range(k)):
@@ -337,6 +337,8 @@ def test_criterion_12_coefficients_match_spanning_list_at_2000():
 def test_laurent_coefficient_rejects_negative_n(coeffs):
     with pytest.raises(ValueError):
         LaurentPolyX(coeffs).coefficient(-1)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        LaurentPolyX(coeffs).to_series(-1)
 
 
 def test_zpoly_laurent_roundtrip():
@@ -496,17 +498,15 @@ def test_serialization_formats():
 
 def test_route_disagreement_raises_consistency_error(monkeypatch):
     # seq_a has one route, the closed form, so a broken closed form for A_n
-    # shows against the convolution oracle; a wrong solve behind Z^k raises,
+    # shows against the convolution oracle; a solve behind Z^k that finds no
+    # unique solution raises (a wrong solution is criterion 02's to catch),
     # and ConsistencyError is an AssertionError too, so callers still catch it
     from covercount import algebra
 
     monkeypatch.setattr(algebra, "a_closed", lambda n: -1)
     assert seq_a(4) == [-1] * 4 != seq_a_convolution(4)
 
-    def zero_solution(system):
-        return LinearSolution("unique", (F(0),) * len(system.matrix[0]))
-
-    monkeypatch.setattr(algebra, "solve_exact", zero_solution)
-    with pytest.raises(ConsistencyError):
+    monkeypatch.setattr(algebra, "solve_exact", lambda system: LinearSolution("inconsistent"))
+    with pytest.raises(ConsistencyError, match="did not resolve"):
         zpower_in_basis(2)
     assert issubclass(ConsistencyError, AssertionError)

@@ -8,6 +8,8 @@ import pytest
 from covercount import cli
 from covercount.cli import main
 
+from .oracles import seq_a_convolution
+
 
 def run(capsys, *argv):
     """(exit code, stdout, stderr) of one invocation, argparse's exits included."""
@@ -114,16 +116,16 @@ def test_cayley_csv(capsys):
     assert lines[2] == "3,1,24,24"
 
 
-def test_cayley_refuses_beyond_default_limit(capsys):
-    code, out, err = run(capsys, "cayley", "--nmax", "9", "--kmax", "1")
-    assert code == 3 and "refused" in err
-    assert out == ""
-
-
-def test_cayley_refuses_beyond_given_limit(capsys):
-    code, out, err = run(capsys, "cayley", "--nmax", "6", "--limit", "5")
-    assert code == 3 and "refused" in err
-    assert out == ""
+def test_cayley_has_no_size_limit(capsys):
+    # the histogram is a closed form, so no tree size is refused; criterion 04
+    # has m_{n,1} = p_{n,1} = A_n
+    code, out, err = run(capsys, "cayley", "--nmax", "12", "--kmax", "1", "--csv")
+    a12 = seq_a_convolution(12)[-1]
+    assert (code, err) == (0, "")
+    assert out.endswith(f"\n12,1,{a12},{a12}\n")
+    code, out, err = run(capsys, "cayley", "--nmax", "3", "--limit", "5")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --limit" in err
 
 
 def test_tau_bracket_cli(capsys):
@@ -292,7 +294,6 @@ OPTION_EFFECTS = {
     ("asymptotic", "--json"): (("--name", "Z"), ("--json",)),
     ("cayley", "--nmax"): (("--kmax", "1"), ("--nmax", "3")),
     ("cayley", "--kmax"): (("--nmax", "3"), ("--kmax", "1")),
-    ("cayley", "--limit"): (("--nmax", "3", "--kmax", "1"), ("--limit", "2")),
     ("cayley", "--json"): (("--nmax", "3", "--kmax", "1"), ("--json",)),
     ("cayley", "--csv"): (("--nmax", "3", "--kmax", "1"), ("--csv",)),
     ("hurwitz", "--g"): (("--n", "3"), ("--g", "0")),
@@ -340,7 +341,7 @@ REMOVED_FLAGS = {
 def test_parser_declares_exactly_the_options_that_act():
     declared = {(sub, opt) for sub, opts in parser_options().items() for opt, _ in opts}
     assert declared == set(OPTION_EFFECTS)
-    assert len(declared) == 42
+    assert len(declared) == 41
     # the former common flags split into the kept and the removed ones
     kept = {key for key in OPTION_EFFECTS if key[1] in FORMER_COMMON}
     assert kept.isdisjoint(REMOVED_FLAGS)

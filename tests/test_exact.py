@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covercount import cli
 from covercount.algebra import LaurentPolyX, series_y, series_z, y_over_q_power, ypower_closed
-from covercount.cli import _cayley_series
 from covercount.exact import (
     LinearSolution,
     LinearSystem,
@@ -540,7 +540,7 @@ def test_builders_match_their_fraction_formulas():
         assert list(series_y(order).coeffs) == fractions(lambda n: n ** (n - 1) if n else 0, order)
         assert list(series_z(order).coeffs) == fractions(lambda n: n**n if n else 0, order)
         cayley = fractions(lambda n: F(n) ** (n - 2) if n else 0, order)
-        assert list(_cayley_series(order).coeffs) == cayley
+        assert list(cli._SERIES["cayley"](order).coeffs) == cayley
         h1 = fractions(lambda n: F(a_closed_fractions(n), 24 * n) if n else 0, order)
         assert list(h1_empty_series(order).coeffs) == h1
         for a in (-3, -1, 0, 2):
@@ -553,7 +553,7 @@ def test_builders_match_their_fraction_formulas():
                 for n in range(order + 1)
             ]
             assert list(ypower_closed(k, order).coeffs) == expected
-        for s in (series_y(order), _cayley_series(order), h1_empty_series(order)):
+        for s in (series_y(order), cli._SERIES["cayley"](order), h1_empty_series(order)):
             assert_canonical(s)
 
 

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from covercount import gravity
-from covercount.algebra import LaurentPolyX, Radical, ScaledRational
+from covercount.algebra import LaurentPolyX, Radical, ScaledRational, leading_asymptotic
 from covercount.errors import ConsistencyError, DomainError
 from covercount.gravity import (
     TauSpec,
@@ -19,7 +19,6 @@ from covercount.gravity import (
     string_dilaton_check,
     tau_bracket,
     tau_coefficient,
-    tau_series_asymptotic,
     vanishing_combination,
 )
 from covercount.monodromy import clear_caches
@@ -193,23 +192,20 @@ def test_h_tau_series_raises_on_one_perturbed_count(monkeypatch, point):
 
 def test_tau_series_asymptotic_statement():
     spec = TauSpec(0, (0, 0, 0))
-    term = tau_series_asymptotic(spec, F(1))
+    term = leading_asymptotic(LaurentPolyX({-spec.chi: F(1)}))
     # chi = 1: constant 1/(2^{1/2} Gamma(1/2)) = (2 pi)^{-1/2}, gamma = 1/2
     assert term.constant == ScaledRational(F(1), Radical.INV_SQRT_2PI)
     assert term.gamma2 == 1
 
 
 def test_tau_series_asymptotic_agrees_with_element_route():
-    # chi = 4 at genus 1: bracket * X^{-4} fed through the generic machinery
-    from covercount.algebra import leading_asymptotic
-
+    # chi = 4 at genus 1: bracket * X^{-chi} fed through the generic machinery
     bracket = F(1, 6)
     spec = TauSpec(1, (0, 0, 2, 2))
-    direct = tau_series_asymptotic(spec, bracket)
-    generic = leading_asymptotic(LaurentPolyX({-4: bracket}))
-    assert direct == generic
-    assert direct.constant == ScaledRational(F(1, 24), Radical.ONE)
-    assert direct.gamma2 == 4
+    term = leading_asymptotic(LaurentPolyX({-spec.chi: bracket}))
+    assert spec.chi == 4
+    assert term.constant == ScaledRational(F(1, 24), Radical.ONE)
+    assert term.gamma2 == 4
 
 
 # --- Painleve I ---

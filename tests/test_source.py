@@ -21,3 +21,16 @@ def test_every_imported_name_is_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, f"{path.name} never uses {sorted(imported - used)}"
+
+
+def test_oracles_import_no_library_internal():
+    # an oracle reads only public names, so no private helper is kept alive for it
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    private = [
+        f"{node.module}.{a.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("covercount")
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+    assert not private, f"tests/oracles.py imports {private}"
