@@ -123,6 +123,9 @@ def test_cayley_has_no_size_limit(capsys):
     a12 = seq_a_convolution(12)[-1]
     assert (code, err) == (0, "")
     assert out.endswith(f"\n12,1,{a12},{a12}\n")
+
+
+def test_cayley_limit_is_an_unrecognized_argument(capsys):
     code, out, err = run(capsys, "cayley", "--nmax", "3", "--limit", "5")
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --limit" in err
