@@ -4,7 +4,8 @@
 The binomial statistic p_{n,k} sums C(l, k) over all trees on n vertices
 and ordered marked pairs at distance l.  Splitting the path at k chosen
 edges biject these objects with (k+1)-tuples of marked trees, so the
-brute-force count must reproduce n! [q^n] Z^{k+1} -- and it does.
+count from the closed-form distance histogram (no tree is enumerated)
+must reproduce n! [q^n] Z^{k+1} -- and it does.
 """
 
 from covercount import dendrology_m, dendrology_p, series_z

@@ -20,14 +20,12 @@ from .algebra import (
     seq_a,
     series_y,
     series_z,
-    ypower_closed,
     zpower_in_basis,
 )
 from .errors import BudgetExceeded, ConsistencyError, DomainError
 from .exact import (
     LinearSolution,
     LinearSystem,
-    Rational,
     TruncatedSeries,
     format_rational,
     series_exp,
@@ -35,18 +33,15 @@ from .exact import (
 )
 from .gravity import (
     GravityConstant,
-    PainleveSeries,
     PainleveSolution,
     TauSpec,
     b_constant,
     free_energy_coefficient,
-    free_energy_coeffs,
     h_tau_series,
     hg_empty_leading,
     painleve_solve,
     string_dilaton_check,
     tau_bracket,
-    vanishing_combination,
 )
 from .hurwitz_series import (
     HurwitzSeries,

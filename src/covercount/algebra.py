@@ -84,15 +84,6 @@ def y_over_q_power(a: int, order: int) -> TruncatedSeries:
     return TruncatedSeries.from_egf([1] + [a * (j + a) ** (j - 1) for j in range(1, order + 1)])
 
 
-def ypower_closed(k: int, order: int) -> TruncatedSeries:
-    """Y^k = q^k (Y/q)^k, coefficients k n^{n-k-1}/(n-k)! (zero below q^k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    shifted = enumerate(y_over_q_power(k, max(order - k, 0)).nums, start=k)
-    nums = [0] * k + [math.perm(n, k) * x for n, x in shifted]
-    return TruncatedSeries.from_egf(nums[: order + 1])
-
-
 def _x_power_egf(n: int, jmin: int, jmax: int) -> list[int]:
     """[n! [q^n] X^j for j in jmin..jmax], exact integers, for n >= 0.
 
@@ -180,11 +171,6 @@ def double_factorial(k: int) -> int:
         out *= k
         k -= 2
     return out
-
-
-def zbasis_element(i: int) -> ZPoly:
-    """Element i of the spanning list Z, Z^2, DZ, D(Z^2), D^2 Z, ..."""
-    return dkz_poly(i // 2) if i % 2 == 0 else dkz2_poly(i // 2)
 
 
 def zpower_in_basis(k: int) -> list[Fraction]:
@@ -428,13 +414,6 @@ class AsymptoticTerm(Record):
 
     constant: ScaledRational
     gamma2: int
-
-    @property
-    def gamma(self) -> float:
-        return self.gamma2 / 2.0
-
-    def log_predicted(self, n: int) -> float:
-        return self.constant.log() + n + (self.gamma2 / 2.0 - 1.0) * math.log(n)
 
     def to_json(self) -> dict:
         return {

@@ -28,8 +28,6 @@ from typing import Iterable, Sequence
 
 from .errors import Record
 
-Rational = Fraction
-
 
 def as_rational(x) -> Fraction:
     """Coerce ints, strings like '3/4', and Fractions to Fraction; bools are refused."""
@@ -279,10 +277,6 @@ class LinearSolution(Record):
 
     status: str
     solution: tuple | None = None
-
-    @property
-    def consistent(self) -> bool:
-        return self.status != "inconsistent"
 
     @property
     def ok(self) -> bool:

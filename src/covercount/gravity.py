@@ -31,7 +31,7 @@ from .algebra import (
     y_over_q_power,
 )
 from .errors import ConsistencyError, DomainError, Record, as_int
-from .exact import TruncatedSeries, as_rational
+from .exact import TruncatedSeries
 from .hurwitz_series import count_series, fit_phi, oracle_data, phi_degree_bound
 from .monodromy import DEFAULT_NODE_BUDGET, CoveringSpec, hurwitz_connected
 from .symmetric import Partition
@@ -71,32 +71,19 @@ class TauSpec(Record):
 def tau_coefficient(d: int, b: int) -> Fraction:
     """Weight of the b-fold preimage term inside one tau_d replacement.
 
-    It is vanishing_combination(d)'s c_b divided by b^b / b!, the factor a
-    part b carries in the ELSV formula (Ekedahl, Lando, Shapiro and
-    Vainshtein, "Hurwitz numbers and intersections on moduli spaces of
-    curves", Invent. Math. 146, 2001), so a sum of counts with these
-    weights is a sum of ELSV integrals with the factors c_b / (1 - b psi).
+    Times b^b / b!, the factor a part b carries in the ELSV formula
+    (Ekedahl, Lando, Shapiro and Vainshtein, "Hurwitz numbers and
+    intersections on moduli spaces of curves", Invent. Math. 146, 2001), it
+    is c_b = (-1)^{d+1-b} C(d, b-1) / d!, and these c_b satisfy
+    sum_b c_b/(1 - b psi) = psi^d + O(psi^{d+1}).  A part b contributes
+    1/(1 - b psi) to the ELSV integrand, so a sum of counts with these
+    weights keeps psi^d from each marked point; the higher orders and the
+    Hodge classes exceed the dimension of a bracket with
+    sum d_i = 3g - 3 + p and integrate to 0.
     """
     if not 1 <= b <= d + 1:
         raise DomainError("need 1 <= b <= d+1")
     return Fraction((-1) ** (d + 1 - b), math.factorial(d + 1 - b) * b ** (b - 1))
-
-
-def vanishing_combination(d: int) -> list[tuple[int, Fraction]]:
-    """Coefficients c_b with sum_b c_b/(1 - b psi) = psi^d + O(psi^{d+1}):
-    [(b, (1/d!) (-1)^{d+1-b} C(d, b-1))] for b = 1..d+1.
-
-    In the ELSV formula (Ekedahl, Lando, Shapiro and Vainshtein, Invent.
-    Math. 146, 2001) a part b of the profile contributes 1/(1 - b psi) to
-    the integrand over the moduli space of curves.  This combination keeps
-    psi^d from it; the higher orders and the Hodge classes exceed the
-    dimension of a bracket with sum d_i = 3g - 3 + p and integrate to 0."""
-    if d < 0:
-        raise DomainError("d must be >= 0")
-    return [
-        (b, Fraction((-1) ** (d + 1 - b) * math.comb(d, b - 1), math.factorial(d)))
-        for b in range(1, d + 2)
-    ]
 
 
 def _bracket_terms(spec: TauSpec) -> dict[tuple[int, ...], Fraction]:
@@ -223,49 +210,8 @@ def string_dilaton_check(
 # Painleve I
 
 
-class PainleveSeries(Record):
-    """A finite Laurent expansion in s = (2y)^{-1/2}, exponent -> Fraction."""
-
-    terms: dict
-
-    def __init__(self, terms: dict[int, Fraction]):
-        object.__setattr__(
-            self, "terms", {int(k): as_rational(v) for k, v in terms.items() if v != 0}
-        )
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.terms.get(k, Fraction(0))
-
-    def residual_coefficient(self, t: int) -> Fraction:
-        """Coefficient of s^t in u^2 + u''/6 - 2y.
-
-        The y-derivative acts as -s^3 d/ds, so a term a s^k contributes
-        k(k+2) a s^{k+4} to u''; 2y itself is s^{-2}.
-        """
-        r = Fraction(0)
-        for k1, a1 in self.terms.items():
-            k2 = t - k1
-            if k2 < k1:
-                continue
-            a2 = self.terms.get(k2)
-            if a2 is not None:
-                r += a1 * a2 * (1 if k1 == k2 else 2)
-        k = t - 4
-        if k in self.terms:
-            r += Fraction(k * (k + 2), 6) * self.terms[k]
-        if t == -2:
-            r -= 1
-        return r
-
-
 class PainleveSolution(Record):
-    u: PainleveSeries
     e: dict[int, Fraction]  # genus -> <tau_2^{3g-3}>/(3g-3)!
-
-    def residual_max_order(self, g_max: int) -> int:
-        """Residual vanishes identically up to (excluding) the first unsolved
-        order s^{5(g_max+1)-2}."""
-        return 5 * (g_max + 1) - 3
 
 
 def painleve_solve(g_max: int) -> PainleveSolution:
@@ -290,9 +236,8 @@ def painleve_solve(g_max: int) -> PainleveSolution:
         if rem:
             raise ConsistencyError(f"Painleve numerator b_{g} is not an integer")
         b.append(bg)
-    u = PainleveSeries({5 * g - 1: Fraction(bg, 24**g) for g, bg in enumerate(b)})
     e = {g: Fraction(b[g], 24**g * (5 - 5 * g) * (3 - 5 * g)) for g in range(2, g_max + 1)}
-    return PainleveSolution(u, e)
+    return PainleveSolution(e)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +290,6 @@ def free_energy_coefficient(g: int, solution: PainleveSolution | None = None) ->
         return ScaledRational(e_g / 2**t, Radical.ONE)
     t = (5 * (g - 1) - 1) // 2
     return ScaledRational(e_g / 2 ** (t + 1), Radical.SQRT2)
-
-
-def free_energy_coeffs(g_max: int) -> list[tuple[int, ScaledRational]]:
-    solution = painleve_solve(g_max)
-    return [(g, free_energy_coefficient(g, solution)) for g in range(2, g_max + 1)]
 
 
 def hg_empty_leading(g: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Fraction:

@@ -86,10 +86,6 @@ class PhiPolynomial(Record):
                 f"{self.g}, profile {self.mu}"
             )
 
-    @property
-    def constant_term(self) -> Fraction:
-        return self.poly.coeffs[0]
-
     def coefficient(self, l: int) -> Fraction:
         return self.poly.coeffs[l] if l < len(self.poly.coeffs) else Fraction(0)
 

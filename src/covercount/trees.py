@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 
+@lru_cache(maxsize=1)
 def distance_histogram(n: int) -> tuple[int, ...]:
     """hist[l] = number of (tree, ordered pair (a, b), a != b) at distance l.
 

@@ -23,14 +23,18 @@ frontier sizes.
 The binomial expansion over powers of Y and Z, with each Z^i solved over
 the spanning list Z, Z^2, DZ, D(Z^2), ..., is the former closed-form route
 to [q^n] of a Laurent polynomial in X, the reference for the X-power
-recurrence of `covercount.algebra`.  The Gauss-Jordan solver over every
-row checks `covercount.exact.solve_exact`.  The Fraction Painleve I
-recursion checks the integer one of `covercount.gravity.painleve_solve`,
-and the string equation plus the Dijkgraaf-Verlinde-Verlinde recursion is
-a route to psi-class brackets that shares no code with the coverings.  The
-Pruefer-enumeration
-distance histogram checks the closed form in `covercount.trees`, and the
-Stirling transform of p_{n,k} is a second route to its moments m_{n,k}.
+recurrence of `covercount.algebra`; the closed form k n^(n-k-1)/(n-k)!
+for Y^k is compared with `series_y(order) ** k`, and `log_leading`
+evaluates a leading term `constant * e^n * n^(gamma-1)` in floats for the
+numeric asymptotic checks.  The Gauss-Jordan solver over every row checks
+`covercount.exact.solve_exact`.  The Fraction Painleve I recursion checks
+the integer one of `covercount.gravity.painleve_solve`, whose e_g rebuild
+u through `painleve_u` for the residual of u^2 + u''/6 = 2y
+(`painleve_residual`), and the string equation plus the
+Dijkgraaf-Verlinde-Verlinde recursion is a route to psi-class brackets
+that shares no code with the coverings.  The Pruefer-enumeration distance
+histogram checks the closed form in `covercount.trees`, and the Stirling
+transform of p_{n,k} is a second route to its moments m_{n,k}.
 """
 
 from __future__ import annotations
@@ -41,10 +45,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from covercount.algebra import zpower_in_basis
+from covercount.algebra import dkz2_poly, dkz_poly, y_over_q_power, zpower_in_basis
 from covercount.errors import BudgetExceeded, ConsistencyError, Record
-from covercount.exact import LinearSolution
-from covercount.gravity import PainleveSeries, PainleveSolution, tau_coefficient
+from covercount.exact import LinearSolution, TruncatedSeries
+from covercount.gravity import tau_coefficient
 from covercount.symmetric import Partition, conjugacy_class_size, partitions_of, shape_table
 from covercount.trees import dendrology_p
 
@@ -322,6 +326,21 @@ def laurent_coefficient_spanning(p, n):
     return total / math.factorial(n)
 
 
+def ypower_closed(k, order):
+    """Y^k = q^k (Y/q)^k, coefficients k n^{n-k-1}/(n-k)! (zero below q^k);
+    the library's former closed form for Y^k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    shifted = enumerate(y_over_q_power(k, max(order - k, 0)).nums, start=k)
+    nums = [0] * k + [math.perm(n, k) * x for n, x in shifted]
+    return TruncatedSeries.from_egf(nums[: order + 1])
+
+
+def zbasis_element(i):
+    """Element i of the spanning list Z, Z^2, DZ, D(Z^2), D^2 Z, ..."""
+    return dkz_poly(i // 2) if i % 2 == 0 else dkz2_poly(i // 2)
+
+
 def gauss_jordan(system):
     """The library's former solver: Gauss-Jordan over every row, in Fractions.
 
@@ -367,25 +386,57 @@ def gauss_jordan(system):
 # Painleve I and psi-class brackets
 
 
+def painleve_residual(terms, t):
+    """Coefficient of s^t in u^2 + u''/6 - 2y, for u = sum terms[k] s^k.
+
+    The y-derivative acts as -s^3 d/ds, so a term a s^k contributes
+    k(k+2) a s^{k+4} to u''; 2y itself is s^{-2}.  The library's former
+    `PainleveSeries.residual_coefficient`.
+    """
+    r = Fraction(0)
+    for k1, a1 in terms.items():
+        k2 = t - k1
+        if k2 < k1:
+            continue
+        a2 = terms.get(k2)
+        if a2 is not None:
+            r += a1 * a2 * (1 if k1 == k2 else 2)
+    k = t - 4
+    if k in terms:
+        r += Fraction(k * (k + 2), 6) * terms[k]
+    if t == -2:
+        r -= 1
+    return r
+
+
+def painleve_u(e):
+    """u = sum_g a_g s^{5g-1} from the constants e_g: a_0 = -1, a_1 = 1/12
+    and a_g = (5-5g)(3-5g) e_g."""
+    terms = {-1: Fraction(-1), 4: Fraction(1, 12)}
+    for g, e_g in e.items():
+        terms[5 * g - 1] = (5 - 5 * g) * (3 - 5 * g) * e_g
+    return terms
+
+
 def painleve_fractions(g_max):
-    """The library's former Painleve I route, in Fractions.
+    """The library's former Painleve I route, in Fractions: {g: e_g}.
 
     u = -s^-1 + (1/12) s^4 + sum_{g>=2} a_g s^{5g-1}; adding a s^{5g-1}
     shifts the residual at s^{5g-2} by -2a, so a_g is half the residual of
     the series solved so far.  e_g = a_g / ((5-5g)(3-5g)); every residual
-    order up to `residual_max_order(g_max)` is then checked to vanish.
+    order below the first unsolved one, s^{5(g_max+1)-2}, is then checked
+    to vanish.
     """
     terms = {-1: Fraction(-1), 4: Fraction(1, 12)}
     e = {}
     for g in range(2, g_max + 1):
-        a = PainleveSeries(terms).residual_coefficient(5 * g - 2) / 2
+        a = painleve_residual(terms, 5 * g - 2) / 2
         e[g] = a / ((5 - 5 * g) * (3 - 5 * g))
         terms[5 * g - 1] = a
-    sol = PainleveSolution(PainleveSeries(terms), e)
-    for t in range(-2, sol.residual_max_order(g_max) + 1):
-        if sol.u.residual_coefficient(t) != 0:
+    for t in range(-2, 5 * (g_max + 1) - 2):
+        if painleve_residual(terms, t) != 0:
             raise ConsistencyError(f"Painleve residual is nonzero at s^{t}")
-    return sol
+    return e
 
 
 def _odd_double_factorial(k):
@@ -594,6 +645,12 @@ def moment_from_binomials(n, k):
     for j in range(1, k + 1):
         total += stirling_second(k, j) * math.factorial(j) * dendrology_p(n, j)
     return total
+
+
+def log_leading(term, n):
+    """log of the leading term constant * e^n * n^(gamma - 1) of an
+    `AsymptoticTerm`, with gamma = gamma2 / 2."""
+    return term.constant.log() + n + (term.gamma2 / 2 - 1) * math.log(n)
 
 
 def first_correction(p) -> float:

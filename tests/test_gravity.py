@@ -12,18 +12,22 @@ from covercount.gravity import (
     _bracket_terms,
     b_constant,
     free_energy_coefficient,
-    free_energy_coeffs,
     h_tau_series,
     hg_empty_leading,
     painleve_solve,
     string_dilaton_check,
     tau_bracket,
     tau_coefficient,
-    vanishing_combination,
 )
 from covercount.monodromy import clear_caches
 
-from .oracles import bracket_terms_by_tuples, dvv_bracket, painleve_fractions
+from .oracles import (
+    bracket_terms_by_tuples,
+    dvv_bracket,
+    painleve_fractions,
+    painleve_residual,
+    painleve_u,
+)
 
 
 def test_bracket_three_tau0_genus0():
@@ -84,22 +88,18 @@ def test_bracket_terms_match_tuple_expansion(g, ds):
 
 
 def test_tau_coefficient_values():
-    assert tau_coefficient(1, 1) == -1
-    assert tau_coefficient(1, 2) == F(1, 2)
-    assert tau_coefficient(2, 3) == F(1, 9)
-
-
-def test_vanishing_combination_small_cases():
-    assert vanishing_combination(0) == [(1, F(1))]
-    assert vanishing_combination(1) == [(1, F(-1)), (2, F(1))]
-    assert vanishing_combination(2) == [(1, F(1, 2)), (2, F(-1)), (3, F(1, 2))]
+    # every weight with d <= 2
+    assert tau_coefficient(0, 1) == 1
+    assert [tau_coefficient(1, b) for b in (1, 2)] == [-1, F(1, 2)]
+    assert [tau_coefficient(2, b) for b in (1, 2, 3)] == [F(1, 2), F(-1, 2), F(1, 9)]
 
 
 @pytest.mark.parametrize("d", range(7))
 def test_vanishing_combination_formal_expansion(d):
+    # c_b = tau_coefficient(d, b) b^b / b! and
     # sum_b c_b/(1 - b psi) = sum_j (sum_b c_b b^j) psi^j: the orders below
     # d vanish and psi^d has coefficient 1
-    combo = vanishing_combination(d)
+    combo = [(b, tau_coefficient(d, b) * F(b**b, math.factorial(b))) for b in range(1, d + 2)]
     for j in range(d + 1):
         total = sum(c * b**j for b, c in combo)
         assert total == (1 if j == d else 0), j
@@ -215,24 +215,30 @@ def test_painleve_first_coefficients():
     sol = painleve_solve(5)
     assert sol.e[2] == F(7, 1440)
     assert sol.e[3] == F(245, 20736)
-    # the genus-one term is an input, not solved
-    assert sol.u.coefficient(4) == F(1, 12)
-    assert sol.u.coefficient(-1) == -1
 
 
 def test_painleve_residual_vanishes_through_g10():
-    # the public Fraction residual: painleve_solve checks no residual of its own
+    # the Fraction residual of u built from e: painleve_solve checks none of
+    # its own.  It vanishes below the first unsolved order s^{5(g_max+1)-2}.
     for g_max in (10, 60):
-        sol = painleve_solve(g_max)
-        for t in range(-2, sol.residual_max_order(g_max) + 1):
-            assert sol.u.residual_coefficient(t) == 0, (g_max, t)
+        u = painleve_u(painleve_solve(g_max).e)
+        for t in range(-2, 5 * (g_max + 1) - 2):
+            assert painleve_residual(u, t) == 0, (g_max, t)
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_painleve_residual_sees_a_perturbed_constant(g):
+    # the residual check above is not vacuous: moving one e_g by 1/10^6
+    # leaves the residual at s^{5g-2}, the order that fixes a_g, nonzero
+    e = painleve_solve(6).e
+    e[g] += F(1, 10**6)
+    assert painleve_residual(painleve_u(e), 5 * g - 2) != 0
 
 
 @pytest.mark.parametrize("g_max", [2, 3, 10, 60])
 def test_painleve_integer_route_matches_fractions(g_max):
     sol, ref = painleve_solve(g_max), painleve_fractions(g_max)
-    assert sol.e == ref.e
-    assert sol.u.terms == ref.u.terms
+    assert sol.e == ref
 
 
 def test_painleve_requires_g2():
@@ -272,11 +278,11 @@ def test_radical_parity_rule():
 def test_free_energy_coefficients():
     assert free_energy_coefficient(2) == ScaledRational(F(7, 11520), Radical.SQRT2)
     assert free_energy_coefficient(3).radical is Radical.ONE
-    coeffs = dict(free_energy_coeffs(6))
+    sol = painleve_solve(6)
+    coeffs = {g: free_energy_coefficient(g, sol) for g in range(2, 7)}
     for g, value in coeffs.items():
         assert value.radical is (Radical.SQRT2 if g % 2 == 0 else Radical.ONE)
     # e_g / 2^{5(g-1)/2} cross-check at g = 3
-    sol = painleve_solve(3)
     assert coeffs[3] == ScaledRational(sol.e[3] / 2**5, Radical.ONE)
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from covercount import cli
 from covercount.algebra import a_closed, series_z
 from covercount.errors import BudgetExceeded
 from covercount.trees import dendrology_m, dendrology_p, distance_histogram
@@ -49,6 +50,14 @@ def test_closed_form_histogram_matches_pruefer_enumeration(n):
 def test_histogram_refuses_above_limit():
     with pytest.raises(ValueError):
         distance_histogram(0)
+
+
+def test_cayley_builds_one_histogram_per_n(capsys):
+    # every k of one n reads the histogram the first k built
+    distance_histogram.cache_clear()
+    assert cli.main(["cayley", "--nmax", "40", "--kmax", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 39 * 3
+    assert distance_histogram.cache_info().misses == 39
 
 
 def test_rooted_tree_forest_bijection():
