@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1)  # `cayley` reads every k of one n in turn
 def distance_histogram(n: int) -> tuple[int, ...]:
     """hist[l] = number of (tree, ordered pair (a, b), a != b) at distance l.
 
