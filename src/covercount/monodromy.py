@@ -10,9 +10,15 @@ choosing which of its fixed points are the marked simple preimages.
 Both counts read one integer table, indexed by (m, rho, c): m sheets, rho
 the nontrivial cycle types of the profiles (an empty profile is the identity
 class and drops out, and the counts are symmetric in the profiles, so rho is
-a sorted tuple of nonempty part tuples), and c transpositions.  By
-Frobenius's character formula the number of tuples without the transitivity
-condition is
+a sorted tuple of nonempty part tuples), and c transpositions.  A profile
+of cycle type (2, 1^(n-2)) is one more transposition: f_(2) = cont below,
+and neither the product nor transitivity depends on the slot a
+transposition fills.  So a spec with k such profiles reads the entry
+(n, nu, c + k), nu the other profiles' nontrivial parts (``_table_key``),
+and its marking weight keeps their 1-parts.  Inside a fill a (2) piece
+split off a larger profile stays in rho, since C(c, c_a) below chooses
+among the c transpositions only.  By Frobenius's character formula the
+number of tuples without the transitivity condition is
 
     T_disc(m, rho, c) = (1/m!) sum_{lambda |- m} dim(lambda)^2
                         prod_j f_{rho_j}(lambda) cont(lambda)^c,
@@ -54,7 +60,8 @@ first: one fill covers the series, and smaller n read its rows of nu.  A
 later count that needs a row no fill stored starts its own fill, which
 computes the missing rows and reads the stored ones.  ``node_budget``
 bounds both counts of a spec by the work of the rows its fill stores, from
-the spec alone and before any table is built (see ``_check_budget``).
+the spec's entry (n, nu, c + k) alone and before any table is built (see
+``_check_budget``).
 These tables and the shape tables and columns of ``symmetric`` are shared
 and unlocked.  A shape table, column, f list, weight list or plan is stored
 once, fully computed; a row is stored whole or not at all, and grows by a
@@ -153,6 +160,14 @@ _PLANS: dict[tuple, tuple[int, list[tuple], list[tuple]]] = {}
 
 def _key(profiles) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(p for p in profiles if p))
+
+
+def _table_key(spec: CoveringSpec) -> tuple[int, tuple, int]:
+    """The spec's table entry (n, nu, c + k): its k profiles of cycle type
+    (2, 1^(n-2)) leave nu and count as transpositions."""
+    classes = [mu.nontrivial() for mu in spec.mus]
+    folded = classes.count((2,))
+    return spec.n, _key(p for p in classes if p != (2,)), spec.c + folded
 
 
 def _degree(rho) -> int:
@@ -299,15 +314,17 @@ def _fill(n: int, nu: tuple, cmax: int) -> list[int]:
 
 def _check_budget(n: int, nu: tuple, c: int, budget: int) -> None:
     """Refuse a count of (n, nu) at c, connected or not, whose fill would
-    exceed the budget.  The fill stores R rows (see _rows) of C = c//2 + 1
-    entries.  Each row is charged the subs splits of nu (prod (multiplicity
-    + 1) over each profile's distinct parts), which bound the plan its terms
-    walk; each entry 2 p(n) shape terms (its row's content weights and its
-    own sum over content sums) and R C recursion products; the shape tables'
-    branching passes n p(n).  subs is tested before nu's plan is built, so a
-    refusal takes at most the budget and stores nothing.  No stored state is
-    charged, so a warm table cannot change the outcome, and a series, which
-    asks for its largest n first, is refused before its first fill."""
+    exceed the budget; (n, nu, c) is the spec's table entry, its (2)
+    profiles folded into c (see _table_key).  The fill stores R rows (see
+    _rows) of C = c//2 + 1 entries.  Each row is charged the subs splits of
+    nu (prod (multiplicity + 1) over each profile's distinct parts), which
+    bound the plan its terms walk; each entry 2 p(n) shape terms (its row's
+    content weights and its own sum over content sums) and R C recursion
+    products; the shape tables' branching passes n p(n).  subs is tested
+    before nu's plan is built, so a refusal takes at most the budget and
+    stores nothing.  No stored state is charged, so a warm table cannot
+    change the outcome, and a series, which asks for its largest n first,
+    is refused before its first fill."""
     subs = math.prod(parts.count(b) + 1 for parts in nu for b in set(parts))
     work = subs  # past the budget, refuse before building nu's plan
     if work <= budget:
@@ -334,8 +351,7 @@ def hurwitz_connected(
     weight = spec.marking_weight()
     if weight == 0:
         return Fraction(0)
-    n, c = spec.n, spec.c
-    nu = _key(mu.nontrivial() for mu in spec.mus)
+    n, nu, c = _table_key(spec)
     _check_budget(n, nu, c, node_budget)
     row = _CONN.get((n, nu), [])
     if len(row) <= c:
@@ -352,8 +368,7 @@ def hurwitz_disconnected(
     weight = spec.marking_weight()
     if weight == 0:
         return Fraction(0)
-    n, c = spec.n, spec.c
-    nu = _key(mu.nontrivial() for mu in spec.mus)
+    n, nu, c = _table_key(spec)
     _check_budget(n, nu, c, node_budget)
     return Fraction(weight * _disc_row(n, nu, _degree(nu), c)[c], math.factorial(n))
 

@@ -34,7 +34,10 @@ u through `painleve_u` for the residual of u^2 + u''/6 = 2y
 Dijkgraaf-Verlinde-Verlinde recursion is a route to psi-class brackets
 that shares no code with the coverings.  The Pruefer-enumeration distance
 histogram checks the closed form in `covercount.trees`, and the Stirling
-transform of p_{n,k} is a second route to its moments m_{n,k}.
+transform of p_{n,k} is a second route to its moments m_{n,k}.  The
+sparse series in the KP times (`kp_derivative`, `kp_product`,
+`kp_residual`) evaluate the first KP equation on the free energy of the
+count table, an identity among its own outputs across profiles and genera.
 """
 
 from __future__ import annotations
@@ -1022,3 +1025,53 @@ def gjv_one_part(g, beta):
     for b in beta:
         prod = cauchy_product(prod, s_series(b))
     return math.factorial(r) * Fraction(d) ** (r - 1) * prod[g]
+
+
+# ---------------------------------------------------------------------------
+# the first KP equation on sparse series (Okounkov, "Toda equations for
+# Hurwitz numbers", Math. Res. Lett. 7, 2000: exp F is a KP tau function)
+#
+# A series is {(parts, c): coefficient} for the monomials
+# t_{parts_1} t_{parts_2} ... beta^c, parts weakly decreasing.
+
+
+def kp_derivative(series, k):
+    """d/dt_k of a sparse series."""
+    out = {}
+    for (parts, c), x in series.items():
+        if k in parts:
+            i = parts.index(k)
+            key = (parts[:i] + parts[i + 1 :], c)
+            out[key] = out.get(key, 0) + parts.count(k) * x
+    return out
+
+
+def kp_product(a, b, keep):
+    """a b on the monomials (parts, c) for which keep(parts, c) holds; keep
+    must hold on every divisor of a kept monomial."""
+    a, b = ({key: x for key, x in s.items() if keep(*key)} for s in (a, b))
+    out = {}
+    for (pa, ca), x in a.items():
+        for (pb, cb), y in b.items():
+            parts, c = tuple(sorted(pa + pb, reverse=True)), ca + cb
+            if keep(parts, c):
+                out[parts, c] = out.get((parts, c), 0) + x * y
+    return out
+
+
+def kp_residual(series, keep):
+    """F_1111 + 6 F_11^2 + 3 F_22 - 4 F_13, F_ij = d^2 F / dt_i dt_j: every
+    kept monomial that one of the four terms reaches, zero or not."""
+    f11 = kp_derivative(kp_derivative(series, 1), 1)
+    terms = [
+        (1, kp_derivative(kp_derivative(f11, 1), 1)),
+        (6, kp_product(f11, f11, keep)),
+        (3, kp_derivative(kp_derivative(series, 2), 2)),
+        (-4, kp_derivative(kp_derivative(series, 1), 3)),
+    ]
+    out = {}
+    for w, term in terms:
+        for key, x in term.items():
+            if keep(*key):
+                out[key] = out.get(key, 0) + w * x
+    return out

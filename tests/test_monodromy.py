@@ -28,6 +28,7 @@ from .oracles import (
     dp_walk,
     gjv_one_part,
     irrep_dimension,
+    kp_residual,
     naive_connected_count,
     naive_total_count,
 )
@@ -237,6 +238,61 @@ def test_multi_profile_matches_class_dp(g, n, mus):
     assert hurwitz_connected(spec) == class_dp_connected(g, n, mus)
 
 
+# --- a (2) profile is one more simple point: the table never keys it
+
+
+def test_two_profiles_store_the_rows_of_the_spec_without_them():
+    # f_(2) is the content sum, so (2) and (2, 1, 1) profiles read the rows of
+    # the same spec without them at the same genus, whose c is larger by one
+    # for each; the 1-parts still weigh the count by C(8 - 2, 2) = 15
+    folded = CoveringSpec(0, 8, [(2,), (3,), (2, 1, 1), (2, 2), (2,)])
+    plain = CoveringSpec(0, 8, [(3,), (2, 2)])
+    assert folded.c + 3 == plain.c
+    tables = []
+    for spec in (folded, plain):
+        clear_caches()
+        counts = hurwitz_connected(spec), hurwitz_disconnected(spec)
+        tables.append((counts, dict(monodromy._CONN), dict(monodromy._DISC)))
+    (counts, conn, disc), (plain_counts, plain_conn, plain_disc) = tables
+    assert counts == tuple(15 * x for x in plain_counts)
+    assert conn == plain_conn and disc == plain_disc
+    assert (8, ((2, 2), (3,))) in conn
+
+
+@pytest.mark.parametrize(
+    "g,n,mus",
+    [
+        (0, 4, [(2,), (2,), (3,)]),
+        (0, 4, [(2, 1, 1), (2,), (2,), (2, 2)]),
+        (1, 4, [(2,), (2,), (4,)]),
+        (0, 5, [(2,), (2,), (4,), (4,)]),
+        (0, 5, [(2,), (2, 1, 1), (3, 1), (5,)]),
+    ],
+)
+def test_folded_counts_match_naive_enumeration(g, n, mus):
+    # two or three (2) profiles beside others, each (2) a tuple slot of its own
+    spec = CoveringSpec(g, n, [Partition(mu) for mu in mus])
+    assert hurwitz_connected(spec) == naive_connected_count(g, n, mus)
+    assert hurwitz_disconnected(spec) == naive_total_count(g, n, mus)
+
+
+@pytest.mark.parametrize(
+    "g,n,mus",
+    [
+        (0, 7, [(2,), (2,), (3, 2)]),
+        (1, 6, [(2,), (2, 1, 1), (2,), (4,)]),
+        (2, 7, [(2,), (2,), (2,), (3, 3)]),
+        (0, 7, [(2, 1, 1, 1, 1, 1), (2,), (5,)]),
+    ],
+)
+def test_folded_counts_match_class_dp(g, n, mus):
+    # the class DP walks each (2) profile as a step of its own
+    spec = CoveringSpec(g, n, [Partition(mu) for mu in mus])
+    assert hurwitz_connected(spec) == class_dp_connected(g, n, mus)
+    total = F(spec.marking_weight() * _identity_product_total(spec), math.factorial(n))
+    assert hurwitz_disconnected(spec) == total
+
+
 # The benchmark's pool of multi-profile specs (two and three profiles, n 7-10,
 # g 0-3), counted once by the class DP of tests/oracles.py.
 PROFILE_POOL_COUNTS = [
@@ -295,6 +351,14 @@ def test_profile_pool_counts_on_warm_tables():
         assert monodromy._fill(m, rho, len(row) - 1) == row, (m, rho)
 
 
+def _table_nu(mus):
+    """nu of the table entry that counts a spec of these profiles: the
+    nontrivial parts of each profile, with each (2) profile left out, since
+    it is one more transposition and adds 1 to c instead."""
+    classes = [tuple(b for b in mu if b > 1) for mu in mus]
+    return tuple(sorted(p for p in classes if p and p != (2,)))
+
+
 def _readable_limits(n, nu):
     """{rho: the largest m at which a count of (n, nu) can read a row of rho},
     by brute force over every profilewise assignment of nu's parts: the parts
@@ -328,7 +392,7 @@ def test_cold_fill_stores_exactly_the_readable_rows(g, n, mus):
     # a series read them
     clear_caches()
     hurwitz_connected(CoveringSpec(g, n, mus))
-    nu = monodromy._key(tuple(b for b in mu if b > 1) for mu in mus)
+    nu = _table_nu(mus)
     limits = _readable_limits(n, nu)
     size = {rho: max([sum(parts) for parts in rho] + [1]) for rho in limits}
     expected = {(m, rho) for rho, top in limits.items() for m in range(size[rho], top + 1)}
@@ -345,7 +409,7 @@ def test_counts_extend_the_rows_a_first_fill_skipped(g, n, mus):
     # after a count of (n, nu), each (n, rho) of a proper sub-multiset rho is a
     # row the fill skipped; counting it extends the warm tables and must give
     # the cold value
-    nu = monodromy._key(tuple(b for b in mu if b > 1) for mu in mus)
+    nu = _table_nu(mus)
     subs = [rho for rho in _readable_limits(n, nu) if rho != nu]
     clear_caches()
     hurwitz_connected(CoveringSpec(g, n, mus))
@@ -381,22 +445,39 @@ def test_clear_caches_empties_every_module_cache():
 
 
 def test_budget_refuses_three_profiles_cold_and_warm():
-    # g = 0, n = 3, three (2) profiles, c = 1.  The fill stores R = 3 rows:
-    # (2, nu) and (3, nu) for nu = ((2,), (2,), (2,)), and (1, ()); a proper
-    # nonempty sub-multiset would need m <= 3 - 2 = 1 sheets, fewer than its
-    # 2.  Each row is charged the 2^3 = 8 splits of nu; R * (1//2 + 1) = 3
-    # entries, each up to 2 * p(3) = 6 shape terms plus 3 products; and
-    # 3 * p(3) = 9 for the shape tables: 3 * 8 + 3 * 9 + 9 = 60.
+    # g = 1, n = 4, three (3) profiles, c = 2.  The fill stores R = 3 rows:
+    # (3, nu) and (4, nu) for nu = ((3,), (3,), (3,)), and (1, ()); a proper
+    # nonempty sub-multiset would need m <= 4 - 3 = 1 sheets, fewer than its
+    # 3.  Each row is charged the 2^3 = 8 splits of nu; R * (2//2 + 1) = 6
+    # entries, each up to 2 * p(4) = 10 shape terms plus 6 products; and
+    # 4 * p(4) = 20 for the shape tables: 3 * 8 + 6 * 16 + 20 = 140.
     # The bound depends on the spec alone, so a table that already holds the
     # answer must not let a smaller budget through.
-    spec = CoveringSpec(0, 3, [Partition([2])] * 3)
+    spec = CoveringSpec(1, 4, [Partition([3])] * 3)
     clear_caches()
     for _ in ("cold", "warm"):
         with pytest.raises(BudgetExceeded):
-            hurwitz_connected(spec, node_budget=59)
-        assert hurwitz_connected(spec, node_budget=60) == naive_connected_count(
-            0, 3, [(2,)] * 3
+            hurwitz_connected(spec, node_budget=139)
+        assert hurwitz_connected(spec, node_budget=140) == naive_connected_count(
+            1, 4, [(3,)] * 3
         )
+
+
+@pytest.mark.parametrize("g, k, bound", [(0, 3, 147), (20, 40, 5187)])
+def test_budget_charges_the_folded_spec(g, k, bound):
+    # n = 3 with k (2) profiles is the spec without them, nu = () at
+    # c = 2g + 4: R = 3 rows (m = 1..3) of the 1 split of (), R (c//2 + 1)
+    # entries of 2 p(3) = 6 shape terms plus as many products, and
+    # 3 p(3) = 9: at g = 0, 3 + 9 * (6 + 9) + 9 = 147, and at g = 20,
+    # 3 + 69 * (6 + 69) + 9 = 5187.  As forty profiles of their own, the
+    # (2)s would give nu 2^40 splits, past any budget.
+    spec, plain = CoveringSpec(g, 3, [Partition([2])] * k), CoveringSpec(g, 3, [])
+    clear_caches()
+    for count in (hurwitz_disconnected, hurwitz_connected):
+        for s in (spec, plain):
+            with pytest.raises(BudgetExceeded):
+                count(s, node_budget=bound - 1)
+        assert count(spec, node_budget=bound) == count(plain, node_budget=bound) != 0
 
 
 def test_concurrent_counts_match_serial():
@@ -480,8 +561,9 @@ def fills(monkeypatch):
 
 
 def test_h_series_fills_once(fills):
+    # the (2) profile is one more transposition: n = 9, c = 17 + 1 on nu = ()
     h_series(1, [(2,)], 9)
-    assert fills == [(9, ((2,),), 17)]
+    assert fills == [(9, (), 18)]
 
 
 def test_oracle_data_fills_once_and_keeps_the_callers_order(fills):
@@ -494,10 +576,11 @@ def test_oracle_data_fills_once_and_keeps_the_callers_order(fills):
 
 @pytest.mark.parametrize("g, ds, bracket", [(0, (0, 0, 0, 1, 1), 2), (1, (0, 0, 2, 2), F(1, 6))])
 def test_h_tau_series_fills_once_per_profile(fills, g, ds, bracket):
-    # each profile of the bracket has its own nontrivial parts, so one fill
+    # one fill per profile of the bracket, its largest n first; the profiles
+    # 1^a and (2, 1^b) both read rows of nu = (), each in a fill of its own
     spec = TauSpec(g, ds)
     assert h_tau_series(spec).bracket == bracket
-    nus = [monodromy._key([tuple(b for b in mu if b > 1)]) for mu in _bracket_terms(spec)]
+    nus = [_table_nu([mu]) for mu in _bracket_terms(spec)]
     assert len(nus) >= 3
     assert sorted(rho for _, rho, _ in fills) == sorted(nus)
 
@@ -598,9 +681,9 @@ def test_disconnected_budget_refusal():
     "spec, budget",
     [
         (CoveringSpec(0, 40, []), 10**6),
-        # 40 (2) profiles: nu has 2^40 splits, refused before its plan is
-        # enumerated, though the fill would store only 3 rows
-        (CoveringSpec(20, 3, [Partition([2])] * 40), 10**9),
+        # 40 (3) profiles: nu has 2^40 splits, refused before its plan is
+        # enumerated, though the fill would store only the row (3, nu)
+        (CoveringSpec(38, 3, [Partition([3])] * 40), 10**9),
     ],
 )
 def test_refusal_builds_no_table(spec, budget):
@@ -649,3 +732,48 @@ def test_central_characters_are_formed_once_and_cleared():
     clear_caches()
     assert not monodromy._CENTRAL
     assert hurwitz_connected(spec) == count
+
+
+# --- the count table is a KP tau function
+
+KP_NMAX, KP_CMAX = 12, 22
+
+
+@pytest.fixture(scope="module")
+def kp_free_energy():
+    """F = sum H(mu, c) p_mu beta^c / c! over mu |- n <= 12 and c <= 22 in
+    the times t_k = p_k / k, as {(mu, c): coefficient of prod t_{mu_i}
+    beta^c}: H(mu, c) = hurwitz_connected of the one profile mu (a full
+    partition marks no point), at the genus c = n + len(mu) + 2g - 2 fixes."""
+    clear_caches()
+    series = {}
+    for n in range(1, KP_NMAX + 1):
+        for mu in partitions_of(n):
+            for c in range(n + len(mu) - 2, KP_CMAX + 1, 2):
+                g = (c - n - len(mu) + 2) // 2
+                h = hurwitz_connected(CoveringSpec(g, n, [mu]))
+                series[mu.parts, c] = h * math.prod(mu.parts) / math.factorial(c)
+    return series
+
+
+def _kp_reached(parts, c):
+    # every term of the residual at |parts| <= 8 reads F at n <= 12
+    return sum(parts) <= KP_NMAX - 4 and c <= KP_CMAX
+
+
+def test_count_table_satisfies_the_kp_equation(kp_free_energy):
+    # F_1111 + 6 F_11^2 + 3 F_22 - 4 F_13 = 0 (Okounkov 2000); the t_2
+    # direction reads the (2, 1^(n-2)) counts, which the table folds into c
+    residual = kp_residual(kp_free_energy, _kp_reached)
+    assert len(residual) >= 300
+    assert [key for key, x in residual.items() if x] == []
+
+
+@pytest.mark.parametrize(
+    "key", [((2, 1, 1, 1, 1, 1, 1), 13), ((2, 2, 2, 2, 1), 14), ((3, 1), 4), ((1,) * 6, 10)]
+)
+def test_kp_residual_catches_a_count_off_by_one(kp_free_energy, key):
+    series = dict(kp_free_energy)
+    parts, c = key
+    series[key] += F(math.prod(parts), math.factorial(c))  # H(mu, c) + 1
+    assert any(kp_residual(series, _kp_reached).values())
