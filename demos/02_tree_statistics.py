@@ -4,18 +4,28 @@
 The binomial statistic p_{n,k} sums C(l, k) over all trees on n vertices
 and ordered marked pairs at distance l.  Splitting the path at k chosen
 edges biject these objects with (k+1)-tuples of marked trees, so the
-count from the closed-form distance histogram (no tree is enumerated)
-must reproduce n! [q^n] Z^{k+1} -- and it does.
+count from the closed-form distance histogram below (no tree is
+enumerated) must reproduce n! [q^n] Z^{k+1}, which is what the library
+reads from the powers of Z -- and it does.
 """
 
-from covercount import dendrology_m, dendrology_p, series_z
+import math
+
+from covercount import dendrology_m, dendrology_p
 from covercount.algebra import a_closed
+
+
+def histogram(n):
+    """hist[l]: (tree, ordered pair) at distance l, a path of l+1 distinct
+    vertices times the (l+1) n^(n-l-1) / n rooted forests on its vertices."""
+    return [0] + [math.perm(n, l + 1) * (l + 1) * n ** (n - l - 1) // n for l in range(1, n)]
+
 
 print("n  k   p_{n,k}   n![q^n]Z^{k+1}   m_{n,k}")
 for n in range(2, 8):
     for k in range(1, 4):
-        p = dendrology_p(n, k)
-        z_side = (series_z(n) ** (k + 1)).egf_coefficient(n)
+        p = sum(count * math.comb(l, k) for l, count in enumerate(histogram(n)))
+        z_side = dendrology_p(n, k)
         m = dendrology_m(n, k)
         flag = "" if p == z_side else "  <-- MISMATCH"
         print(f"{n}  {k}  {str(p):>9}   {str(z_side):>12}   {str(m):>9}{flag}")

@@ -51,7 +51,6 @@ from .hurwitz_series import (
     h0_closed,
     h1_empty_series,
     h_series,
-    normal_form_series,
     oracle_data,
     phi_degree_bound,
 )

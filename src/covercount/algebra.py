@@ -111,7 +111,8 @@ def _x_power_egf(n: int, jmin: int, jmax: int) -> list[int]:
 
 class ZPoly(Record):
     """A polynomial in Z = X^{-1} - 1, coeffs[i] on Z^i: the record phi(Z) and the
-    spanning list are stated in.  Arithmetic happens on `to_laurent()`."""
+    spanning list are stated in.  It has no arithmetic; `LaurentPolyX.to_zpoly`
+    writes an element with no positive X-power in it."""
 
     coeffs: tuple
 
@@ -127,14 +128,6 @@ class ZPoly(Record):
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def to_laurent(self) -> "LaurentPolyX":
-        """Substitute Z = X^{-1} - 1: Z^i = sum_k C(i, k) (-1)^(i-k) X^{-k}."""
-        out: dict[int, Fraction] = {}
-        for i, c in enumerate(self.coeffs):
-            for k in range(i + 1):
-                out[-k] = out.get(-k, 0) + c * ((-1) ** (i - k) * math.comb(i, k))
-        return LaurentPolyX(out)
 
     def __repr__(self):
         terms = [

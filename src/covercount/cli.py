@@ -121,17 +121,7 @@ def _cmd_asymptotic(args) -> int:
 
 
 def _cmd_cayley(args) -> int:
-    rows = []
-    for n in range(2, args.nmax + 1):
-        for k in range(1, args.kmax + 1):
-            rows.append(
-                (
-                    n,
-                    k,
-                    format_rational(trees.dendrology_m(n, k)),
-                    format_rational(trees.dendrology_p(n, k)),
-                )
-            )
+    rows = [(n, k, str(m), str(p)) for n, k, m, p in trees.dendrology(args.nmax, args.kmax)]
     _emit(
         args,
         [f"n={n} k={k} m={m} p={p}" for n, k, m, p in rows],

@@ -103,14 +103,6 @@ def _normal_form_base(g: int, mu: Partition) -> LaurentPolyX:
     return LaurentPolyX({-chi: normal_form_prefactor(mu)}) * LaurentPolyX({0: 1, 1: -1}) ** mu.m
 
 
-def normal_form_series(g: int, mu, phi: PhiPolynomial, order: int) -> TruncatedSeries:
-    """Evaluate the normal form prefactor * Y^m (Z+1)^{2g-2+p} phi(Z)."""
-    mu = Partition(mu)
-    if (phi.g, phi.mu) != (g, mu):
-        raise DomainError("phi was fitted for a different (genus, profile) pair")
-    return (_normal_form_base(g, mu) * phi.poly.to_laurent()).to_series(order)
-
-
 class PhiFit(Record):
     phi: PhiPolynomial
     surplus_verified: int

@@ -5,41 +5,53 @@ vertices and ordered marked pairs (a, b):
 
     p_{n,k} = sum C(l, k)   and   m_{n,k} = sum l^k,
 
-where l is the a-b path length.  Both read the distance histogram in closed
-form (a path times the rooted forests hanging off it); no tree is enumerated.
+where l is the a-b path length.  Cutting the path at k chosen edges leaves
+k+1 trees, each with an ordered pair of marked vertices (the ends of its
+piece of the path), so p_{n,k} = n! [q^n] Z^{k+1}: the table reads it from
+the powers of Z, each one series product from the last.  Since
+l^k = sum_j j! S(k, j) C(l, j), with j! S(k, j) the surjections of a k-set
+onto a j-set (S the Stirling numbers of the second kind), m_{n,k} is the
+same sum over p_{n,j}.  No tree is built; the closed-form distance
+histogram is a test oracle.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from functools import lru_cache
+
+from .algebra import series_z
 
 
-@lru_cache(maxsize=1)  # `cayley` reads every k of one n in turn
-def distance_histogram(n: int) -> tuple[int, ...]:
-    """hist[l] = number of (tree, ordered pair (a, b), a != b) at distance l.
-
-    Closed form: the a-b path is one of n!/(n-l-1)! sequences of l+1
-    distinct vertices, and the trees containing it are the rooted forests
-    with those l+1 roots, (l+1) n^(n-l-1) / n of them (one when l = n-1).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return (0,) + tuple(math.perm(n, l + 1) * (l + 1) * n ** (n - l - 1) // n for l in range(1, n))
+def dendrology(nmax: int, kmax: int) -> list[tuple[int, int, int, int]]:
+    """Rows (n, k, m_{n,k}, p_{n,k}) for 2 <= n <= nmax and 1 <= k <= kmax, n outer."""
+    if nmax < 2 or kmax < 1:
+        return []
+    z = series_z(nmax)
+    powers = [z]
+    for _ in range(kmax):
+        powers.append(powers[-1] * z)
+    # surj[k][j] = j! S(k, j) = j (surj[k-1][j] + surj[k-1][j-1])
+    surj = [[1]]
+    for k in range(1, kmax + 1):
+        prev = surj[-1] + [0]
+        surj.append([0] + [j * (prev[j] + prev[j - 1]) for j in range(1, k + 1)])
+    rows = []
+    for n in range(2, nmax + 1):
+        p = [0] + [power.nums[n] for power in powers[1:]]  # Z's numerators have den 1
+        for k in range(1, kmax + 1):
+            rows.append((n, k, sum(s * pj for s, pj in zip(surj[k], p)), p[k]))
+    return rows
 
 
 def dendrology_p(n: int, k: int) -> Fraction:
     """sum over marked trees of C(l, k); equals n! [q^n] Z^{k+1}."""
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
-    hist = distance_histogram(n)
-    return Fraction(sum(count * math.comb(l, k) for l, count in enumerate(hist)))
+    return Fraction(dendrology(n, k)[-1][3])
 
 
 def dendrology_m(n: int, k: int) -> Fraction:
     """sum over marked trees of l^k (the k-th moment of the mark distance)."""
     if n < 2 or k < 1:
         raise ValueError("need n >= 2 and k >= 1")
-    hist = distance_histogram(n)
-    return Fraction(sum(count * l**k for l, count in enumerate(hist)))
+    return Fraction(dendrology(n, k)[-1][2])

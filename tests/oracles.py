@@ -32,9 +32,13 @@ the integer one of `covercount.gravity.painleve_solve`, whose e_g rebuild
 u through `painleve_u` for the residual of u^2 + u''/6 = 2y
 (`painleve_residual`), and the string equation plus the
 Dijkgraaf-Verlinde-Verlinde recursion is a route to psi-class brackets
-that shares no code with the coverings.  The Pruefer-enumeration distance
-histogram checks the closed form in `covercount.trees`, and the Stirling
-transform of p_{n,k} is a second route to its moments m_{n,k}.  The
+that shares no code with the coverings.  The closed-form distance
+histogram of marked tree pairs, the former route of `covercount.trees`, is
+checked by Pruefer enumeration and checks the Z-power rows of that module;
+the recursive Stirling numbers check its surjection triangle through the
+moments m_{n,k}.  The substitution Z = X^(-1) - 1 into a `ZPoly`
+(`zpoly_to_laurent`) and the normal form on the series Y and Z
+(`normal_form_series`) are the library's former conversions.  The
 sparse series in the KP times (`kp_derivative`, `kp_product`,
 `kp_residual`) evaluate the first KP equation on the free energy of the
 count table, an identity among its own outputs across profiles and genera.
@@ -48,10 +52,19 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from covercount.algebra import dkz2_poly, dkz_poly, y_over_q_power, zpower_in_basis
+from covercount.algebra import (
+    LaurentPolyX,
+    dkz2_poly,
+    dkz_poly,
+    series_y,
+    series_z,
+    y_over_q_power,
+    zpower_in_basis,
+)
 from covercount.errors import BudgetExceeded, ConsistencyError, Record
 from covercount.exact import LinearSolution, TruncatedSeries
 from covercount.gravity import tau_coefficient
+from covercount.hurwitz_series import normal_form_prefactor
 from covercount.symmetric import Partition, conjugacy_class_size, partitions_of, shape_table
 from covercount.trees import dendrology_p
 
@@ -344,6 +357,33 @@ def zbasis_element(i):
     return dkz_poly(i // 2) if i % 2 == 0 else dkz2_poly(i // 2)
 
 
+def zpoly_to_laurent(z):
+    """Substitute Z = X^{-1} - 1 into a `ZPoly`: Z^i = sum_k C(i, k) (-1)^(i-k) X^{-k}.
+
+    The inverse of `LaurentPolyX.to_zpoly`; the library's former `ZPoly.to_laurent`.
+    """
+    out = {}
+    for i, c in enumerate(z.coeffs):
+        for k in range(i + 1):
+            out[-k] = out.get(-k, 0) + c * ((-1) ** (i - k) * math.comb(i, k))
+    return LaurentPolyX(out)
+
+
+def normal_form_series(phi, order):
+    """The normal form prefactor * Y^m (Z+1)^(2g-2+p) phi(Z) of a `PhiPolynomial`.
+
+    Built from the series Y and Z, not from the Laurent columns `fit_phi`
+    solves on; the library's former `normal_form_series` multiplied those.
+    """
+    mu = phi.mu
+    y, z = series_y(order), series_z(order)
+    phi_z = TruncatedSeries.zero(order)
+    for c in reversed(phi.poly.coeffs):
+        phi_z = phi_z * z + c
+    chi = 2 * phi.g - 2 + mu.num_parts
+    return phi_z * y**mu.m * (z + 1) ** chi * normal_form_prefactor(mu)
+
+
 def gauss_jordan(system):
     """The library's former solver: Gauss-Jordan over every row, in Fractions.
 
@@ -621,7 +661,7 @@ def pruefer_distance_histogram(n):
     """hist[l] over all labeled trees on n vertices, by Pruefer enumeration.
 
     Counts ordered pairs (a, b), a != b, at distance l in every tree, the
-    former route of `covercount.trees.distance_histogram`.
+    reference for `distance_histogram`.
     """
     hist = [0] * n
     for tree in enumerate_trees(n):
@@ -631,6 +671,29 @@ def pruefer_distance_histogram(n):
                 if b != a:
                     hist[dist[b]] += 1
     return tuple(hist)
+
+
+def distance_histogram(n):
+    """hist[l] = number of (tree, ordered pair (a, b), a != b) at distance l.
+
+    Closed form: the a-b path is one of n!/(n-l-1)! sequences of l+1
+    distinct vertices, and the trees containing it are the rooted forests
+    with those l+1 roots, (l+1) n^(n-l-1) / n of them (one when l = n-1).
+    The former route of `covercount.trees`, a second route to its rows.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return (0,) + tuple(math.perm(n, l + 1) * (l + 1) * n ** (n - l - 1) // n for l in range(1, n))
+
+
+def histogram_p(n, k):
+    """p_{n,k} = sum_l hist[l] C(l, k) over the closed-form histogram."""
+    return sum(count * math.comb(l, k) for l, count in enumerate(distance_histogram(n)))
+
+
+def histogram_m(n, k):
+    """m_{n,k} = sum_l hist[l] l^k over the closed-form histogram."""
+    return sum(count * l**k for l, count in enumerate(distance_histogram(n)))
 
 
 def stirling_second(k, j):

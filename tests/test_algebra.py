@@ -39,6 +39,7 @@ from .oracles import (
     series_inverse,
     ypower_closed,
     zbasis_element,
+    zpoly_to_laurent,
 )
 
 
@@ -184,7 +185,7 @@ def test_dkz_matches_series_route():
     z = series_z(18)
     s = z
     for k in range(5):
-        assert dkz_poly(k).to_laurent().to_series(18) == s
+        assert zpoly_to_laurent(dkz_poly(k)).to_series(18) == s
         s = s.euler_d()
 
 
@@ -204,7 +205,7 @@ def test_zpower_three_by_expansion():
     combo = zpower_in_basis(3)
     acc = LaurentPolyX({})
     for c, i in zip(combo, range(3)):
-        acc = acc + zbasis_element(i).to_laurent() * c
+        acc = acc + zpoly_to_laurent(zbasis_element(i)) * c
     assert acc.to_zpoly() == ZPoly([0, 0, 0, 1])
 
 
@@ -214,7 +215,7 @@ def test_zpower_reexpansion_all_k(k):
     combo = zpower_in_basis(k)
     s = TruncatedSeries.zero(16)
     for c, i in zip(combo, range(k)):
-        s = s + zbasis_element(i).to_laurent().to_series(16) * c
+        s = s + zpoly_to_laurent(zbasis_element(i)).to_series(16) * c
     assert s == series_z(16) ** k
 
 
@@ -344,7 +345,7 @@ def test_laurent_coefficient_rejects_negative_n(coeffs):
 
 def test_zpoly_laurent_roundtrip():
     zp = ZPoly([1, F(1, 2), 0, 3])
-    assert zp.to_laurent().to_zpoly() == zp
+    assert zpoly_to_laurent(zp).to_zpoly() == zp
 
 
 # --- D on LaurentPolyX, and the Z-coefficient record ---
@@ -375,13 +376,13 @@ def test_laurent_euler_leibniz_rule(p, q):
 @given(zpolys)
 @settings(max_examples=50, deadline=None)
 def test_zpoly_to_laurent_and_back(z):
-    assert z.to_laurent().to_zpoly() == z
+    assert zpoly_to_laurent(z).to_zpoly() == z
 
 
 @given(laurent_elements(-8, 0))
 @settings(max_examples=50, deadline=None)
 def test_laurent_to_zpoly_and_back(p):
-    assert p.to_zpoly().to_laurent() == p
+    assert zpoly_to_laurent(p.to_zpoly()) == p
 
 
 @given(zpolys)
@@ -390,7 +391,7 @@ def test_euler_d_is_z_chain_rule(z):
     # D(P(Z)) = P'(Z) DZ with DZ = Z (1+Z)^2, all on LaurentPolyX
     derivative = ZPoly([i * c for i, c in enumerate(z.coeffs)][1:])
     dz = LaurentPolyX({-3: 1, -2: -1})  # Z (1+Z)^2 = Z X^{-2}
-    assert z.to_laurent().euler_d() == derivative.to_laurent() * dz
+    assert zpoly_to_laurent(z).euler_d() == zpoly_to_laurent(derivative) * dz
 
 
 def test_to_zpoly_rejects_positive_powers():

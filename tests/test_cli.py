@@ -117,7 +117,7 @@ def test_cayley_csv(capsys):
 
 
 def test_cayley_has_no_size_limit(capsys):
-    # the histogram is a closed form, so no tree size is refused; criterion 04
+    # the rows come from powers of Z, so no tree size is refused; criterion 04
     # has m_{n,1} = p_{n,1} = A_n
     code, out, err = run(capsys, "cayley", "--nmax", "12", "--kmax", "1", "--csv")
     a12 = seq_a_convolution(12)[-1]

@@ -1,5 +1,5 @@
-"""Each demo script runs to completion against the library in src/, and demo 01
-prints exactly its pinned output."""
+"""Each demo script runs to completion against the library in src/, and demos 01
+and 02 print exactly their pinned output."""
 
 import os
 import subprocess
@@ -38,6 +38,34 @@ And identification hands out coefficient asymptotics for free:
 """
 
 
+# Demo 02 prints the library's rows beside its own closed-form histogram sums.
+DEMO_02_STDOUT = """\
+n  k   p_{n,k}   n![q^n]Z^{k+1}   m_{n,k}
+2  1          2              2           2
+2  2          0              0           2
+2  3          0              0           2
+3  1         24             24          24
+3  2          6              6          36
+3  3          0              0          60
+4  1        312            312         312
+4  2        144            144         600
+4  3         24             24        1320
+5  1       4720           4720        4720
+5  2       3060           3060       10840
+5  3        960            960       28840
+6  1      82800          82800       82800
+6  2      67680          67680      218160
+6  3      30240          30240      670320
+7  1    1662024        1662024     1662024
+7  2    1617210        1617210     4896444
+7  3     920640         920640    16889124
+
+k = 1 recovers the total height of labeled trees (the A sequence):
+  enumeration: [Fraction(2, 1), Fraction(24, 1), Fraction(312, 1), Fraction(4720, 1), Fraction(82800, 1), Fraction(1662024, 1)]
+  closed form: [2, 24, 312, 4720, 82800, 1662024]
+"""
+
+
 def run_demo(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -57,3 +85,7 @@ def test_demo_runs(demo):
 
 def test_demo_01_stdout_is_pinned():
     assert run_demo(ROOT / "demos" / "01_tree_series_algebra.py") == DEMO_01_STDOUT
+
+
+def test_demo_02_stdout_is_pinned():
+    assert run_demo(ROOT / "demos" / "02_tree_statistics.py") == DEMO_02_STDOUT

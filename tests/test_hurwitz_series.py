@@ -12,12 +12,13 @@ from covercount.hurwitz_series import (
     h0_closed,
     h1_empty_series,
     h_series,
-    normal_form_series,
     oracle_data,
     phi_degree_bound,
 )
 from covercount.monodromy import CoveringSpec, hurwitz_connected
 from covercount.symmetric import Partition
+
+from .oracles import normal_form_series
 
 
 def test_h0_closed_three_sheets_no_profile():
@@ -89,7 +90,7 @@ def test_phi_degree_bound_enforced():
 
 def test_normal_form_series_zero_phi():
     phi = PhiPolynomial(1, Partition([1]), ZPoly([0]))
-    assert normal_form_series(1, (1,), phi, 10).is_zero()
+    assert normal_form_series(phi, 10).is_zero()
 
 
 def fit_from_oracle(g, mu, points):
@@ -133,7 +134,7 @@ def test_fitted_phi_reproduces_closed_form_beyond_fit_range():
     # fit on n <= 8, then compare series out to n = 12 against the closed form
     fit = fit_from_oracle(0, (2, 1), 6)
     assert fit.phi.poly == ZPoly([F(1, 3)])
-    series = normal_form_series(0, (2, 1), fit.phi, 12)
+    series = normal_form_series(fit.phi, 12)
     for n in range(3, 13):
         cn = 2 * n - 2 - 1
         assert series.coefficient(n) == h0_closed(n, (2, 1)) / math.factorial(cn)
@@ -153,7 +154,7 @@ def test_fit_at_high_genus_predicts_further_counts(g, mu):
     assert fit.surplus_verified >= 2
     assert fit.phi.poly.degree == phi_degree_bound(g, len(mu))
     n_last = max(1, sum(mu)) + phi_degree_bound(g, len(mu)) + 2
-    series = normal_form_series(g, mu, fit.phi, n_last + 2)
+    series = normal_form_series(fit.phi, n_last + 2)
     for n in (n_last + 1, n_last + 2):
         cn = 2 * n + 2 * g - 2 - (sum(mu) - len(mu))
         h = hurwitz_connected(CoveringSpec(g, n, [Partition(mu)]))
@@ -189,7 +190,7 @@ def test_fit_raises_on_corrupted_data():
 
 def test_normal_form_series_matches_oracle_for_genus1():
     fit = fit_from_oracle(1, (1,), 6)
-    series = normal_form_series(1, (1,), fit.phi, 9)
+    series = normal_form_series(fit.phi, 9)
     for n, h in oracle_data(1, (1,), range(1, 10)):
         assert series.coefficient(n) == h / math.factorial(2 * n)
 

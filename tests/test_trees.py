@@ -6,11 +6,16 @@ import pytest
 from covercount import cli
 from covercount.algebra import a_closed, series_z
 from covercount.errors import BudgetExceeded
-from covercount.trees import dendrology_m, dendrology_p, distance_histogram
+from covercount.exact import TruncatedSeries
+from covercount.trees import dendrology, dendrology_m, dendrology_p
 
 from .oracles import (
     LabeledTree,
+    cauchy_product,
+    distance_histogram,
     enumerate_trees,
+    histogram_m,
+    histogram_p,
     moment_from_binomials,
     pruefer_distance_histogram,
     stirling_second,
@@ -52,12 +57,19 @@ def test_histogram_refuses_above_limit():
         distance_histogram(0)
 
 
-def test_cayley_builds_one_histogram_per_n(capsys):
-    # every k of one n reads the histogram the first k built
-    distance_histogram.cache_clear()
+def test_cayley_builds_one_table(capsys, monkeypatch):
+    # Z^2..Z^(kmax+1), each one product from the last, serve every n at once
+    products = []
+    mul = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        products.append((self.order, other.order))
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
     assert cli.main(["cayley", "--nmax", "40", "--kmax", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 39 * 3
-    assert distance_histogram.cache_info().misses == 39
+    assert products == [(40, 40)] * 3
 
 
 def test_rooted_tree_forest_bijection():
@@ -80,8 +92,30 @@ def test_total_height_matches_a_sequence(n):
 @pytest.mark.parametrize("n", range(2, 8))
 @pytest.mark.parametrize("k", range(1, 4))
 def test_binomial_statistic_matches_z_power(n, k):
-    zk1 = series_z(n) ** (k + 1)
-    assert dendrology_p(n, k) == zk1.egf_coefficient(n)
+    # Z^(k+1) by the Fraction convolution, which shares no kernel with the table
+    z = series_z(n).coeffs
+    power = z
+    for _ in range(k):
+        power = cauchy_product(power, z)
+    assert dendrology_p(n, k) == power[n] * math.factorial(n)
+
+
+def test_rows_match_distance_histogram():
+    # the two routes meet on every row, k > n - 1 (p = 0) included
+    rows = dendrology(60, 6)
+    assert [(n, k) for n, k, _, _ in rows] == [(n, k) for n in range(2, 61) for k in range(1, 7)]
+    for n, k, m, p in rows:
+        assert (m, p) == (histogram_m(n, k), histogram_p(n, k))
+    assert sum(p == 0 for _, _, _, p in rows) == 15
+
+
+def test_table_is_empty_outside_its_range():
+    assert dendrology(1, 3) == dendrology(5, 0) == dendrology(-3, 2) == []
+    for n, k in [(1, 1), (2, 0), (0, -1)]:
+        with pytest.raises(ValueError):
+            dendrology_p(n, k)
+        with pytest.raises(ValueError):
+            dendrology_m(n, k)
 
 
 def test_moment_via_stirling_transform_agrees():
