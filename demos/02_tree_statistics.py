@@ -11,7 +11,7 @@ reads from the powers of Z -- and it does.
 
 import math
 
-from covercount import dendrology_m, dendrology_p
+from covercount import dendrology
 from covercount.algebra import a_closed
 
 
@@ -21,16 +21,14 @@ def histogram(n):
     return [0] + [math.perm(n, l + 1) * (l + 1) * n ** (n - l - 1) // n for l in range(1, n)]
 
 
+rows = dendrology(7, 3)
 print("n  k   p_{n,k}   n![q^n]Z^{k+1}   m_{n,k}")
-for n in range(2, 8):
-    for k in range(1, 4):
-        p = sum(count * math.comb(l, k) for l, count in enumerate(histogram(n)))
-        z_side = dendrology_p(n, k)
-        m = dendrology_m(n, k)
-        flag = "" if p == z_side else "  <-- MISMATCH"
-        print(f"{n}  {k}  {str(p):>9}   {str(z_side):>12}   {str(m):>9}{flag}")
+for n, k, m, z_side in rows:
+    p = sum(count * math.comb(l, k) for l, count in enumerate(histogram(n)))
+    flag = "" if p == z_side else "  <-- MISMATCH"
+    print(f"{n}  {k}  {str(p):>9}   {str(z_side):>12}   {str(m):>9}{flag}")
 
 print()
 print("k = 1 recovers the total height of labeled trees (the A sequence):")
-print("  enumeration:", [dendrology_p(n, 1) for n in range(2, 8)])
+print("  Z-powers:   ", [z_side for _, k, _, z_side in rows if k == 1])
 print("  closed form:", [a_closed(n) for n in range(2, 8)])

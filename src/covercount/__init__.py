@@ -65,6 +65,6 @@ from .symmetric import (
     conjugacy_class_size,
     partitions_of,
 )
-from .trees import dendrology_m, dendrology_p
+from .trees import dendrology
 
 __version__ = "0.1.0"

@@ -344,10 +344,8 @@ def identify_in_a(f: TruncatedSeries, jmin: int, jmax: int) -> Identification:
     # the solution is den times P's coefficients
     rows = [_x_power_egf(n, jmin, jmax) for n in range(order + 1)]
     sol = solve_exact(LinearSystem(rows, f.nums))
-    if sol.status == "inconsistent":
-        return Identification("inconsistent")
-    if sol.status == "underdetermined":
-        return Identification("underdetermined")
+    if not sol.ok:
+        return Identification(sol.status)
     element = LaurentPolyX({j: c / f.den for j, c in zip(range(jmin, jmax + 1), sol.solution)})
     return Identification("identified", element, verified_orders=order + 1 - unknowns)
 

@@ -2,9 +2,11 @@
 
 tau brackets are finite exact linear combinations of covering counts; the
 combination coefficients come from the finite-difference identity that
-isolates psi^d.  Downstream: the bracket series theorem, string/dilaton
-reductions, the formal Painleve I solution, and the asymptotic constants
-b_g with their radical bookkeeping.
+isolates psi^d.  The bracket series sums those terms as generating series,
+and a bracket is its q^0 coefficient: one sum serves the bracket and the
+bracket series theorem, and reads its counts through `oracle_data`.
+Downstream: string/dilaton reductions, the formal Painleve I solution, and
+the asymptotic constants b_g with their radical bookkeeping.
 
 The brackets are the psi-class intersection numbers of Witten's
 conjecture ("Two-dimensional gravity and intersection theory on moduli
@@ -33,7 +35,7 @@ from .algebra import (
 from .errors import ConsistencyError, DomainError, Record, as_int
 from .exact import TruncatedSeries
 from .hurwitz_series import count_series, fit_phi, oracle_data, phi_degree_bound
-from .monodromy import DEFAULT_NODE_BUDGET, CoveringSpec, hurwitz_connected
+from .monodromy import DEFAULT_NODE_BUDGET
 from .symmetric import Partition
 
 
@@ -103,22 +105,31 @@ def _bracket_terms(spec: TauSpec) -> dict[tuple[int, ...], Fraction]:
     return {mu: const for mu, const in consts.items() if const != 0}
 
 
+def _bracket_series(spec: TauSpec, order: int, node_budget: int) -> TruncatedSeries:
+    """The bracket series through q^order: the sum over the bracket's terms
+    of const * |Aut| * H_{g;mu} / Y^{sum b}, and 0 off dimension.  (Y/q)^-m
+    starts at 1, so its q^0 coefficient sums the counts at n = m = sum b."""
+    total = TruncatedSeries.zero(order)
+    terms = _bracket_terms(spec) if spec.dimension_ok else {}
+    for mu_parts, const in terms.items():
+        mu = Partition(mu_parts)
+        m = mu.m
+        data = oracle_data(spec.g, mu, range(m, m + order + 1), node_budget)
+        h_shifted = count_series(spec.g, mu.degeneracy, data)  # H_{g;mu} / q^m
+        quotient = h_shifted * y_over_q_power(-m, order)  # / (Y/q)^m
+        total = total + quotient * (const * mu.aut)
+    return total
+
+
 def tau_bracket(spec: TauSpec, node_budget: int = DEFAULT_NODE_BUDGET) -> Fraction:
-    """Exact bracket value as a finite combination of covering counts.
+    """Exact bracket value as a finite combination of covering counts: the
+    q^0 coefficient of the bracket series.
 
     Each tau_d contributes preimage multiplicities b in 1..d+1; a term with
     multiplicities (b_1..b_p) reads off the count at n = sum b_i with its
     c = n + p + 2g - 2 simple points.
     """
-    if not spec.dimension_ok:
-        return Fraction(0)
-    total = Fraction(0)
-    for parts, const in _bracket_terms(spec).items():
-        mu = Partition(parts)
-        covering = CoveringSpec(spec.g, mu.m, [mu])
-        h = hurwitz_connected(covering, node_budget)
-        total += const * mu.aut * h / math.factorial(covering.c)
-    return total
+    return _bracket_series(spec, 0, node_budget).coefficient(0)
 
 
 class TauSeriesResult(Record):
@@ -144,17 +155,7 @@ def h_tau_series(
     outcome falsifies the bracket/oracle pair and raises.
     """
     order = surplus + 1  # q^0 gives the bracket, the rest verify it
-    total = TruncatedSeries.zero(order)
-    terms = _bracket_terms(spec) if spec.dimension_ok else {}  # off dimension: 0
-    for mu_parts, const in terms.items():
-        mu = Partition(mu_parts)
-        m = mu.m
-        data = oracle_data(spec.g, mu, range(m, m + order + 1), node_budget)
-        h_shifted = count_series(spec.g, mu.degeneracy, data)  # H_{g;mu} / q^m
-        quotient = h_shifted * y_over_q_power(-m, order)  # / (Y/q)^m
-        total = total + quotient * (const * mu.aut)
-    # c(m) = 2m + 2g - 2 - r = m + p + 2g - 2 and (Y/q)^-m starts at 1, so the
-    # q^0 coefficient is tau_bracket's sum, term for term, on the same counts
+    total = _bracket_series(spec, order, node_budget)
     bracket = total.coefficient(0)
     element = LaurentPolyX({-spec.chi: bracket})
     if total != element.to_series(order):

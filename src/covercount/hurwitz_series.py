@@ -87,6 +87,8 @@ class PhiPolynomial(Record):
             )
 
     def coefficient(self, l: int) -> Fraction:
+        if l < 0:
+            raise ValueError("l must be >= 0")
         return self.poly.coeffs[l] if l < len(self.poly.coeffs) else Fraction(0)
 
 

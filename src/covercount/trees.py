@@ -17,8 +17,6 @@ histogram is a test oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import series_z
 
 
@@ -41,17 +39,3 @@ def dendrology(nmax: int, kmax: int) -> list[tuple[int, int, int, int]]:
         for k in range(1, kmax + 1):
             rows.append((n, k, sum(s * pj for s, pj in zip(surj[k], p)), p[k]))
     return rows
-
-
-def dendrology_p(n: int, k: int) -> Fraction:
-    """sum over marked trees of C(l, k); equals n! [q^n] Z^{k+1}."""
-    if n < 2 or k < 1:
-        raise ValueError("need n >= 2 and k >= 1")
-    return Fraction(dendrology(n, k)[-1][3])
-
-
-def dendrology_m(n: int, k: int) -> Fraction:
-    """sum over marked trees of l^k (the k-th moment of the mark distance)."""
-    if n < 2 or k < 1:
-        raise ValueError("need n >= 2 and k >= 1")
-    return Fraction(dendrology(n, k)[-1][2])

@@ -66,7 +66,6 @@ from covercount.exact import LinearSolution, TruncatedSeries
 from covercount.gravity import tau_coefficient
 from covercount.hurwitz_series import normal_form_prefactor
 from covercount.symmetric import Partition, conjugacy_class_size, partitions_of, shape_table
-from covercount.trees import dendrology_p
 
 # ---------------------------------------------------------------------------
 # permutations
@@ -705,12 +704,10 @@ def stirling_second(k, j):
     return j * stirling_second(k - 1, j) + stirling_second(k - 1, j - 1)
 
 
-def moment_from_binomials(n, k):
-    """m_{n,k} recomputed as sum_j S(k,j) j! p_{n,j}; independent route."""
-    total = Fraction(0)
-    for j in range(1, k + 1):
-        total += stirling_second(k, j) * math.factorial(j) * dendrology_p(n, j)
-    return total
+def moment_from_binomials(k, p):
+    """m_{n,k} recomputed as sum_j S(k,j) j! p_{n,j}, with p[j - 1] = p_{n,j};
+    independent route."""
+    return sum(stirling_second(k, j) * math.factorial(j) * p[j - 1] for j in range(1, k + 1))
 
 
 def log_leading(term, n):

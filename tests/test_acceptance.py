@@ -53,7 +53,7 @@ from covercount.hurwitz_series import (
 )
 from covercount.monodromy import CoveringSpec, hurwitz_connected
 from covercount.symmetric import Partition, partitions_of
-from covercount.trees import dendrology_m, dendrology_p
+from covercount.trees import dendrology
 
 from .oracles import (
     first_correction,
@@ -111,12 +111,11 @@ def test_criterion_03_a_sequence_triple_agreement():
 
 
 def test_criterion_04_dendrology():
-    ok = dendrology_p(2, 1) == 2 and dendrology_m(2, 1) == 2
-    for n in range(2, 8):
-        ok = ok and dendrology_m(n, 1) == a_closed(n)
-        for k in range(1, 4):
-            ok = ok and dendrology_p(n, k) == histogram_p(n, k)
-            ok = ok and dendrology_m(n, k) == histogram_m(n, k)
+    rows = dendrology(7, 3)
+    ok = rows[0] == (2, 1, 2, 2) and len(rows) == 18
+    for n, k, m, p in rows:
+        ok = ok and (m, p) == (histogram_m(n, k), histogram_p(n, k))
+        ok = ok and (k > 1 or m == a_closed(n))
     report(4, ok, "p_{n,k} = n![q^n]Z^{k+1}, m_{n,k} = the distance-histogram sums (n<=7, k<=3); m_{n,1} = A_n")
 
 

@@ -260,6 +260,14 @@ def test_identify_underdetermined_when_order_too_small():
     assert ident.status == "underdetermined"
 
 
+def test_identify_passes_the_solver_status_through(monkeypatch):
+    # past the order check, a solve without a unique solution is the result
+    from covercount import algebra
+
+    monkeypatch.setattr(algebra, "solve_exact", lambda system: LinearSolution("underdetermined"))
+    assert identify_in_a(series_z(20), -3, 3).status == "underdetermined"
+
+
 @given(
     st.dictionaries(
         st.integers(min_value=-6, max_value=6),

@@ -61,7 +61,7 @@ n  k   p_{n,k}   n![q^n]Z^{k+1}   m_{n,k}
 7  3     920640         920640    16889124
 
 k = 1 recovers the total height of labeled trees (the A sequence):
-  enumeration: [Fraction(2, 1), Fraction(24, 1), Fraction(312, 1), Fraction(4720, 1), Fraction(82800, 1), Fraction(1662024, 1)]
+  Z-powers:    [2, 24, 312, 4720, 82800, 1662024]
   closed form: [2, 24, 312, 4720, 82800, 1662024]
 """
 

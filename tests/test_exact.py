@@ -575,7 +575,7 @@ def test_repr_shows_the_first_six_coefficients():
 def test_negative_orders_have_no_coefficient():
     z = series_z(4)
     for read in (z.coefficient, z.egf_coefficient):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be >= 0"):
             read(-1)
         with pytest.raises(IndexError):
             read(5)

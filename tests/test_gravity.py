@@ -151,8 +151,8 @@ def test_h_tau_series_dimension_violation_gives_zero():
 
 def test_bracket_series_constant_term_matches_direct_bracket():
     # h_tau_series reads the bracket off the series' q^0 coefficient; the
-    # direct finite sum of tau_bracket must agree on every stable,
-    # dimension-valid bracket with g <= 2 and p <= 4
+    # string equation and DVV recursion, which read no covering count, must
+    # agree on every stable, dimension-valid bracket with g <= 2 and p <= 4
     specs = [
         TauSpec(g, ds)
         for g in range(3)
@@ -163,7 +163,7 @@ def test_bracket_series_constant_term_matches_direct_bracket():
     ]
     assert len(specs) == 35
     for spec in specs:
-        assert h_tau_series(spec).bracket == tau_bracket(spec), spec
+        assert h_tau_series(spec).bracket == dvv_bracket(spec.g, spec.ds), spec
 
 
 @pytest.mark.parametrize("point", [0, 3, -1])

@@ -88,6 +88,14 @@ def test_phi_degree_bound_enforced():
         PhiPolynomial(0, Partition([1, 1, 1]), ZPoly([0, 0, 1]))
 
 
+def test_phi_coefficient_refuses_negative_index():
+    # -1 must not index from the end, where Z's coefficient 1/12 sits
+    phi = PhiPolynomial(0, Partition([1]), ZPoly([F(1, 4), F(1, 12)]))
+    assert [phi.coefficient(l) for l in range(3)] == [F(1, 4), F(1, 12), 0]
+    with pytest.raises(ValueError, match="l must be >= 0"):
+        phi.coefficient(-1)
+
+
 def test_normal_form_series_zero_phi():
     phi = PhiPolynomial(1, Partition([1]), ZPoly([0]))
     assert normal_form_series(phi, 10).is_zero()

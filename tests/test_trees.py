@@ -7,7 +7,7 @@ from covercount import cli
 from covercount.algebra import a_closed, series_z
 from covercount.errors import BudgetExceeded
 from covercount.exact import TruncatedSeries
-from covercount.trees import dendrology, dendrology_m, dendrology_p
+from covercount.trees import dendrology
 
 from .oracles import (
     LabeledTree,
@@ -20,6 +20,9 @@ from .oracles import (
     pruefer_distance_histogram,
     stirling_second,
 )
+
+# (n, k) -> (m_{n,k}, p_{n,k}), every row of one table
+TABLE = {(n, k): (m, p) for n, k, m, p in dendrology(7, 3)}
 
 
 def test_tree_validation():
@@ -79,14 +82,12 @@ def test_rooted_tree_forest_bijection():
 
 
 def test_p21_is_two():
-    assert dendrology_p(2, 1) == 2
-    assert dendrology_m(2, 1) == 2
+    assert TABLE[2, 1] == (2, 2)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_total_height_matches_a_sequence(n):
-    assert dendrology_p(n, 1) == a_closed(n)
-    assert dendrology_m(n, 1) == a_closed(n)
+    assert TABLE[n, 1] == (a_closed(n), a_closed(n))
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -97,7 +98,7 @@ def test_binomial_statistic_matches_z_power(n, k):
     power = z
     for _ in range(k):
         power = cauchy_product(power, z)
-    assert dendrology_p(n, k) == power[n] * math.factorial(n)
+    assert TABLE[n, k][1] == power[n] * math.factorial(n)
 
 
 def test_rows_match_distance_histogram():
@@ -111,18 +112,12 @@ def test_rows_match_distance_histogram():
 
 def test_table_is_empty_outside_its_range():
     assert dendrology(1, 3) == dendrology(5, 0) == dendrology(-3, 2) == []
-    for n, k in [(1, 1), (2, 0), (0, -1)]:
-        with pytest.raises(ValueError):
-            dendrology_p(n, k)
-        with pytest.raises(ValueError):
-            dendrology_m(n, k)
 
 
 def test_moment_via_stirling_transform_agrees():
     # two independent computations of m_{n,k}
-    for n in range(2, 6):
-        for k in range(1, 4):
-            assert dendrology_m(n, k) == moment_from_binomials(n, k)
+    for (n, k), (m, _) in TABLE.items():
+        assert m == moment_from_binomials(k, [TABLE[n, j][1] for j in range(1, k + 1)])
 
 
 def test_stirling_numbers_small_table():
@@ -134,10 +129,8 @@ def test_stirling_numbers_small_table():
 
 def test_mark_symmetry_makes_statistics_even():
     # ordered pairs double each unordered pair: all statistics are even
-    for n in range(2, 7):
-        for k in range(1, 4):
-            assert dendrology_p(n, k) % 2 == 0
-            assert dendrology_m(n, k) % 2 == 0
+    for m, p in TABLE.values():
+        assert m % 2 == 0 and p % 2 == 0
 
 
 def test_distances_bfs_simple_path():
