@@ -26,7 +26,7 @@ from .algebra import (
 )
 from .errors import ConsistencyError, DomainError, Record
 from .exact import LinearSystem, TruncatedSeries, solve_exact
-from .monodromy import DEFAULT_NODE_BUDGET, CoveringSpec, hurwitz_connected
+from .monodromy import DEFAULT_NODE_BUDGET, CoveringSpec, _connected_counts
 from .symmetric import Partition
 
 FIT_SLACK = 2
@@ -156,13 +156,10 @@ def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]]) -> PhiFit:
 def oracle_data(
     g: int, mu, n_range: Sequence[int], node_budget: int = DEFAULT_NODE_BUDGET
 ) -> list[tuple[int, Fraction]]:
-    """Exact covering counts for the given sheet numbers, in their order.
-    The largest n is counted first, so one table fill covers them all."""
-    mu = Partition(mu)
-    specs = [CoveringSpec(g, n, [mu]) for n in n_range]
-    largest_first = sorted(specs, key=lambda spec: spec.n, reverse=True)
-    counts = {spec.n: hurwitz_connected(spec, node_budget) for spec in largest_first}
-    return [(spec.n, counts[spec.n]) for spec in specs]
+    """Exact covering counts for the given sheet numbers, in their order;
+    one table fill, at the largest n, covers them all."""
+    ns = list(n_range)
+    return list(zip(ns, _connected_counts(g, [Partition(mu)], ns, node_budget)))
 
 
 def count_series(g: int, r: int, data: Sequence[tuple[int, Fraction]]) -> TruncatedSeries:
@@ -199,7 +196,7 @@ def default_window(g: int, mus: Sequence[Partition]) -> tuple[int, int]:
 
 
 def h_series(g: int, mus, order: int, node_budget: int = DEFAULT_NODE_BUDGET) -> HurwitzSeries:
-    """Build sum h_{g,n}/c(n)! q^n from the counting oracle and certify it.
+    """Build sum h_{g,n}/c(n)! q^n from one count-table fill and certify it.
 
     The certificate is the exact identification over `default_window`;
     it fails (by design) only for genus one with no profiles.
@@ -209,11 +206,9 @@ def h_series(g: int, mus, order: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
     mus = tuple(map(Partition, mus))
     n_min = max([1] + [mu.m for mu in mus])
     r = sum(mu.degeneracy for mu in mus)
-    data = [(n, Fraction(0)) for n in range(order + 1)]
-    # the largest n first: its fill covers the smaller ones
-    for n in range(order, n_min - 1, -1):
-        if CoveringSpec.simple_points(g, n, r) >= 0:
-            data[n] = (n, hurwitz_connected(CoveringSpec(g, n, mus), node_budget))
+    ns = [n for n in range(n_min, order + 1) if CoveringSpec.simple_points(g, n, r) >= 0]
+    counts = dict(zip(ns, _connected_counts(g, mus, ns, node_budget)))
+    data = [(n, counts.get(n, Fraction(0))) for n in range(order + 1)]
     series = count_series(g, r, data)
     certificate = identify_in_a(series, *default_window(g, mus))
     return HurwitzSeries(g, mus, series, certificate)

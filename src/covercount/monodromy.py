@@ -15,10 +15,10 @@ of cycle type (2, 1^(n-2)) is one more transposition: f_(2) = cont below,
 and neither the product nor transitivity depends on the slot a
 transposition fills.  So a spec with k such profiles reads the entry
 (n, nu, c + k), nu the other profiles' nontrivial parts (``_table_key``),
-and its marking weight keeps their 1-parts.  Inside a fill a (2) piece
-split off a larger profile stays in rho, since C(c, c_a) below chooses
-among the c transpositions only.  By Frobenius's character formula the
-number of tuples without the transitivity condition is
+and its marking weight keeps their 1-parts; a piece of a split below with k
+(2) pieces split off larger profiles reads its other profiles' row at c + k,
+so no key holds a (2).  By Frobenius's character formula the number of
+tuples without the transitivity condition is
 
     T_disc(m, rho, c) = (1/m!) sum_{lambda |- m} dim(lambda)^2
                         prod_j f_{rho_j}(lambda) cont(lambda)^c,
@@ -46,22 +46,22 @@ and the Goulden-Jackson-Vakil one-part formula.
 ``symmetric.shape_table`` gives the shapes of m, their dimensions and their
 content sums by the branching rule, so cont = f_(2) needs no character.
 Every other f_{rho_j} is |C| chi / dim over one stored character column
-(``character_column``), one rim-hook step from the column of its class
-without the last part; that prefix is itself a sub-multiset the fill needs,
-so no column is built twice.  Each f list is formed once per (m, class) and
-shared by every row whose rho holds the class.  Each (m, rho) stores T_disc
-and T_conn as two rows, lists indexed by c, and each rho one split plan
-(``_plan``) that every fill holding rho reads.  A fill of (n, nu) stores,
-through its own c, only the rows its count can read: those of nu for every
-m <= n, and those of a proper sub-multiset rho for m <= n - size(nu - rho),
-since the rest of nu needs sheets of its own.  So the series builders
-(``hurwitz_series.oracle_data``, ``h_series``) ask for their largest n
-first: one fill covers the series, and smaller n read its rows of nu.  A
-later count that needs a row no fill stored starts its own fill, which
-computes the missing rows and reads the stored ones.  ``node_budget``
-bounds both counts of a spec by the work of the rows its fill stores, from
-the spec's entry (n, nu, c + k) alone and before any table is built (see
-``_check_budget``).
+(``character_column``), one rim-hook step from the stored column of its
+class without the last part, so no column is built twice.  Each f list is
+formed once per (m, class) and shared by every row whose rho holds the
+class.  Each (m, rho) stores T_disc and T_conn as two rows, lists indexed
+by c, and each rho one split plan (``_plan``) that every fill holding rho
+reads.  A fill of (n, nu) stores only the rows its count can read
+(``_rows``): those of nu for every m <= n, and those of a proper
+sub-multiset rho for m <= n - size(nu - rho), since the rest of nu needs
+sheets of its own, each without its (2) pieces and through c + k, k the
+most pieces it is read with.  A count over a range of n
+(``_connected_counts``, the path of ``hurwitz_connected`` and the series
+builders) checks the budget and fills at its largest n only; the smaller n
+read that fill's rows of nu.  A later count that needs a row no fill stored
+starts its own fill.  ``node_budget`` bounds both counts of a spec by the
+work of the rows its fill stores, from the spec's entry (n, nu, c + k)
+alone and before any table is built (see ``_check_budget``).
 These tables and the shape tables and columns of ``symmetric`` are shared
 and unlocked.  A shape table, column, f list, weight list or plan is stored
 once, fully computed; a row is stored whole or not at all, and grows by a
@@ -135,11 +135,11 @@ class CoveringSpec(Record):
 
     def marking_weight(self) -> int:
         """Product of binomials choosing the marked simple preimages."""
-        w = 1
-        for mu in self.mus:
-            moved = sum(b for b in mu.parts if b >= 2)
-            w *= math.comb(self.n - moved, mu.multiplicity(1))
-        return w
+        return _marking_weight(self.n, self.mus)
+
+
+def _marking_weight(n: int, mus) -> int:
+    return math.prod(math.comb(n - sum(mu.nontrivial()), mu.multiplicity(1)) for mu in mus)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +154,7 @@ _DISC: dict[tuple[int, tuple], list[int]] = {}
 # (m, rho) -> [T_conn(m, rho, c) for c = 0, 1, ...]
 _CONN: dict[tuple[int, tuple], list[int]] = {}
 # rho -> (deg rho, [(rho_a, rho_b, size rho_a, size rho_b, deg rho_a, k)],
-#         [(rho_a, size rho_a, gap)]), see _split_plan
+#         [(rho_a without its j (2) pieces, j, size rho_a, gap)]), see _split_plan
 _PLANS: dict[tuple, tuple[int, list[tuple], list[tuple]]] = {}
 
 
@@ -163,11 +163,10 @@ def _key(profiles) -> tuple[tuple[int, ...], ...]:
 
 
 def _table_key(spec: CoveringSpec) -> tuple[int, tuple, int]:
-    """The spec's table entry (n, nu, c + k): its k profiles of cycle type
-    (2, 1^(n-2)) leave nu and count as transpositions."""
-    classes = [mu.nontrivial() for mu in spec.mus]
-    folded = classes.count((2,))
-    return spec.n, _key(p for p in classes if p != (2,)), spec.c + folded
+    """The spec's table entry (n, nu, c + k): its k (2, 1^(n-2)) profiles fold into c."""
+    rho = _key(mu.nontrivial() for mu in spec.mus)
+    k = rho.count((2,))  # the (2) profiles sort first
+    return spec.n, rho[k:], spec.c + k
 
 
 def _degree(rho) -> int:
@@ -215,7 +214,7 @@ def _disc_row(m: int, rho: tuple, deg: int, cmax: int) -> list[int]:
         _, dims, contents = shape_table(m)
         terms = [dim * dim for dim in dims]
         for parts in rho:
-            f = contents if parts == (2,) else _CENTRAL.get((m, parts))  # f_(2): content sum
+            f = _CENTRAL.get((m, parts))
             if f is None:  # formed once, by the first row that holds the class
                 size = conjugacy_class_size(Partition(parts), m)
                 f = [size * chi // dim for chi, dim in zip(character_column(m, parts), dims)]
@@ -251,7 +250,8 @@ def _split_plan(rho: tuple) -> tuple[int, list[tuple], list[tuple]]:
     limits = {rho: (_size(rho), 0)}
     for a, _, size_a, size_b, *_ in pairs:
         limits[a] = size_a, min(limits.get(a, (0, size_b))[1], size_b)
-    return _degree(rho), pairs, [(a, *limit) for a, limit in limits.items()]
+    pieces = ((a, a.count((2,))) for a in limits)  # the (2) pieces sort first
+    return _degree(rho), pairs, [(a[j:], j, *limits[a]) for a, j in pieces]
 
 
 def _plan(rho: tuple) -> tuple[int, list[tuple], list[tuple]]:
@@ -259,39 +259,45 @@ def _plan(rho: tuple) -> tuple[int, list[tuple], list[tuple]]:
     return _PLANS.get(rho) or _PLANS.setdefault(rho, _split_plan(rho))
 
 
-def _rows(n: int, plan: tuple) -> dict[tuple, range]:
-    """rho -> the m of the rows (m, rho) a count of (n, nu), plan nu's split
-    plan, can read: size(rho) <= m <= n - gap.  A split of rho reads rows
-    inside these ranges, as _size is subadditive over profilewise unions."""
-    return {rho: range(size, n + 1 - gap) for rho, size, gap in plan[2]}
+def _rows(n: int, plan: tuple) -> dict[tuple, tuple[range, int]]:
+    """rho -> (the m of its rows, from size(rho), and its shift) for a count of
+    (n, nu), plan nu's split plan: rho_a is read at size(rho_a) <= m <= n - gap
+    (_size is subadditive) as rho_a without its j (2) pieces at c + j; shift: max j."""
+    tops: dict[tuple, tuple[int, int]] = {}
+    for rho, j, size, gap in plan[2]:
+        if size <= n - gap:
+            top, shift = tops.get(rho, (0, 0))
+            tops[rho] = max(top, n - gap), max(shift, j)
+    if () in tops:  # a row of any rho may read the row (1, ()) through its own c
+        tops[()] = tops[()][0], max(k for _, k in tops.values())
+    return {rho: (range(_size(rho), top + 1), k) for rho, (top, k) in tops.items()}
 
 
 def _fill(n: int, nu: tuple, cmax: int) -> list[int]:
-    """Store the T_disc and T_conn rows through cmax that a count of (n, nu)
-    can read (see _rows), smallest m first; return the T_conn row of (n, nu)."""
-    rows = _rows(n, _plan(nu))
-    plans = [(rho, ms, *_plan(rho)[:2]) for rho, ms in rows.items() if ms]
-    binom = [[math.comb(c, j) for j in range(c + 1)] for c in range(max(cmax, n) + 1)]
-    # rho -> the T_disc row of (m, rho) at index m
-    disc: dict[tuple, list] = {rho: [None] * (n + 1) for rho in rows}
-    # rho -> (T_conn row of (m, rho), its lowest connected c, [C(c, c_a) T_conn(m, rho, c_a)
-    # over c_a, for each c]) at index m; a list of products is formed on first use
-    conn: dict[tuple, list] = {rho: [None] * (n + 1) for rho in rows}
+    """Store the rows a count of (n, nu) at cmax reads (see _rows), smallest m
+    first, each through cmax + its shift; return the T_conn row of (n, nu).
+    A piece of a split with j (2) pieces reads its rest's rows from index j."""
+    plans = [(rho, ms, k, *_plan(rho)[:2]) for rho, (ms, k) in _rows(n, _plan(nu)).items()]
+    cap = cmax + max(k for _, _, k, *_ in plans)
+    binom = [[math.comb(c, j) for j in range(c + 1)] for c in range(max(cap, n) + 1)]
+    # (sigma, m) -> its T_disc row (disc) and its T_conn row, lowest connected c and [C(c, c_a)
+    # T_conn(m, sigma, c_a) over c_a, for each c] (conn), a list of products formed on first use
+    disc: dict[tuple, list] = {}
+    conn: dict[tuple, tuple] = {}
     for m in range(1, n + 1):
-        for rho, ms, deg, pairs in plans:
+        for rho, ms, shift, deg, pairs in plans:
             if m not in ms:
                 continue
-            drow = disc[rho][m] = _disc_row(m, rho, deg, cmax)
-            top = cmax - (cmax - deg) % 2
+            top = cmax + shift - (cmax + shift - deg) % 2
+            drow = _disc_row(m, rho, deg, top)
             row = _CONN.get((m, rho), [])
             if len(row) <= top:
                 # the first sheet's orbit, m_a < m: (k C(m-1, m_a-1), T_conn row, lowest c_a
                 # and products of (m_a, rho_a), T_disc row of (m-m_a, rho-rho_a)), for the
                 # m_a that hold both parts and reach a connected c <= top
                 terms = [
-                    (k * binom[m - 1][m_a - 1], *conn_a[m_a], disc_b[m - m_a])
+                    (k * binom[m - 1][m_a - 1], *conn[a, m_a], disc[b, m - m_a])
                     for a, b, size_a, size_b, deg_a, k in pairs
-                    for conn_a, disc_b in [(conn[a], disc[b])]
                     for m_a in range(size_a, min(m - size_b, (top + deg_a) // 2 + 1) + 1)
                 ]
                 # zero below the lowest connected c and off the parity of deg
@@ -308,36 +314,61 @@ def _fill(n: int, nu: tuple, cmax: int) -> list[int]:
                             total -= ways * sum(map(_mul, inner, brow[c - low_a :: -2]))
                     new[c - len(row)] = total
                 row = _CONN[m, rho] = row + new
-            conn[rho][m] = row, max(deg % 2, 2 * m - 2 - deg), [None] * (cmax + 1)
-    return conn[nu][n][0]
+            for j in range(shift + 1):
+                sigma, low = ((2,),) * j + rho, max((deg + j) % 2, 2 * m - 2 - deg - j)
+                disc[sigma, m] = drow[j:]
+                conn[sigma, m] = row[j:], low, [None] * (cap + 1)
+    return conn[nu, n][0]
 
 
 def _check_budget(n: int, nu: tuple, c: int, budget: int) -> None:
     """Refuse a count of (n, nu) at c, connected or not, whose fill would
     exceed the budget; (n, nu, c) is the spec's table entry, its (2)
     profiles folded into c (see _table_key).  The fill stores R rows (see
-    _rows) of C = c//2 + 1 entries.  Each row is charged the subs splits of
-    nu (prod (multiplicity + 1) over each profile's distinct parts), which
-    bound the plan its terms walk; each entry 2 p(n) shape terms (its row's
-    content weights and its own sum over content sums) and R C recursion
-    products; the shape tables' branching passes n p(n).  subs is tested
-    before nu's plan is built, so a refusal takes at most the budget and
-    stores nothing.  No stored state is charged, so a warm table cannot
-    change the outcome, and a series, which asks for its largest n first,
-    is refused before its first fill."""
+    _rows), E entries in all, (c + k)//2 + 1 in a row of shift k.  Each row
+    is charged the subs splits of nu (prod (multiplicity + 1) over each
+    profile's distinct parts), which bound the plan its terms walk; each
+    entry 2 p(n) shape terms (its row's content weights and its own sum over
+    content sums) and E recursion products; the shape tables' branching
+    passes n p(n).  subs is tested before nu's plan is built, so a refusal
+    takes at most the budget and stores nothing.  No stored state is
+    charged, so a warm table cannot change the outcome, and the charge grows
+    with n, so a range of n is refused at its largest n, before any fill."""
     subs = math.prod(parts.count(b) + 1 for parts in nu for b in set(parts))
     work = subs  # past the budget, refuse before building nu's plan
     if work <= budget:
         plan = _PLANS.get(nu) or _split_plan(nu)
-        rows = sum(map(len, _rows(n, plan).values()))
-        entries, p = rows * (c // 2 + 1), _partition_count(n)
-        work = rows * subs + entries * (2 * p + entries) + n * p
+        rows = _rows(n, plan).values()
+        entries, p = sum(len(ms) * ((c + k) // 2 + 1) for ms, k in rows), _partition_count(n)
+        work = sum(len(ms) for ms, _ in rows) * subs + entries * (2 * p + entries) + n * p
         if work <= budget:
             _PLANS.setdefault(nu, plan)
             return
     raise BudgetExceeded(
         f"count table for n={n} would evaluate up to {work} products (> {budget})"
     )
+
+
+def _connected_counts(g: int, mus, ns: list, node_budget: int) -> list[Fraction]:
+    """hurwitz_connected of the specs (g, n, mus), n in ns: one table key and
+    one budget check at the largest n, whose fill serves every smaller n."""
+    if not ns:
+        return []
+    try:  # c and the room for the profiles grow with n: the least n stands for all
+        spec = CoveringSpec(g, min(map(as_int, ns)), mus)
+    except (DomainError, TypeError):  # the first invalid spec in the callers' order raises
+        [CoveringSpec(g, n, mus) for n in ns]
+        raise
+    n, nu, c = _table_key(spec)
+    shift = c - 2 * n  # the entry of n sheets is (n, nu, 2n + shift)
+    _check_budget(max(ns), nu, 2 * max(ns) + shift, node_budget)
+    counts = {}
+    for n in sorted(set(ns), reverse=True):  # the first fill serves the rest
+        row = _CONN.get((n, nu), [])
+        if len(row) <= 2 * n + shift:
+            row = _fill(n, nu, 2 * n + shift)
+        counts[n] = Fraction(_marking_weight(n, mus) * row[2 * n + shift], math.factorial(n))
+    return [counts[n] for n in ns]
 
 
 def hurwitz_connected(
@@ -348,15 +379,7 @@ def hurwitz_connected(
     marking_weight x T_conn(n, nu, c) / n!; the division by n! is the
     orbit-stabilizer form of the automorphism weight.
     """
-    weight = spec.marking_weight()
-    if weight == 0:
-        return Fraction(0)
-    n, nu, c = _table_key(spec)
-    _check_budget(n, nu, c, node_budget)
-    row = _CONN.get((n, nu), [])
-    if len(row) <= c:
-        row = _fill(n, nu, c)
-    return Fraction(weight * row[c], math.factorial(n))
+    return _connected_counts(spec.g, spec.mus, [spec.n], node_budget)[0]
 
 
 def hurwitz_disconnected(
@@ -365,12 +388,9 @@ def hurwitz_disconnected(
     """The same weighted count without the transitivity requirement:
     marking_weight x T_disc(n, nu, c) / n!, admitted by the budget of the
     connected count (its row is one the connected fill stores)."""
-    weight = spec.marking_weight()
-    if weight == 0:
-        return Fraction(0)
     n, nu, c = _table_key(spec)
     _check_budget(n, nu, c, node_budget)
-    return Fraction(weight * _disc_row(n, nu, _degree(nu), c)[c], math.factorial(n))
+    return Fraction(spec.marking_weight() * _disc_row(n, nu, _degree(nu), c)[c], math.factorial(n))
 
 
 def clear_caches() -> None:

@@ -380,7 +380,7 @@ def test_fit_phi_without_one_mu_refused_before_counting(capsys, monkeypatch, mus
     def no_count(*args, **kwargs):
         raise AssertionError("counted before refusing --fit-phi")
 
-    monkeypatch.setattr(hurwitz_series, "hurwitz_connected", no_count)
+    monkeypatch.setattr(hurwitz_series, "_connected_counts", no_count)
     argv = ["hseries", "--g", "10", "--order", "34", "--fit-phi"]
     for mu in mus:
         argv += ["--mu", mu]

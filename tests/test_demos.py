@@ -1,5 +1,5 @@
-"""Each demo script runs to completion against the library in src/, and demos 01
-and 02 print exactly their pinned output."""
+"""Each demo script runs to completion against the library in src/, and each
+prints exactly its pinned output."""
 
 import os
 import subprocess
@@ -66,6 +66,70 @@ k = 1 recovers the total height of labeled trees (the A sequence):
 """
 
 
+# Demo 03 prints counts (one with a (2, 2) profile) and phi fits; demo 04
+# prints brackets and the Painleve and gravity constants.  Both read the count
+# table end to end, so their output is fixed byte for byte.
+DEMO_03_STDOUT = """\
+Genus 0, three sheets, no profile: four branch points
+  connected count:    4
+  disconnected count: 9/2
+
+Oracle vs the genus-zero closed formula:
+  n=4, profile (2,): oracle 120, formula 120, equal: True
+  n=5, profile (3, 1): oracle 3240, formula 3240, equal: True
+  n=6, profile (2, 2): oracle 241920, formula 241920, equal: True
+
+Genus 1 with no profile is the lone series outside the algebra:
+  identification status: inconsistent
+  first values h_{1,n}: ['0', '1/2', '40', '5460']
+
+Normal-form inversion: fit the polynomial phi from counts alone.
+  genus 0, profile (1,): phi = ZPoly(1 + 1/2*Z^1) (4 surplus orders verified)
+  genus 1, profile (1,): phi = ZPoly(1/24*Z^1) (4 surplus orders verified)
+  genus 1, profile (2,): phi = ZPoly(1/24 + 1/24*Z^1) (4 surplus orders verified)
+"""
+
+
+DEMO_04_STDOUT = """\
+Brackets straight from covering counts:
+  <tau (0, 0, 0)>_0 = 1
+  <tau (1,)>_1 = 1/24
+  <tau (0, 2)>_1 = 1/24
+  <tau (0, 0, 2, 2)>_1 = 1/6
+
+String and dilaton reductions hold exactly at genus 1:
+  string on (1,2):  <tau_0 tau_1 tau_2> = 1/12 = <tau_0 tau_2> + <tau_1 tau_1> = 1/12
+  dilaton on (0,2): <tau_1 tau_0 tau_2> = 1/12 = 2 <tau_0 tau_2> = 1/12
+
+The bracket series collapses to a single power of (Z+1):
+  H[tau_1]_1 identifies as LaurentPolyX(1/24*X^-1) (6 surplus orders)
+
+Painleve I, solved order by order (exact):
+  e_2 = 7/1440
+  e_3 = 245/20736
+  e_4 = 259553/2488320
+  e_5 = 1337455/663552
+  e_6 = 245229441961/3583180800
+
+The gravity constants, radicals and all:
+  b_0 = 1 * (2*pi)^(-1/2)
+  b_1 = 1/48
+  b_2 = 7/4320 * (2*pi)^(-1/2)
+  b_3 = 245/15925248
+  b_4 = 37079/48037017600 * (2*pi)^(-1/2)
+
+Free-energy coefficients carry sqrt(2) exactly at even genus:
+  g=2: 7/11520 * sqrt(2)
+  g=3: 245/663552
+  g=4: 259553/637009920 * sqrt(2)
+  g=5: 1337455/679477248
+
+Two independent routes to the same number at genus 2:
+  normal-form fit:     7/1440
+  Painleve recursion:  7/1440
+"""
+
+
 def run_demo(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -89,3 +153,11 @@ def test_demo_01_stdout_is_pinned():
 
 def test_demo_02_stdout_is_pinned():
     assert run_demo(ROOT / "demos" / "02_tree_statistics.py") == DEMO_02_STDOUT
+
+
+def test_demo_03_stdout_is_pinned():
+    assert run_demo(ROOT / "demos" / "03_covering_counts.py") == DEMO_03_STDOUT
+
+
+def test_demo_04_stdout_is_pinned():
+    assert run_demo(ROOT / "demos" / "04_gravity_constants.py") == DEMO_04_STDOUT

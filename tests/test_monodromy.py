@@ -10,7 +10,7 @@ import pytest
 from covercount import monodromy, symmetric
 from covercount.errors import BudgetExceeded, DomainError
 from covercount.gravity import TauSpec, _bracket_terms, h_tau_series
-from covercount.hurwitz_series import h_series, oracle_data
+from covercount.hurwitz_series import h0_closed, h_series, oracle_data
 from covercount.monodromy import (
     CoveringSpec,
     clear_caches,
@@ -376,32 +376,62 @@ def _readable_limits(n, nu):
     return limits
 
 
+def _folded_rows(n, nu):
+    """The rows a cold count of (n, nu) stores: the readable rows, each key
+    without its (2) pieces (they sort first), with the largest number k of
+    pieces a readable row of the key held, and each key's m from its own
+    size up to its largest readable m."""
+    tops = {}
+    for rho, top in _readable_limits(n, nu).items():
+        if max([sum(parts) for parts in rho] + [1]) <= top:
+            k = rho.count((2,))
+            old_top, old_k = tops.get(rho[k:], (0, 0))
+            tops[rho[k:]] = max(old_top, top), max(old_k, k)
+    return {
+        (m, rho): k
+        for rho, (top, k) in tops.items()
+        for m in range(max([sum(parts) for parts in rho] + [1]), top + 1)
+    }
+
+
 READABLE_ROW_SPECS = [PROFILE_POOL_COUNTS[k][:3] for k in (0, 4, 10, 14, 23)] + [
     (1, 9, ((3, 2, 2, 1),)),
     (2, 8, ()),
     (4, 27, ((3,) * 9,)),  # the largest count of <tau_2^9>_4
+    (0, 7, ((2, 2), (3, 3))),  # () is read at m = 1 only, ((3,),) also with a (2) piece
 ]
-# rows a cold count stores; n x (sub-multisets of nu) would be 160 and 270
-STORED_ROWS = {READABLE_ROW_SPECS[0]: 38, READABLE_ROW_SPECS[7]: 9}
+# rows a cold count stores; n x (sub-multisets of nu) would be 160 and 270,
+# and the readable rows before (2) pieces were folded 38 and 9
+STORED_ROWS = {READABLE_ROW_SPECS[0]: 30, READABLE_ROW_SPECS[7]: 9}
 
 
 @pytest.mark.parametrize("g, n, mus", READABLE_ROW_SPECS)
 def test_cold_fill_stores_exactly_the_readable_rows(g, n, mus):
     # a proper sub-multiset rho of nu is read only at m <= n - size(nu - rho);
     # the rows of nu itself are stored for every m <= n, so the smaller n of
-    # a series read them
+    # a series read them.  A rho holding k (2) pieces is read as the row of rho
+    # without them at c + k, so each stored row runs through c + k, k the
+    # most pieces a readable row of its key holds
     clear_caches()
-    hurwitz_connected(CoveringSpec(g, n, mus))
-    nu = _table_nu(mus)
-    limits = _readable_limits(n, nu)
-    size = {rho: max([sum(parts) for parts in rho] + [1]) for rho in limits}
-    expected = {(m, rho) for rho, top in limits.items() for m in range(size[rho], top + 1)}
-    assert {(m, nu) for m in range(size[nu], n + 1)} <= set(monodromy._CONN)
-    assert set(monodromy._CONN) == expected
-    assert set(monodromy._DISC) == expected
-    # the budget's row count R (see _check_budget) is exactly these rows
-    rows = sum(map(len, monodromy._rows(n, monodromy._plan(nu)).values()))
-    assert rows == len(expected) == STORED_ROWS.get((g, n, mus), rows)
+    spec = CoveringSpec(g, n, mus)
+    hurwitz_connected(spec)
+    nu, c = _table_nu(mus), monodromy._table_key(spec)[2]
+    expected = _folded_rows(n, nu)
+    if (1, ()) in expected:  # a row of any key may read the row (1, ()) through its own c
+        expected[1, ()] = max(expected.values())
+    assert {(m, nu) for m in range(max([sum(parts) for parts in nu] + [1]), n + 1)} <= set(
+        monodromy._CONN
+    )
+    assert set(monodromy._CONN) == set(expected)
+    assert set(monodromy._DISC) == set(expected)
+    for (m, rho), k in expected.items():
+        top = c + k - (c + k - sum(b - 1 for parts in rho for b in parts)) % 2
+        assert len(monodromy._CONN[m, rho]) == top + 1, (m, rho)
+    # the budget's row count R and entry counts (see _check_budget) are these rows'
+    rows = monodromy._rows(n, monodromy._plan(nu))
+    assert sum(len(ms) for ms, _ in rows.values()) == len(expected)
+    assert len(expected) == STORED_ROWS.get((g, n, mus), len(expected))
+    assert {(m, rho): k for rho, (ms, k) in rows.items() for m in ms} == expected
 
 
 @pytest.mark.parametrize("g, n, mus", [READABLE_ROW_SPECS[k] for k in (0, 2, 5)])
@@ -420,6 +450,26 @@ def test_counts_extend_the_rows_a_first_fill_skipped(g, n, mus):
     for rho in subs:
         clear_caches()
         assert hurwitz_connected(CoveringSpec(g, n, rho)) == warm[rho], rho
+
+
+def test_split_off_two_pieces_are_read_as_shifted_rows():
+    # a (2) piece that a split takes off a larger profile is one more
+    # transposition, so the tables key its rows without it: after each cold
+    # count of a spec whose profiles hold a 2 beside other parts, no key holds
+    # a (2) profile, and the counts keep their class-DP (or genus-0 closed
+    # form) values
+    specs = [
+        (g, n, mus, expected)
+        for g, n, mus, expected in PROFILE_POOL_COUNTS
+        if any(2 in mu and len(mu) > 1 for mu in mus)
+    ]
+    assert {mu for *_, mus, _ in specs for mu in mus} >= {(2, 2), (3, 2), (4, 2), (2, 2, 2)}
+    specs.append((0, 15, ((2, 2, 2),), h0_closed(15, (2, 2, 2))))
+    for g, n, mus, expected in specs:
+        clear_caches()
+        assert hurwitz_connected(CoveringSpec(g, n, mus)) == expected, (g, n, mus)
+        for table in (monodromy._CONN, monodromy._DISC):
+            assert [rho for _, rho in table if (2,) in rho] == [], (g, n, mus)
 
 
 def test_clear_caches_empties_every_module_cache():
@@ -572,6 +622,62 @@ def test_oracle_data_fills_once_and_keeps_the_callers_order(fills):
     assert fills == [(11, (), 24)]
     assert oracle_data(2, (), [5, 3, 5]) == [data[4], data[2], data[4]]
     assert len(fills) == 1
+
+
+def _per_n_counts(g, mu, ns, node_budget=monodromy.DEFAULT_NODE_BUDGET):
+    """oracle_data as one hurwitz_connected per n: the specs built in the
+    callers' order, then counted largest n first."""
+    specs = [CoveringSpec(g, n, [mu]) for n in ns]
+    largest_first = sorted(specs, key=lambda spec: spec.n, reverse=True)
+    counts = {spec.n: hurwitz_connected(spec, node_budget) for spec in largest_first}
+    return [(n, counts[n]) for n in ns]
+
+
+@pytest.mark.parametrize("g, mu", [(0, ()), (1, ()), (2, (2, 2, 1)), (1, (3, 2)), (0, (2, 1, 1))])
+def test_oracle_data_equals_per_n_counts(g, mu):
+    # ascending, descending and repeated n.  A valid spec always has marking
+    # weight >= 1 and c at or above the connected bound (c = 2n - 2 - deg + 2g
+    # in table terms), so the zeros here are the counts of one sheet at g >= 1
+    lo = max(sum(mu), 1)
+    for ns in (range(lo, lo + 6), range(lo + 5, lo - 1, -1), [lo + 3, lo, lo + 3, lo + 1, lo]):
+        clear_caches()
+        data = oracle_data(g, mu, ns)
+        per_n = []
+        for n in ns:  # each count on cold tables
+            clear_caches()
+            per_n += _per_n_counts(g, mu, [n])
+        assert data == per_n, ns
+    assert (g != 0) == (oracle_data(g, (), [1])[0][1] == 0)
+
+
+@pytest.mark.parametrize("g, mu, ns", [(2, (), range(1, 12)), (1, (2, 2, 1), [5, 10, 7])])
+def test_range_refusal_matches_the_per_n_loop(g, mu, ns):
+    # the budget lies between the charges of the smallest and the largest n
+    # (g = 2: 17 at n = 1, 37092 at n = 11; (2, 2, 1): 1025 at n = 5, 35565 at
+    # n = 10), so the per-n loop refuses its first count, the largest n
+    refusals = []
+    for count in (_per_n_counts, oracle_data):
+        clear_caches()
+        with pytest.raises(BudgetExceeded) as refused:
+            count(g, mu, ns, node_budget=20000)
+        refusals.append(str(refused.value))
+        assert not monodromy._CONN and not monodromy._DISC and not monodromy._PLANS
+    assert refusals[0] == refusals[1]
+
+
+@pytest.mark.parametrize(
+    "g, mu, ns",
+    [(0, (3,), [5, 2, 0]), (0, (3,), [0, 2]), (-1, (), [3]), (0, (3, 3), [6, 4, 3]), (0, (), [2, 1.0])],
+)
+def test_range_domain_error_matches_the_per_n_loop(g, mu, ns):
+    # an invalid range raises what the first invalid spec in the callers'
+    # order raises
+    errors = []
+    for count in (_per_n_counts, oracle_data):
+        with pytest.raises((DomainError, TypeError)) as raised:
+            count(g, mu, ns)
+        errors.append((type(raised.value), str(raised.value)))
+    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("g, ds, bracket", [(0, (0, 0, 0, 1, 1), 2), (1, (0, 0, 2, 2), F(1, 6))])
