@@ -13,7 +13,6 @@ from .algebra import (
     ScaledRational,
     ZPoly,
     a_closed,
-    dkz2_poly,
     dkz_poly,
     identify_in_a,
     leading_asymptotic,
@@ -63,7 +62,6 @@ from .symmetric import (
     Partition,
     character,
     conjugacy_class_size,
-    partitions_of,
 )
 from .trees import dendrology
 

@@ -153,11 +153,6 @@ def dkz_poly(k: int) -> ZPoly:
     return _dk_laurent(1, k).to_zpoly()
 
 
-def dkz2_poly(k: int) -> ZPoly:
-    """D^k (Z^2) as a polynomial in Z; leading coefficient (2k)!! on Z^{2k+2}."""
-    return _dk_laurent(2, k).to_zpoly()
-
-
 def double_factorial(k: int) -> int:
     out = 1
     while k > 1:

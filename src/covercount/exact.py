@@ -10,9 +10,9 @@ Series arithmetic never builds a `Fraction`; reading a coefficient does.
 Products run on one kernel, `_convolve`: the binomial convolution
 s_k = sum_i C(k, i) a_i b_{k-i} for just the orders k asked for, visiting
 only the i where both factors can be nonzero; a square sums each pair
-i < k - i once and doubles it.  The inverse is Newton's iteration, each
-step asking the kernel only for the new half of the coefficients (Brent
-and Kung, 1978).
+i < k - i once and doubles it.  The inverse and exp are online
+recurrences on the same kernel: each new coefficient is one `_convolve`
+call over the coefficients already known.
 
 The linear solver eliminates fraction-free on integer rows, in input order
 until full rank, and checks the surplus rows (the certificate) in integers.
@@ -198,27 +198,23 @@ class TruncatedSeries(Record):
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires a nonzero constant term.
 
-        Newton's iteration g <- g - g (f g - 1): if g is right to order h,
-        the step is right to order m = 2h + 1, so a handful of steps reach
-        the full order.  f g - 1 vanishes through order h, so each step asks
-        `_convolve` only for coefficients h+1..m of f g and then of
-        g (f g - 1), about half of each full product.
+        With f_k = a_k / (d k!), the inverse's EGF values are
+        h_k / a_0^(k+1) on the integers h_0 = d and
+        h_k = -sum_{i=1}^{k} C(k, i) w_i h_{k-i}, w_i = a_i a_0^(i-1):
+        one `_convolve` call per order over h_0..h_{k-1}, which never
+        reads w_0.
         """
-        a, da = self.nums, self.den
-        if not a[0]:
+        a, a0 = self.nums, self.nums[0]
+        if not a0:
             raise ValueError("series with zero constant term has no inverse")
-        den, b = a[0], [da]  # g_0 = da / a_0; the first step makes den > 0
-        while len(b) <= self.order:
-            h = len(b) - 1
-            m = min(2 * h + 1, self.order)
-            # f g - 1 over da * den, zero through order h
-            e = [0] * (h + 1) + _convolve(a, b, h + 1, m)
-            scale = da * den
-            b = [x * scale for x in b] + [-t for t in _convolve(b, e, h + 1, m)]
-            common = math.gcd(den * scale, *b)
-            b = [x // common for x in b]
-            den = den * scale // common
-        return TruncatedSeries.from_egf(b, den)
+        w = a if a0 == 1 else [0] + [x * a0 ** (i - 1) for i, x in enumerate(a[1:], 1)]
+        top = len(a) - 1
+        h = [self.den]
+        for k in range(1, top + 1):
+            h.append(-_convolve(w, h, k, k)[0])
+        if a0 != 1:  # at a_0 = 1 the numerators are h itself, not a copy
+            h = [x * a0 ** (top - k) for k, x in enumerate(h)]
+        return TruncatedSeries.from_egf(h, a0 ** (top + 1))
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -234,16 +230,19 @@ def series_exp(a: TruncatedSeries) -> TruncatedSeries:
 
     A nonzero constant term would force a transcendental factor, so it is
     rejected.  E = exp(A) in the exponential convention obeys E' = A' E,
-    E_n = sum_{j<n} C(n-1, j) A_{j+1} E_{n-1-j}; with A_k = nums[k] / D
-    this runs on the integers F_n = D^n E_n, and c_n = F_n D^(N-n) / (D^N n!).
+    n E_n = sum_{i=1}^{n} C(n, i) i A_i E_{n-i}; with A_i = nums[i] / D this
+    runs on the integers F_n = D^n E_n, one `_convolve` call per order with
+    w_i = i nums[i] D^(i-1) and one exact division by n, and
+    c_n = F_n D^(N-n) / (D^N n!).
     """
     nums, d = a.nums, a.den
     if nums[0]:
         raise ValueError("series_exp requires a zero constant term")
     top = len(nums) - 1  # N
+    w = [0] + [i * x * d ** (i - 1) for i, x in enumerate(nums[1:], 1)]
     f = [1]  # F_n
     for n in range(1, top + 1):
-        f.append(sum(math.comb(n - 1, j) * nums[j + 1] * f[n - 1 - j] * d**j for j in range(n)))
+        f.append(_convolve(w, f, n, n)[0] // n)
     return TruncatedSeries.from_egf([x * d ** (top - n) for n, x in enumerate(f)], d**top)
 
 

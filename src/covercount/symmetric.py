@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import DomainError, Record, as_int
 
@@ -89,8 +88,8 @@ def shape_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ..
     of n - 1: a shape gains a bead at 0, adding a box moves one bead up into
     an empty place, dim(lambda) sums the dimensions it grows from, and the
     box adds its content, the bead's new place minus n.  Masks descend, which
-    is ``partitions_of(n)`` (reverse-lex) order: where two shapes first
-    differ, the larger part holds the higher bead."""
+    puts the shapes in reverse-lex order of their parts: where two shapes
+    first differ, the larger part holds the higher bead."""
     if n == 0:
         return (0,), (1,), (0,)
     table: dict[int, list[int]] = {}  # mask -> [dimension, content sum]
@@ -117,7 +116,7 @@ _COLUMNS: dict[tuple[int, tuple[int, ...]], list[int]] = {}
 
 def character_column(m: int, parts) -> list[int]:
     """chi_lambda(parts + 1^(m - |parts|)) for every shape lambda of m, in
-    ``partitions_of(m)`` order, by the Murnaghan-Nakayama rule.
+    ``shape_table(m)`` (reverse-lex) order, by the Murnaghan-Nakayama rule.
 
     A shape is its beta-set of m beads, a bit mask, and a rim hook of size k
     is a bead moved from b to an empty b + k, with sign (-1)^(beads strictly
@@ -161,15 +160,3 @@ def character(shape: Partition, class_type: Partition) -> int:
     mask = sum(1 << (b + n - 1 - i) for i, b in enumerate(parts)) | (1 << n - len(parts)) - 1
     return character_column(n, class_type.nontrivial())[shape_table(n)[0].index(mask)]
 
-
-def partitions_of(n: int) -> Iterator[Partition]:
-    def gen(n, maxpart):
-        if n == 0:
-            yield ()
-            return
-        for first in range(min(n, maxpart), 0, -1):
-            for rest in gen(n - first, first):
-                yield (first,) + rest
-
-    for parts in gen(n, n):
-        yield Partition(parts)

@@ -8,7 +8,8 @@ vertices and ordered marked pairs (a, b):
 where l is the a-b path length.  Cutting the path at k chosen edges leaves
 k+1 trees, each with an ordered pair of marked vertices (the ends of its
 piece of the path), so p_{n,k} = n! [q^n] Z^{k+1}: the table reads it from
-the powers of Z, each one series product from the last.  Since
+the powers of Z = X^{-1} - 1, each written as a Laurent polynomial in X
+and expanded by the X-power recurrence, with no series product.  Since
 l^k = sum_j j! S(k, j) C(l, j), with j! S(k, j) the surjections of a k-set
 onto a j-set (S the Stirling numbers of the second kind), m_{n,k} is the
 same sum over p_{n,j}.  No tree is built; the closed-form distance
@@ -17,17 +18,15 @@ histogram is a test oracle.
 
 from __future__ import annotations
 
-from .algebra import series_z
+from .algebra import LaurentPolyX
 
 
 def dendrology(nmax: int, kmax: int) -> list[tuple[int, int, int, int]]:
     """Rows (n, k, m_{n,k}, p_{n,k}) for 2 <= n <= nmax and 1 <= k <= kmax, n outer."""
     if nmax < 2 or kmax < 1:
         return []
-    z = series_z(nmax)
-    powers = [z]
-    for _ in range(kmax):
-        powers.append(powers[-1] * z)
+    z = LaurentPolyX({-1: 1, 0: -1})  # Z = X^(-1) - 1
+    powers = [(z**k).to_series(nmax) for k in range(2, kmax + 2)]
     # surj[k][j] = j! S(k, j) = j (surj[k-1][j] + surj[k-1][j-1])
     surj = [[1]]
     for k in range(1, kmax + 1):
@@ -35,7 +34,7 @@ def dendrology(nmax: int, kmax: int) -> list[tuple[int, int, int, int]]:
         surj.append([0] + [j * (prev[j] + prev[j - 1]) for j in range(1, k + 1)])
     rows = []
     for n in range(2, nmax + 1):
-        p = [0] + [power.nums[n] for power in powers[1:]]  # Z's numerators have den 1
+        p = [0] + [power.nums[n] for power in powers]  # integer numerators, den 1
         for k in range(1, kmax + 1):
             rows.append((n, k, sum(s * pj for s, pj in zip(surj[k], p)), p[k]))
     return rows

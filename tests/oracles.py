@@ -38,7 +38,9 @@ checked by Pruefer enumeration and checks the Z-power rows of that module;
 the recursive Stirling numbers check its surjection triangle through the
 moments m_{n,k}.  The substitution Z = X^(-1) - 1 into a `ZPoly`
 (`zpoly_to_laurent`) and the normal form on the series Y and Z
-(`normal_form_series`) are the library's former conversions.  The
+(`normal_form_series`) are the library's former conversions, and the
+partitions of n in reverse-lex order (`partitions_of`) and D^k (Z^2) as a
+`ZPoly` (`dkz2_poly`) are former library functions that only tests read.  The
 sparse series in the KP times (`kp_derivative`, `kp_product`,
 `kp_residual`) evaluate the first KP equation on the free energy of the
 count table, an identity among its own outputs across profiles and genera.
@@ -54,7 +56,6 @@ from itertools import combinations, permutations, product
 
 from covercount.algebra import (
     LaurentPolyX,
-    dkz2_poly,
     dkz_poly,
     series_y,
     series_z,
@@ -65,7 +66,7 @@ from covercount.errors import BudgetExceeded, ConsistencyError, Record
 from covercount.exact import LinearSolution, TruncatedSeries
 from covercount.gravity import tau_coefficient
 from covercount.hurwitz_series import normal_form_prefactor
-from covercount.symmetric import Partition, conjugacy_class_size, partitions_of, shape_table
+from covercount.symmetric import Partition, conjugacy_class_size, shape_table
 
 # ---------------------------------------------------------------------------
 # permutations
@@ -349,6 +350,15 @@ def ypower_closed(k, order):
     shifted = enumerate(y_over_q_power(k, max(order - k, 0)).nums, start=k)
     nums = [0] * k + [math.perm(n, k) * x for n, x in shifted]
     return TruncatedSeries.from_egf(nums[: order + 1])
+
+
+def dkz2_poly(k):
+    """D^k (Z^2) as a `ZPoly`, leading coefficient (2k)!! on Z^(2k+2): D
+    applied k times to (X^(-1) - 1)^2; the library's former `dkz2_poly`."""
+    p = LaurentPolyX({-2: 1, -1: -2, 0: 1})
+    for _ in range(k):
+        p = p.euler_d()
+    return p.to_zpoly()
 
 
 def zbasis_element(i):
@@ -747,6 +757,22 @@ def first_correction(p) -> float:
     next_ratio = coeffs.get(1 - big_l, 0) / coeffs[-big_l]
     kappa = math.sqrt(2) * (big_l / 3 + float(next_ratio))
     return kappa * math.gamma(big_l / 2) / math.gamma((big_l - 1) / 2)
+
+
+def partitions_of(n):
+    """The partitions of n in reverse-lex order, largest first part first;
+    the library's former ``partitions_of``."""
+
+    def gen(n, maxpart):
+        if n == 0:
+            yield ()
+            return
+        for first in range(min(n, maxpart), 0, -1):
+            for rest in gen(n - first, first):
+                yield (first,) + rest
+
+    for parts in gen(n, n):
+        yield Partition(parts)
 
 
 def irrep_dimension(shape: Partition) -> int:

@@ -24,7 +24,6 @@ from covercount.algebra import (
     Radical,
     ScaledRational,
     a_closed,
-    dkz2_poly,
     dkz_poly,
     double_factorial,
     identify_in_a,
@@ -52,16 +51,18 @@ from covercount.hurwitz_series import (
     oracle_data,
 )
 from covercount.monodromy import CoveringSpec, hurwitz_connected
-from covercount.symmetric import Partition, partitions_of
+from covercount.symmetric import Partition
 from covercount.trees import dendrology
 
 from .oracles import (
+    dkz2_poly,
     first_correction,
     histogram_m,
     histogram_p,
     log_leading,
     painleve_residual,
     painleve_u,
+    partitions_of,
     seq_a_convolution,
     ypower_closed,
     zbasis_element,

@@ -14,7 +14,6 @@ from covercount.algebra import (
     ZPoly,
     _x_power_egf,
     a_closed,
-    dkz2_poly,
     dkz_poly,
     double_factorial,
     identify_in_a,
@@ -32,6 +31,7 @@ from .oracles import (
     a_closed_fractions,
     a_closed_horner,
     cauchy_product,
+    dkz2_poly,
     first_correction,
     laurent_coefficient_spanning,
     log_leading,

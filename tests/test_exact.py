@@ -135,6 +135,8 @@ def test_exp_solves_tree_function_equation():
     # Y = q exp(Y), the equation of the rooted-tree series, at order 40
     y = series_y(40)
     assert TruncatedSeries.monomial(1, 40) * series_exp(y) == y
+    # e^Y = Y/q at order 200, whose coefficients Lagrange inversion gives
+    assert series_exp(series_y(200)) == y_over_q_power(1, 200)
 
 
 def test_exp_rejects_nonzero_constant_term_of_any_size():
@@ -225,7 +227,9 @@ def test_negative_powers_match_fraction_inverse(f):
         assert list((f ** -k).coeffs) == repeated_product(inv, k), k
 
 
-# orders on both sides of the points where a Newton step stops short of 2h + 1
+# short orders and both sides of powers of two (where the former Newton
+# iteration stopped a step short), with random nonzero heads: a_0 != 1 among
+# them, where the kernel reads a scaled copy of the numerators
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 7, 8, 15, 16, 31])
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)

@@ -19,6 +19,7 @@ from covercount.gravity import (
     tau_bracket,
     tau_coefficient,
 )
+from covercount.hurwitz_series import fit_phi, oracle_data
 from covercount.monodromy import clear_caches
 
 from .oracles import (
@@ -27,6 +28,7 @@ from .oracles import (
     painleve_fractions,
     painleve_residual,
     painleve_u,
+    partitions_of,
 )
 
 
@@ -327,6 +329,24 @@ def test_dvv_matches_painleve_through_genus8():
     sol = painleve_solve(8)
     for g in range(2, 9):
         assert dvv_bracket(g, (2,) * (3 * g - 3)) / math.factorial(3 * g - 3) == sol.e[g], g
+
+
+@pytest.mark.parametrize("g", range(1, 5))
+def test_profile_top_coefficient_is_the_string_solution(g):
+    # phi's top coefficient depends on mu only through p: it is
+    # <tau_0^p tau_2^(3g-3+p)>_g / (3g-3+p)!, which F_g = e_g (1 - 2x)^(-(5g-5)/2)
+    # (g >= 2) and F_1 = -log(1 - 2x)/48 give in closed form
+    e = painleve_solve(max(g, 2)).e
+    for mu in (mu for m in range(1, 5) for mu in partitions_of(m)):
+        p = mu.num_parts
+        top = 3 * g - 3 + p
+        fit = fit_phi(g, mu, oracle_data(g, mu, range(mu.m, mu.m + top + 3)))
+        bracket = dvv_bracket(g, (0,) * p + (2,) * top) / math.factorial(top)
+        if g == 1:
+            closed = F(2**p * math.factorial(p - 1), 48)
+        else:
+            closed = 2**p * math.prod(F(5 * g - 5, 2) + i for i in range(p)) * e[g]
+        assert fit.phi.coefficient(top) == bracket == closed, (g, mu)
 
 
 def test_hg_empty_leading_exceptional_genera():

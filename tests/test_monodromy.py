@@ -17,7 +17,7 @@ from covercount.monodromy import (
     hurwitz_connected,
     hurwitz_disconnected,
 )
-from covercount.symmetric import Partition, conjugacy_class_size, partitions_of
+from covercount.symmetric import Partition, conjugacy_class_size
 
 from .oracles import (
     class_dp_connected,
@@ -31,6 +31,7 @@ from .oracles import (
     kp_residual,
     naive_connected_count,
     naive_total_count,
+    partitions_of,
 )
 
 

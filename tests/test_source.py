@@ -34,3 +34,19 @@ def test_oracles_import_no_library_internal():
         if a.name.startswith("_")
     ]
     assert not private, f"tests/oracles.py imports {private}"
+
+
+def test_binomials_only_inside_the_convolution_kernel():
+    # every series recurrence in exact.py runs through `_convolve`, so no
+    # second convolution loop computes binomials of its own
+    tree = ast.parse((SRC / "exact.py").read_text())
+    kernel = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_convolve")
+    inside = set(map(id, ast.walk(kernel)))
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("math.comb", "comb")
+    ]
+    assert any(id(node) in inside for node in calls)
+    outside = [node.lineno for node in calls if id(node) not in inside]
+    assert not outside, f"math.comb called outside _convolve at lines {outside}"

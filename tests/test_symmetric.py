@@ -11,7 +11,6 @@ from covercount.symmetric import (
     character,
     character_column,
     conjugacy_class_size,
-    partitions_of,
     shape_table,
 )
 
@@ -20,6 +19,7 @@ from .oracles import (
     class_elements,
     irrep_dimension,
     mn_character,
+    partitions_of,
     perm_cycles,
     perm_from_cycle_lengths,
     perm_mult,

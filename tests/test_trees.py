@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from covercount import cli
+from covercount import cli, exact
 from covercount.algebra import a_closed, series_z
 from covercount.errors import BudgetExceeded
 from covercount.exact import TruncatedSeries
@@ -61,18 +61,22 @@ def test_histogram_refuses_above_limit():
 
 
 def test_cayley_builds_one_table(capsys, monkeypatch):
-    # Z^2..Z^(kmax+1), each one product from the last, serve every n at once
-    products = []
-    mul = TruncatedSeries.__mul__
+    # Z^2..Z^(kmax+1) come from the X-power recurrence and serve every n at
+    # once: neither a series product nor the convolution kernel is reached
+    calls = []
 
-    def counted(self, other):
-        products.append((self.order, other.order))
-        return mul(self, other)
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
 
-    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+        return wrapper
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted("mul", TruncatedSeries.__mul__))
+    monkeypatch.setattr(exact, "_convolve", counted("convolve", exact._convolve))
     assert cli.main(["cayley", "--nmax", "40", "--kmax", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 39 * 3
-    assert products == [(40, 40)] * 3
+    assert calls == []
 
 
 def test_rooted_tree_forest_bijection():
