@@ -26,25 +26,30 @@ from .algebra import (
 )
 from .errors import ConsistencyError, DomainError, Record
 from .exact import LinearSystem, TruncatedSeries, solve_exact
-from .monodromy import DEFAULT_NODE_BUDGET, CoveringSpec, _connected_counts
+from .monodromy import (
+    DEFAULT_NODE_BUDGET,
+    CoveringSpec,
+    _connected_counts,
+    _genus0_entry,
+    _marking_weight,
+)
 from .symmetric import Partition
 
 FIT_SLACK = 2
 
 
 def h0_closed(n: int, mu) -> Fraction:
-    """Genus-zero covering count in closed form.
+    """Genus-zero covering count in closed form, Hurwitz's formula.
 
     (2n-2-r)!/|Aut| * prod b^b/b! * n^{n-r-3}/(n-p-r)!, valid for any
-    n >= p + r including the empty profile.
+    n >= p + r including the empty profile: the marking weight times the
+    count table's genus-0 entry (``monodromy._genus0_entry``) over n!.
     """
     mu = Partition(mu)
-    p, r = mu.num_parts, mu.degeneracy
-    if n < p + r:
-        raise DomainError(f"closed form needs n >= p + r = {p + r}, got {n}")
-    e = n - r - 3
-    num = math.factorial(2 * n - 2 - r) * n ** max(e, 0)
-    return normal_form_prefactor(mu) * Fraction(num, math.factorial(n - p - r) * n ** max(-e, 0))
+    if n < mu.m:
+        raise DomainError(f"closed form needs n >= p + r = {mu.m}, got {n}")
+    entry = _genus0_entry(n, mu.nontrivial())
+    return Fraction(_marking_weight(n, [mu]) * entry, math.factorial(n))
 
 
 def h1_empty_series(order: int) -> TruncatedSeries:

@@ -40,8 +40,21 @@ exponential formula of the tau-function form of the character sum (Okounkov,
 coefficient at a time.  T_conn is computed only where Riemann-Hurwitz
 allows a connected covering (c = deg rho mod 2, c >= 2m - 2 - deg rho) and
 is 0 elsewhere.  The tests check the table against the Goulden-Jackson
-cut-and-join recursion, a class-level dynamic program over monodromy tuples
-and the Goulden-Jackson-Vakil one-part formula.
+cut-and-join recursion, a class-level dynamic program over monodromy tuples,
+the Goulden-Jackson-Vakil one-part formula and, on every genus-0 entry of at
+most one profile with n <= 15, Hurwitz's formula below.
+
+A count whose entry has genus 0 and at most one profile, (n, nu, c) with
+c = 2n - 2 - deg nu and len(nu) <= 1 (its (2) profiles folded into c), takes
+no fill: Hurwitz's formula (Math. Ann. 39, 1891; proved by Goulden and
+Jackson, "Transitive factorizations into transpositions and holomorphic
+mappings on the sphere", Proc. AMS 125, 1997) gives the entry as n! times
+the genus-0 count of the profile nu + 1^(n-|nu|), in integers
+(``_genus0_entry``).  Such a count is charged the budget of the fill it
+replaces, before the formula runs, so it is refused exactly where the fill
+would be, and it stores no row.  Every other entry is read off the table:
+genus >= 1, two or more profiles, every row a fill stores (genus-0 rows of
+one profile included) and every disconnected count.
 
 ``symmetric.shape_table`` gives the shapes of m, their dimensions and their
 content sums by the branching rule, so cont = f_(2) needs no character.
@@ -61,7 +74,8 @@ builders) checks the budget and fills at its largest n only; the smaller n
 read that fill's rows of nu.  A later count that needs a row no fill stored
 starts its own fill.  ``node_budget`` bounds both counts of a spec by the
 work of the rows its fill stores, from the spec's entry (n, nu, c + k)
-alone and before any table is built (see ``_check_budget``).
+alone and before any table is built (see ``_check_budget``); the check
+hands the fill the rows it charged, so nu's plan is folded once per count.
 These tables and the shape tables and columns of ``symmetric`` are shared
 and unlocked.  A shape table, column, f list, weight list or plan is stored
 once, fully computed; a row is stored whole or not at all, and grows by a
@@ -273,11 +287,12 @@ def _rows(n: int, plan: tuple) -> dict[tuple, tuple[range, int]]:
     return {rho: (range(_size(rho), top + 1), k) for rho, (top, k) in tops.items()}
 
 
-def _fill(n: int, nu: tuple, cmax: int) -> list[int]:
-    """Store the rows a count of (n, nu) at cmax reads (see _rows), smallest m
-    first, each through cmax + its shift; return the T_conn row of (n, nu).
-    A piece of a split with j (2) pieces reads its rest's rows from index j."""
-    plans = [(rho, ms, k, *_plan(rho)[:2]) for rho, (ms, k) in _rows(n, _plan(nu)).items()]
+def _fill(n: int, nu: tuple, cmax: int, rows: dict) -> list[int]:
+    """Store the rows a count of (n, nu) at cmax reads, rows = _rows(n, nu's
+    plan) as the budget check returned it, smallest m first, each through
+    cmax + its shift; return the T_conn row of (n, nu).  A piece of a split
+    with j (2) pieces reads its rest's rows from index j."""
+    plans = [(rho, ms, k, *_plan(rho)[:2]) for rho, (ms, k) in rows.items()]
     cap = cmax + max(k for _, _, k, *_ in plans)
     binom = [[math.comb(c, j) for j in range(c + 1)] for c in range(max(cap, n) + 1)]
     # (sigma, m) -> its T_disc row (disc) and its T_conn row, lowest connected c and [C(c, c_a)
@@ -321,11 +336,12 @@ def _fill(n: int, nu: tuple, cmax: int) -> list[int]:
     return conn[nu, n][0]
 
 
-def _check_budget(n: int, nu: tuple, c: int, budget: int) -> None:
+def _check_budget(n: int, nu: tuple, c: int, budget: int) -> dict:
     """Refuse a count of (n, nu) at c, connected or not, whose fill would
-    exceed the budget; (n, nu, c) is the spec's table entry, its (2)
-    profiles folded into c (see _table_key).  The fill stores R rows (see
-    _rows), E entries in all, (c + k)//2 + 1 in a row of shift k.  Each row
+    exceed the budget, and return the fill's rows (``_rows``) if it admits
+    the count; (n, nu, c) is the spec's table entry, its (2) profiles folded
+    into c (see _table_key).  The fill stores R rows, E entries in all,
+    (c + k)//2 + 1 in a row of shift k.  Each row
     is charged the subs splits of nu (prod (multiplicity + 1) over each
     profile's distinct parts), which bound the plan its terms walk; each
     entry 2 p(n) shape terms (its row's content weights and its own sum over
@@ -338,20 +354,38 @@ def _check_budget(n: int, nu: tuple, c: int, budget: int) -> None:
     work = subs  # past the budget, refuse before building nu's plan
     if work <= budget:
         plan = _PLANS.get(nu) or _split_plan(nu)
-        rows = _rows(n, plan).values()
-        entries, p = sum(len(ms) * ((c + k) // 2 + 1) for ms, k in rows), _partition_count(n)
-        work = sum(len(ms) for ms, _ in rows) * subs + entries * (2 * p + entries) + n * p
+        rows = _rows(n, plan)
+        entries = sum(len(ms) * ((c + k) // 2 + 1) for ms, k in rows.values())
+        p = _partition_count(n)
+        work = sum(len(ms) for ms, _ in rows.values()) * subs + entries * (2 * p + entries) + n * p
         if work <= budget:
             _PLANS.setdefault(nu, plan)
-            return
+            return rows
     raise BudgetExceeded(
         f"count table for n={n} would evaluate up to {work} products (> {budget})"
     )
 
 
+def _genus0_entry(n: int, parts: tuple[int, ...] = ()) -> int:
+    """T_conn(n, (parts,), 2n - 2 - deg parts), the genus-0 entry of at most
+    one profile, by Hurwitz's formula: n! H with H = (2n-2-r)! n^(n-r-3) /
+    |Aut| prod b^b/b! over the parts b of lambda = parts + 1^(n-|parts|),
+    r = deg parts, |Aut| = |Aut parts| (n-|parts|)!; parts holds no 1."""
+    r = _degree((parts,))
+    e = n - r - 3
+    num = math.factorial(2 * n - 2 - r) * math.perm(n, sum(parts)) * n ** max(e, 0)
+    den = n ** max(-e, 0)
+    for b, k in Counter(parts).items():
+        num *= b ** (b * k)
+        den *= math.factorial(k) * math.factorial(b) ** k
+    return num // den
+
+
 def _connected_counts(g: int, mus, ns: list, node_budget: int) -> list[Fraction]:
     """hurwitz_connected of the specs (g, n, mus), n in ns: one table key and
-    one budget check at the largest n, whose fill serves every smaller n."""
+    one budget check at the largest n.  At genus 0 with at most one profile
+    in the key, Hurwitz's formula gives each entry; otherwise one fill at the
+    largest n stores the rows of nu that every smaller n reads."""
     if not ns:
         return []
     try:  # c and the room for the profiles grow with n: the least n stands for all
@@ -361,14 +395,15 @@ def _connected_counts(g: int, mus, ns: list, node_budget: int) -> list[Fraction]
         raise
     n, nu, c = _table_key(spec)
     shift = c - 2 * n  # the entry of n sheets is (n, nu, 2n + shift)
-    _check_budget(max(ns), nu, 2 * max(ns) + shift, node_budget)
-    counts = {}
-    for n in sorted(set(ns), reverse=True):  # the first fill serves the rest
-        row = _CONN.get((n, nu), [])
-        if len(row) <= 2 * n + shift:
-            row = _fill(n, nu, 2 * n + shift)
-        counts[n] = Fraction(_marking_weight(n, mus) * row[2 * n + shift], math.factorial(n))
-    return [counts[n] for n in ns]
+    top = max(ns)
+    rows = _check_budget(top, nu, 2 * top + shift, node_budget)
+    if spec.g == 0 and len(nu) <= 1:
+        entries = {n: _genus0_entry(n, *nu) for n in ns}
+    else:
+        if len(_CONN.get((top, nu), [])) <= 2 * top + shift:
+            _fill(top, nu, 2 * top + shift, rows)  # stores the rows of nu for every m <= top
+        entries = {n: _CONN[n, nu][2 * n + shift] for n in ns}
+    return [Fraction(_marking_weight(n, mus) * entries[n], math.factorial(n)) for n in ns]
 
 
 def hurwitz_connected(

@@ -40,7 +40,9 @@ moments m_{n,k}.  The substitution Z = X^(-1) - 1 into a `ZPoly`
 (`zpoly_to_laurent`) and the normal form on the series Y and Z
 (`normal_form_series`) are the library's former conversions, and the
 partitions of n in reverse-lex order (`partitions_of`) and D^k (Z^2) as a
-`ZPoly` (`dkz2_poly`) are former library functions that only tests read.  The
+`ZPoly` (`dkz2_poly`) are former library functions that only tests read.
+`table_connected` reads a count off a fill of the count table, the route
+that genus-0 counts with at most one profile leave for Hurwitz's formula.  The
 sparse series in the KP times (`kp_derivative`, `kp_product`,
 `kp_residual`) evaluate the first KP equation on the free energy of the
 count table, an identity among its own outputs across profiles and genera.
@@ -54,6 +56,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
+from covercount import monodromy
 from covercount.algebra import (
     LaurentPolyX,
     dkz_poly,
@@ -999,6 +1002,16 @@ def class_dp_connected(g, n, mus):
     nus = [tuple(b for b in mu if b >= 2) for mu in mus]
     vec = dp_walk(dp_start(n, nus[0]), nus[1:], c)
     return Fraction(weight * vec.get(((1,) * n,), 0), math.factorial(n))
+
+
+def table_connected(spec):
+    """hurwitz_connected of a spec read off a fill of the count table
+    (`covercount.monodromy._fill`) at the spec's table entry.  Genus-0 counts
+    with at most one profile take Hurwitz's formula instead of the table, so
+    this is the second route to them."""
+    n, nu, c = monodromy._table_key(spec)
+    row = monodromy._fill(n, nu, c, monodromy._rows(n, monodromy._plan(nu)))
+    return Fraction(spec.marking_weight() * row[c], math.factorial(n))
 
 
 # ---------------------------------------------------------------------------

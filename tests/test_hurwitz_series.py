@@ -18,7 +18,7 @@ from covercount.hurwitz_series import (
 from covercount.monodromy import CoveringSpec, hurwitz_connected
 from covercount.symmetric import Partition
 
-from .oracles import normal_form_series
+from .oracles import class_dp_connected, normal_form_series, table_connected
 
 
 def test_h0_closed_three_sheets_no_profile():
@@ -30,7 +30,8 @@ def test_h0_closed_three_marked_sheets():
 
 
 def test_h0_closed_matches_oracle_n4_single_double_point():
-    assert h0_closed(4, (2,)) == hurwitz_connected(CoveringSpec(0, 4, [Partition([2])]))
+    spec = CoveringSpec(0, 4, [Partition([2])])
+    assert h0_closed(4, (2,)) == table_connected(spec) == class_dp_connected(0, 4, [(2,)])
 
 
 def test_h0_closed_domain_bound():
@@ -43,9 +44,12 @@ def test_h0_closed_domain_bound():
     "mu", [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,), (3, 1), (2, 2)]
 )
 def test_h0_closed_oracle_equivalence(n, mu):
+    # hurwitz_connected answers these specs by the same formula, so the
+    # formula is checked against the count table and the class DP
     if sum(mu) > n or n < len(mu) + sum(b - 1 for b in mu):
         return
-    assert h0_closed(n, mu) == hurwitz_connected(CoveringSpec(0, n, [Partition(mu)]))
+    spec = CoveringSpec(0, n, [Partition(mu)])
+    assert h0_closed(n, mu) == table_connected(spec) == class_dp_connected(0, n, [mu])
 
 
 def test_h1_empty_series_values():

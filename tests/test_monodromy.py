@@ -32,6 +32,7 @@ from .oracles import (
     naive_connected_count,
     naive_total_count,
     partitions_of,
+    table_connected,
 )
 
 
@@ -349,7 +350,8 @@ def test_profile_pool_counts_on_warm_tables():
     assert len(warm) > 100
     for (m, rho), row in warm.items():
         clear_caches()
-        assert monodromy._fill(m, rho, len(row) - 1) == row, (m, rho)
+        rows = monodromy._rows(m, monodromy._plan(rho))
+        assert monodromy._fill(m, rho, len(row) - 1, rows) == row, (m, rho)
 
 
 def _table_nu(mus):
@@ -458,17 +460,19 @@ def test_split_off_two_pieces_are_read_as_shifted_rows():
     # transposition, so the tables key its rows without it: after each cold
     # count of a spec whose profiles hold a 2 beside other parts, no key holds
     # a (2) profile, and the counts keep their class-DP (or genus-0 closed
-    # form) values
+    # form) values.  hurwitz_connected answers the genus-0 (2, 2, 2) spec by
+    # the closed form and stores no row, so it is counted by a fill
     specs = [
-        (g, n, mus, expected)
+        (g, n, mus, expected, hurwitz_connected)
         for g, n, mus, expected in PROFILE_POOL_COUNTS
         if any(2 in mu and len(mu) > 1 for mu in mus)
     ]
-    assert {mu for *_, mus, _ in specs for mu in mus} >= {(2, 2), (3, 2), (4, 2), (2, 2, 2)}
-    specs.append((0, 15, ((2, 2, 2),), h0_closed(15, (2, 2, 2))))
-    for g, n, mus, expected in specs:
+    assert {mu for _, _, mus, *_ in specs for mu in mus} >= {(2, 2), (3, 2), (4, 2), (2, 2, 2)}
+    specs.append((0, 15, ((2, 2, 2),), h0_closed(15, (2, 2, 2)), table_connected))
+    for g, n, mus, expected, count in specs:
         clear_caches()
-        assert hurwitz_connected(CoveringSpec(g, n, mus)) == expected, (g, n, mus)
+        assert count(CoveringSpec(g, n, mus)) == expected, (g, n, mus)
+        assert monodromy._CONN, (g, n, mus)
         for table in (monodromy._CONN, monodromy._DISC):
             assert [rho for _, rho in table if (2,) in rho] == [], (g, n, mus)
 
@@ -602,9 +606,9 @@ def fills(monkeypatch):
     calls = []
     fill = monodromy._fill
 
-    def counted(n, nu, cmax):
+    def counted(n, nu, cmax, rows):
         calls.append((n, nu, cmax))
-        return fill(n, nu, cmax)
+        return fill(n, nu, cmax, rows)
 
     clear_caches()
     monkeypatch.setattr(monodromy, "_fill", counted)
@@ -683,13 +687,47 @@ def test_range_domain_error_matches_the_per_n_loop(g, mu, ns):
 
 @pytest.mark.parametrize("g, ds, bracket", [(0, (0, 0, 0, 1, 1), 2), (1, (0, 0, 2, 2), F(1, 6))])
 def test_h_tau_series_fills_once_per_profile(fills, g, ds, bracket):
-    # one fill per profile of the bracket, its largest n first; the profiles
-    # 1^a and (2, 1^b) both read rows of nu = (), each in a fill of its own
+    # at g >= 1, one fill per profile of the bracket, its largest n first; the
+    # profiles 1^a and (2, 1^b) both read rows of nu = (), each in a fill of
+    # its own.  At g = 0 Hurwitz's formula gives every count of one profile:
+    # no fill runs and no row is stored
     spec = TauSpec(g, ds)
     assert h_tau_series(spec).bracket == bracket
     nus = [_table_nu([mu]) for mu in _bracket_terms(spec)]
     assert len(nus) >= 3
-    assert sorted(rho for _, rho, _ in fills) == sorted(nus)
+    if g == 0:
+        assert fills == [] and not monodromy._CONN and not monodromy._DISC
+    else:
+        assert sorted(rho for _, rho, _ in fills) == sorted(nus)
+
+
+def test_genus0_formula_entries_equal_the_table_fill():
+    # every genus-0 table entry with at most one profile, n <= 15, each read
+    # through its own fill, against Hurwitz's formula; a profile without
+    # 1-parts has marking weight 1, and a (2) profile folds into c, so its
+    # entries are those of () at c + 1
+    clear_caches()
+    parts = [mu.parts for m in range(16) for mu in partitions_of(m) if 1 not in mu.parts]
+    assert {(2, 2), (2, 2, 2), (3,), (3, 2), (3, 3), (4,), (), (2,)} <= set(parts)
+    checked = 0
+    for lam in parts:
+        for n in range(max(sum(lam), 1), 16):
+            entry = table_connected(CoveringSpec(0, n, [lam])) * math.factorial(n)
+            assert entry == monodromy._genus0_entry(n, lam), (n, lam)
+            checked += 1
+    assert len(parts) == 176 and checked == 683
+
+
+def test_genus0_one_profile_counts_store_no_row():
+    # the budget is checked as for a fill, but Hurwitz's formula stores no
+    # row; the (2) and (2, 1) profiles fold into c, leaving one profile
+    clear_caches()
+    spec = CoveringSpec(0, 12, [(2,), (3, 3, 1), (2, 1)])
+    with pytest.raises(BudgetExceeded):
+        hurwitz_connected(spec, node_budget=10)
+    count = hurwitz_connected(spec)
+    assert not monodromy._CONN and not monodromy._DISC
+    assert count == 60 * h0_closed(12, (3, 3)) == table_connected(spec)  # C(6, 1) C(10, 1)
 
 
 @pytest.mark.parametrize("g", [0, 1, 2, 3])
