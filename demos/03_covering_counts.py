@@ -3,15 +3,15 @@
 
 The oracle counts monodromy tuples (profile permutations followed by
 transpositions multiplying to the identity, acting transitively) exactly,
-for any number of profiles.  Connected genus-0 counts of at most one profile
-come from Hurwitz's formula; every other count comes from one integer table:
-Frobenius's character formula gives the tuples without the transitivity
-condition, and splitting off the orbit of the first sheet gives the
-transitive ones.  Below, the first connected count and both sides of the
-"oracle vs formula" lines take Hurwitz's formula (the tests compare it with
-the table), the disconnected count reads the table's Frobenius column, the
-genus-1 series and the genus-1 fits read its connected column, and the
-genus-0 fit reads the formula.
+for any number of profiles.  Connected counts of genus 0 or 1 and at most
+one profile come from closed forms (Hurwitz's formula at genus 0, Vakil's
+at genus 1); every other count comes from one integer table: Frobenius's
+character formula gives the tuples without the transitivity condition, and
+splitting off the orbit of the first sheet gives the transitive ones.
+Below, every connected count takes a closed form (the tests compare both
+with the table): the first count, both sides of the "oracle vs formula"
+lines, the genus-1 series and all three fits.  Only the disconnected count
+reads the table, its Frobenius column.
 """
 
 import math

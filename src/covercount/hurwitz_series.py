@@ -30,7 +30,7 @@ from .monodromy import (
     DEFAULT_NODE_BUDGET,
     CoveringSpec,
     _connected_counts,
-    _genus0_entry,
+    _closed_entry,
     _marking_weight,
 )
 from .symmetric import Partition
@@ -43,12 +43,12 @@ def h0_closed(n: int, mu) -> Fraction:
 
     (2n-2-r)!/|Aut| * prod b^b/b! * n^{n-r-3}/(n-p-r)!, valid for any
     n >= p + r including the empty profile: the marking weight times the
-    count table's genus-0 entry (``monodromy._genus0_entry``) over n!.
+    count table's genus-0 entry (``monodromy._closed_entry``) over n!.
     """
     mu = Partition(mu)
     if n < mu.m:
         raise DomainError(f"closed form needs n >= p + r = {mu.m}, got {n}")
-    entry = _genus0_entry(n, mu.nontrivial())
+    entry = _closed_entry(0, n, mu.nontrivial())
     return Fraction(_marking_weight(n, [mu]) * entry, math.factorial(n))
 
 
@@ -162,7 +162,8 @@ def oracle_data(
     g: int, mu, n_range: Sequence[int], node_budget: int = DEFAULT_NODE_BUDGET
 ) -> list[tuple[int, Fraction]]:
     """Exact covering counts for the given sheet numbers, in their order;
-    one table fill, at the largest n, covers them all."""
+    one budget check and at most one table fill, both at the largest n,
+    cover them all (counts of genus <= 1 and one profile take no fill)."""
     ns = list(n_range)
     return list(zip(ns, _connected_counts(g, [Partition(mu)], ns, node_budget)))
 
@@ -201,7 +202,7 @@ def default_window(g: int, mus: Sequence[Partition]) -> tuple[int, int]:
 
 
 def h_series(g: int, mus, order: int, node_budget: int = DEFAULT_NODE_BUDGET) -> HurwitzSeries:
-    """Build sum h_{g,n}/c(n)! q^n from one count-table fill and certify it.
+    """Build sum h_{g,n}/c(n)! q^n from at most one count-table fill and certify it.
 
     The certificate is the exact identification over `default_window`;
     it fails (by design) only for genus one with no profiles.

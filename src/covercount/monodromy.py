@@ -41,20 +41,26 @@ coefficient at a time.  T_conn is computed only where Riemann-Hurwitz
 allows a connected covering (c = deg rho mod 2, c >= 2m - 2 - deg rho) and
 is 0 elsewhere.  The tests check the table against the Goulden-Jackson
 cut-and-join recursion, a class-level dynamic program over monodromy tuples,
-the Goulden-Jackson-Vakil one-part formula and, on every genus-0 entry of at
-most one profile with n <= 15, Hurwitz's formula below.
+the Goulden-Jackson-Vakil one-part formula and, on every entry of genus
+<= 1 and at most one profile with n <= 15, the closed forms below.
 
-A count whose entry has genus 0 and at most one profile, (n, nu, c) with
-c = 2n - 2 - deg nu and len(nu) <= 1 (its (2) profiles folded into c), takes
-no fill: Hurwitz's formula (Math. Ann. 39, 1891; proved by Goulden and
-Jackson, "Transitive factorizations into transpositions and holomorphic
-mappings on the sphere", Proc. AMS 125, 1997) gives the entry as n! times
-the genus-0 count of the profile nu + 1^(n-|nu|), in integers
-(``_genus0_entry``).  Such a count is charged the budget of the fill it
-replaces, before the formula runs, so it is refused exactly where the fill
-would be, and it stores no row.  Every other entry is read off the table:
-genus >= 1, two or more profiles, every row a fill stores (genus-0 rows of
-one profile included) and every disconnected count.
+A count whose entry has genus g <= 1 and at most one profile, (n, nu, c)
+with c = 2n + 2g - 2 - deg nu and len(nu) <= 1 (its (2) profiles folded
+into c), takes no fill: the entry is n! times the genus-g count of the
+profile lambda = nu + 1^(n-|nu|), in integers (``_closed_entry``).  At
+genus 0 that count is Hurwitz's formula (Math. Ann. 39, 1891; proved by
+Goulden and Jackson, "Transitive factorizations into transpositions and
+holomorphic mappings on the sphere", Proc. AMS 125, 1997); at genus 1 it
+is Vakil's ("Genus 0 and 1 Hurwitz numbers: recursions, formulas, and
+graph-theoretic interpretations", Trans. AMS 353, 2001).  Both have the
+shape of the ELSV formula (Ekedahl, Lando, Shapiro and Vainshtein, Invent.
+Math. 146, 2001): one prefactor, c! prod b^b/b! / |Aut lambda|, times a
+polynomial in n and the parts that depends on the genus.  Such a count is
+charged the budget of the fill it replaces, before the formula runs, so it
+is refused exactly where the fill would be, and it stores no row.  Every
+other entry is read off the table: genus >= 2, two or more profiles, every
+row a fill stores (rows of genus <= 1 and one profile included) and every
+disconnected count.
 
 ``symmetric.shape_table`` gives the shapes of m, their dimensions and their
 content sums by the branching rule, so cont = f_(2) needs no character.
@@ -366,26 +372,40 @@ def _check_budget(n: int, nu: tuple, c: int, budget: int) -> dict:
     )
 
 
-def _genus0_entry(n: int, parts: tuple[int, ...] = ()) -> int:
-    """T_conn(n, (parts,), 2n - 2 - deg parts), the genus-0 entry of at most
-    one profile, by Hurwitz's formula: n! H with H = (2n-2-r)! n^(n-r-3) /
-    |Aut| prod b^b/b! over the parts b of lambda = parts + 1^(n-|parts|),
-    r = deg parts, |Aut| = |Aut parts| (n-|parts|)!; parts holds no 1."""
-    r = _degree((parts,))
-    e = n - r - 3
-    num = math.factorial(2 * n - 2 - r) * math.perm(n, sum(parts)) * n ** max(e, 0)
-    den = n ** max(-e, 0)
+def _closed_entry(g: int, n: int, parts: tuple[int, ...] = ()) -> int:
+    """T_conn(n, (parts,), c) for genus g <= 1 and at most one profile, with
+    c = 2g - 2 + n + l, l the length of lambda = parts + 1^(n-|parts|) and
+    parts free of 1s: n! times the covering count of lambda in closed form,
+
+        perm(n, |parts|) c! prod_b b^(b k_b) / (k_b! (b!)^k_b) P_g,
+
+    b over the distinct parts of parts, k_b times each, with P_0 = n^(l-3)
+    (Hurwitz) and P_1 = (n^l - n^(l-1) - sum_{k=2..l} (k-2)! n^(l-k)
+    e_k(lambda)) / 24 (Vakil), e_k the elementary symmetric functions; the
+    one division at the end is exact."""
+    ones = n - sum(parts)
+    l = len(parts) + ones
+    num = math.factorial(2 * g - 2 + n + l) * math.perm(n, sum(parts))
+    den = 1
     for b, k in Counter(parts).items():
         num *= b ** (b * k)
         den *= math.factorial(k) * math.factorial(b) ** k
-    return num // den
+    if g == 0:
+        return num * n ** max(l - 3, 0) // (den * n ** max(3 - l, 0))
+    e = [math.comb(ones, k) for k in range(ones + 1)]  # e_k(lambda): prod (1 + b t), b in lambda
+    for b in parts:
+        e = [x + b * y for x, y in zip(e + [0], [0] + e)]
+    p1 = n - 1  # 24 P_1 by Horner's rule in n
+    for k in range(2, l + 1):
+        p1 = p1 * n - math.factorial(k - 2) * e[k]
+    return num * p1 // (24 * den)
 
 
 def _connected_counts(g: int, mus, ns: list, node_budget: int) -> list[Fraction]:
     """hurwitz_connected of the specs (g, n, mus), n in ns: one table key and
-    one budget check at the largest n.  At genus 0 with at most one profile
-    in the key, Hurwitz's formula gives each entry; otherwise one fill at the
-    largest n stores the rows of nu that every smaller n reads."""
+    one budget check at the largest n.  At genus <= 1 with at most one
+    profile in the key, the closed form gives each entry; otherwise one fill
+    at the largest n stores the rows of nu that every smaller n reads."""
     if not ns:
         return []
     try:  # c and the room for the profiles grow with n: the least n stands for all
@@ -397,8 +417,8 @@ def _connected_counts(g: int, mus, ns: list, node_budget: int) -> list[Fraction]
     shift = c - 2 * n  # the entry of n sheets is (n, nu, 2n + shift)
     top = max(ns)
     rows = _check_budget(top, nu, 2 * top + shift, node_budget)
-    if spec.g == 0 and len(nu) <= 1:
-        entries = {n: _genus0_entry(n, *nu) for n in ns}
+    if spec.g <= 1 and len(nu) <= 1:
+        entries = {n: _closed_entry(spec.g, n, *nu) for n in ns}
     else:
         if len(_CONN.get((top, nu), [])) <= 2 * top + shift:
             _fill(top, nu, 2 * top + shift, rows)  # stores the rows of nu for every m <= top

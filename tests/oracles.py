@@ -42,7 +42,8 @@ moments m_{n,k}.  The substitution Z = X^(-1) - 1 into a `ZPoly`
 partitions of n in reverse-lex order (`partitions_of`) and D^k (Z^2) as a
 `ZPoly` (`dkz2_poly`) are former library functions that only tests read.
 `table_connected` reads a count off a fill of the count table, the route
-that genus-0 counts with at most one profile leave for Hurwitz's formula.  The
+that counts of genus 0 or 1 with at most one profile leave for the closed
+forms of Hurwitz and Vakil.  The
 sparse series in the KP times (`kp_derivative`, `kp_product`,
 `kp_residual`) evaluate the first KP equation on the free energy of the
 count table, an identity among its own outputs across profiles and genera.
@@ -1006,9 +1007,11 @@ def class_dp_connected(g, n, mus):
 
 def table_connected(spec):
     """hurwitz_connected of a spec read off a fill of the count table
-    (`covercount.monodromy._fill`) at the spec's table entry.  Genus-0 counts
-    with at most one profile take Hurwitz's formula instead of the table, so
-    this is the second route to them."""
+    (`covercount.monodromy._fill`) at the spec's table entry.  Counts of
+    genus 0 or 1 with at most one profile take the closed form
+    (`covercount.monodromy._closed_entry`: Hurwitz's formula at genus 0,
+    Vakil's at genus 1) instead of the table, so this is the second route
+    to them."""
     n, nu, c = monodromy._table_key(spec)
     row = monodromy._fill(n, nu, c, monodromy._rows(n, monodromy._plan(nu)))
     return Fraction(spec.marking_weight() * row[c], math.factorial(n))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from covercount import cli
+from covercount import cli, monodromy
 from covercount.cli import main
 
 from .oracles import seq_a_convolution
@@ -60,6 +60,21 @@ def test_hurwitz_invalid_spec_exit2(capsys):
 def test_hurwitz_budget_exit3(capsys):
     code, out, err = run(capsys, "hurwitz", "--g", "0", "--n", "8", "--max-nodes", "10")
     assert code == 3 and "refused" in err
+
+
+def test_genus1_one_profile_refusal_keeps_the_fill_charge(capsys):
+    # Vakil's formula answers g = 1, n = 8, mu = (3, 3) (c = 12), but the
+    # count is charged the fill it replaces: 8 rows, ((3, 3),) at m = 6..8,
+    # ((3,),) at m = 3..5 and () at m = 1..2, each charged the 3 splits of
+    # nu; 8 * 7 = 56 entries of 2 p(8) = 44 shape terms plus 56 products;
+    # and 8 p(8) = 176: 24 + 56 * 100 + 176 = 5800.  It stores no row
+    monodromy.clear_caches()
+    base = ("hurwitz", "--g", "1", "--n", "8", "--mu", "3,3", "--max-nodes")
+    for budget in ("10", "5799"):
+        refusal = f"refused: count table for n=8 would evaluate up to 5800 products (> {budget})\n"
+        assert run(capsys, *base, budget) == (3, "", refusal)
+    assert run(capsys, *base, "5800") == (0, "198643460400\n", "")
+    assert not monodromy._CONN and not monodromy._DISC
 
 
 def test_disconnected_count_reads_max_nodes(capsys):

@@ -62,6 +62,16 @@ def test_h1_empty_series_values():
         assert s.coefficient(n) == F(a_closed(n), 24 * n * math.factorial(n))
 
 
+def test_h1_empty_series_equals_the_genus1_counts():
+    # [q^n] times c(n)! = (2n)! is h_{1,n} without profiles, which
+    # hurwitz_connected reads off Vakil's formula and a fill off the table
+    s = h1_empty_series(12)
+    for n in range(1, 13):
+        spec = CoveringSpec(1, n, [])
+        count = math.factorial(2 * n) * s.coefficient(n)
+        assert count == hurwitz_connected(spec) == table_connected(spec), n
+
+
 def test_h1_empty_series_not_in_algebra():
     ident = identify_in_a(h1_empty_series(20), -4, 4)
     assert ident.status == "inconsistent"

@@ -414,11 +414,13 @@ def test_cold_fill_stores_exactly_the_readable_rows(g, n, mus):
     # the rows of nu itself are stored for every m <= n, so the smaller n of
     # a series read them.  A rho holding k (2) pieces is read as the row of rho
     # without them at c + k, so each stored row runs through c + k, k the
-    # most pieces a readable row of its key holds
+    # most pieces a readable row of its key holds.  A count of genus <= 1 and
+    # one profile takes the closed form and stores no row, so such a spec is
+    # counted through a fill
     clear_caches()
     spec = CoveringSpec(g, n, mus)
-    hurwitz_connected(spec)
     nu, c = _table_nu(mus), monodromy._table_key(spec)[2]
+    (table_connected if g <= 1 and len(nu) <= 1 else hurwitz_connected)(spec)
     expected = _folded_rows(n, nu)
     if (1, ()) in expected:  # a row of any key may read the row (1, ()) through its own c
         expected[1, ()] = max(expected.values())
@@ -616,9 +618,10 @@ def fills(monkeypatch):
 
 
 def test_h_series_fills_once(fills):
-    # the (2) profile is one more transposition: n = 9, c = 17 + 1 on nu = ()
-    h_series(1, [(2,)], 9)
-    assert fills == [(9, (), 18)]
+    # the (2) profile is one more transposition: n = 9, c = 19 + 1 on nu = ();
+    # genus 2, since counts of genus <= 1 and one profile take no fill
+    h_series(2, [(2,)], 9)
+    assert fills == [(9, (), 20)]
 
 
 def test_oracle_data_fills_once_and_keeps_the_callers_order(fills):
@@ -685,37 +688,48 @@ def test_range_domain_error_matches_the_per_n_loop(g, mu, ns):
     assert errors[0] == errors[1]
 
 
-@pytest.mark.parametrize("g, ds, bracket", [(0, (0, 0, 0, 1, 1), 2), (1, (0, 0, 2, 2), F(1, 6))])
+@pytest.mark.parametrize(
+    "g, ds, bracket",
+    [(0, (0, 0, 0, 1, 1), 2), (1, (0, 0, 2, 2), F(1, 6)), (2, (4,), F(1, 1152))],
+)
 def test_h_tau_series_fills_once_per_profile(fills, g, ds, bracket):
-    # at g >= 1, one fill per profile of the bracket, its largest n first; the
+    # at g >= 2, one fill per profile of the bracket, its largest n first; the
     # profiles 1^a and (2, 1^b) both read rows of nu = (), each in a fill of
-    # its own.  At g = 0 Hurwitz's formula gives every count of one profile:
+    # its own.  At g <= 1 the closed form gives every count of one profile:
     # no fill runs and no row is stored
     spec = TauSpec(g, ds)
     assert h_tau_series(spec).bracket == bracket
     nus = [_table_nu([mu]) for mu in _bracket_terms(spec)]
     assert len(nus) >= 3
-    if g == 0:
+    if g <= 1:
         assert fills == [] and not monodromy._CONN and not monodromy._DISC
     else:
         assert sorted(rho for _, rho, _ in fills) == sorted(nus)
 
 
-def test_genus0_formula_entries_equal_the_table_fill():
-    # every genus-0 table entry with at most one profile, n <= 15, each read
-    # through its own fill, against Hurwitz's formula; a profile without
-    # 1-parts has marking weight 1, and a (2) profile folds into c, so its
-    # entries are those of () at c + 1
+def _formula_entries_equal_the_table_fill(g):
+    """Every table entry of genus g <= 1 with at most one profile, n <= 15,
+    each read through its own fill, against the closed form; a profile
+    without 1-parts has marking weight 1, and a (2) profile folds into c, so
+    its entries are those of () at c + 1."""
     clear_caches()
     parts = [mu.parts for m in range(16) for mu in partitions_of(m) if 1 not in mu.parts]
     assert {(2, 2), (2, 2, 2), (3,), (3, 2), (3, 3), (4,), (), (2,)} <= set(parts)
     checked = 0
     for lam in parts:
         for n in range(max(sum(lam), 1), 16):
-            entry = table_connected(CoveringSpec(0, n, [lam])) * math.factorial(n)
-            assert entry == monodromy._genus0_entry(n, lam), (n, lam)
+            entry = table_connected(CoveringSpec(g, n, [lam])) * math.factorial(n)
+            assert entry == monodromy._closed_entry(g, n, lam), (n, lam)
             checked += 1
     assert len(parts) == 176 and checked == 683
+
+
+def test_genus0_formula_entries_equal_the_table_fill():
+    _formula_entries_equal_the_table_fill(0)
+
+
+def test_genus1_formula_entries_equal_the_table_fill():
+    _formula_entries_equal_the_table_fill(1)
 
 
 def test_genus0_one_profile_counts_store_no_row():
@@ -781,7 +795,9 @@ def test_series_budget_refuses_before_any_work():
 def test_count_table_matches_class_dp(g):
     # every single-profile spec with n <= 8, the empty partition and
     # profiles with 1-parts included; the spec without profiles has no DP
-    # route of its own and is compared through the marked profile (1)
+    # route of its own and is compared through the marked profile (1).  At
+    # g <= 1 hurwitz_connected reads the closed form (Hurwitz's at genus 0,
+    # Vakil's at genus 1), so there this compares the formula with the DP
     for n in range(1, 9):
         for m in range(n + 1):
             for mu in partitions_of(m):
