@@ -9,8 +9,9 @@ Series arithmetic never builds a `Fraction`; reading a coefficient does.
 
 Products run on one kernel, `_convolve`: the binomial convolution
 s_k = sum_i C(k, i) a_i b_{k-i} for just the orders k asked for, visiting
-only the i where both factors can be nonzero; a square sums each pair
-i < k - i once and doubles it.  The inverse and exp are online
+only the i where both factors can be nonzero.  As C(k, i) = C(k, k - i),
+the terms i and k - i share one multiplication by the binomial; a square
+keeps one product of each such pair, doubled.  The inverse and exp are online
 recurrences on the same kernel: each new coefficient is one `_convolve`
 call over the coefficients already known.
 
@@ -26,7 +27,7 @@ from itertools import accumulate
 from operator import mul as _mul
 from typing import Iterable, Sequence
 
-from .errors import Record
+from .errors import Record, as_int
 
 
 def as_rational(x) -> Fraction:
@@ -51,32 +52,50 @@ def format_rational(x: Fraction) -> str:
 def _convolve(a: Sequence[int], b: Sequence[int], lo: int, hi: int) -> list[int]:
     """[s_lo, ..., s_hi] with s_k = sum_i C(k, i) a_i b_{k-i}; needs hi < len(a) + len(b).
 
-    i runs only where both a_i and b_{k-i} can be nonzero: past the end of
-    either list and over the leading zeros of either costs nothing.  When
-    `a is b` the sum is a square, and each pair i < k - i is summed once and
-    doubled.
+    i runs only over the terms, the i where both a_i and b_{k-i} can be
+    nonzero: past the end of either list and over the leading zeros of
+    either costs nothing.  As C(k, i) = C(k, k - i), a mirror pair of
+    terms i < k - i makes one binomial product,
+    (a_i b_{k-i} + a_{k-i} b_i) C(k, i), and the middle i = k/2 is added
+    once.  The singles, terms whose mirror is not a term, all lie on one
+    side; read with the factors swapped they come first, so one running
+    binomial serves singles, pairs and middle.  When `a is b` the sum is
+    a square, with no singles, and each pair keeps one product, doubled.
     """
     za = next((i for i, x in enumerate(a) if x), len(a))
     zb = next((j for j, x in enumerate(b) if x), len(b))
+    na, nb, square = len(a) - 1, len(b) - 1, a is b
     out = []
     for k in range(lo, hi + 1):
-        i = max(za, k - len(b) + 1)
-        last = min(len(a) - 1, k - zb)
-        if a is b:
-            last = min(last, (k - 1) // 2)
+        first = za if za > k - nb else k - nb  # the terms are first <= i <= k - r
+        r = zb if zb > k - na else k - na
+        if first + r > k:
+            out.append(0)
+            continue
+        # i and k - i are both terms for m <= i <= k - m; the other terms,
+        # the singles, are a_t b_{k-t} with t < r or a_{k-t} b_t with t < first,
+        # for t from min(first, r) up
+        m, t, x, y = (r, first, a, b) if first < r else (first, r, b, a)
+        binom = math.comb(k, t)
         s = 0
-        if i <= last:  # an empty range; a negative last would wrap the slice
-            j = k - i
-            binom = math.comb(k, i)
-            for x in a[i : last + 1]:
-                s += x * b[j] * binom
-                i += 1
-                binom = binom * j // i
-                j -= 1
-        if a is b:
-            s *= 2
-            if not k & 1 and za <= k // 2:
-                s += math.comb(k, k // 2) * a[k // 2] ** 2
+        if t < m:
+            for t in range(t, min(m, t + k - r - first + 1)):
+                s += x[t] * y[k - t] * binom
+                binom = binom * (k - t) // (t + 1)
+        half = k // 2
+        if m <= half:  # a mirror window [m, k - m] that is not empty
+            if square:
+                for i in range(m, k - half):
+                    s += a[i] * a[k - i] * binom
+                    binom = binom * (k - i) // (i + 1)
+                s *= 2
+            else:
+                for i in range(m, k - half):
+                    j = k - i
+                    s += (a[i] * b[j] + a[j] * b[i]) * binom
+                    binom = binom * j // (i + 1)
+            if not k & 1:
+                s += a[half] * b[half] * binom
         out.append(s)
     return out
 
@@ -124,7 +143,7 @@ class TruncatedSeries(Record):
 
     @classmethod
     def monomial(cls, n: int, order: int, coeff=1) -> "TruncatedSeries":
-        if n < 0:
+        if as_int(n) < 0:
             raise ValueError("a monomial needs n >= 0")
         return cls(([0] * n + [coeff])[: order + 1] + [0] * (order - n))
 
@@ -181,9 +200,7 @@ class TruncatedSeries(Record):
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "TruncatedSeries":
-        if not isinstance(k, int):
-            raise TypeError(f"a series power needs an int exponent, not {k!r}")
-        if k < 0:
+        if as_int(k) < 0:
             return self.inverse() ** (-k)
         if k < 2:
             return self if k else TruncatedSeries.one(self.order)

@@ -80,8 +80,77 @@ def test_convolve_matches_binomial_sum(data):
 
 
 def test_convolve_leading_zeros_of_a_shorter_second_factor():
-    # k < 2 would end the range at a negative index, which a slice wraps
+    # at k < 3 b's leading zeros leave no term: the range of i ends below 0
     assert _convolve([1] * 10, [0, 0, 0, 1], 0, 5) == [0, 0, 0, 1, 4, 10]
+
+
+def _ints(n, zeros=0):
+    """n ints, the first `zeros` of them 0 and the rest nonzero."""
+    return [0] * zeros + [(-1) ** i * (3 * i % 11 + 1) for i in range(zeros, n)]
+
+
+# (a, b) for `_convolve`, b = None for the square a is b.  A factor of
+# length 1-3 against one of length 40 leaves the mirror of most terms past
+# an end; leading zeros past the midpoint leave orders with no pair at all.
+EDGE_SHAPES = {
+    "1x40": ([5], _ints(40)),
+    "40x1": (_ints(40), [5]),
+    "2x40": ([4, -7], _ints(40)),
+    "40x2": (_ints(40), [4, -7]),
+    "3x40": ([2, 0, 9], _ints(40)),
+    "40x3": (_ints(40), [2, 0, 9]),
+    "40x17": (_ints(40), _ints(17)),
+    "a-zeros-past-middle": (_ints(40, 25), _ints(40)),
+    "b-zeros-past-middle": (_ints(40), _ints(40, 30)),
+    "both-zeros": (_ints(40, 22), _ints(17, 9)),
+    "short-zeros": ([0, 0, 3], _ints(40, 1)),
+    "square": (_ints(40), None),
+    "square-zeros": (_ints(40, 3), None),
+}
+
+
+def _binomial_sum(a, b, k):
+    return sum(math.comb(k, i) * a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+
+
+@pytest.mark.parametrize("name", EDGE_SHAPES)
+def test_convolve_edge_shapes_match_binomial_sum(name):
+    a, b = EDGE_SHAPES[name]
+    b = a if b is None else b
+    top = len(a) + len(b) - 2
+    expected = [_binomial_sum(a, b, k) for k in range(top + 1)]
+    assert _convolve(a, b, 0, top) == expected
+    assert _convolve(a, b, 7, top - 5) == expected[7 : top - 4]
+    for k in range(top + 1):  # one order per call, as the inverse and exp call it
+        assert _convolve(a, b, k, k) == [expected[k]]
+
+
+@pytest.mark.parametrize("w0", [0, 3])
+def test_convolve_online_calls_match_binomial_sum(w0):
+    # inverse and series_exp call _convolve(w, h, k, k) with len(h) = k
+    w, h = [w0, *_ints(30)[1:]], _ints(30)
+    for k in range(1, 31):
+        assert _convolve(w, h[:k], k, k) == [_binomial_sum(w, h[:k], k)]
+
+
+def test_convolve_edge_shapes_reach_every_window():
+    # per order: (some i pairs with k - i, a single below k/2, one above),
+    # where a single is a term whose mirror k - i is not a term
+    seen = set()
+    for a, b in EDGE_SHAPES.values():
+        b = a if b is None else b
+        for k in range(len(a) + len(b) - 1):
+            terms = {i for i in range(len(a)) if 0 <= k - i < len(b) and a[i] and b[k - i]}
+            singles = {i for i in terms if k - i not in terms}
+            below, above = any(2 * i < k for i in singles), any(2 * i > k for i in singles)
+            seen.add((terms > singles, below, above))
+    assert seen >= {
+        (True, False, False),  # the full window
+        (True, True, False),  # a window clipped by singles below
+        (True, False, True),  # ... or above
+        (False, True, False),  # no pair: every term a single
+        (False, False, True),
+    }
 
 
 def test_difference_of_squares():
@@ -250,6 +319,14 @@ def test_square_and_inverse_closed_forms_at_order_200():
     ]
     assert list((1 + z).inverse().coeffs) == [F(1)] + [
         F(-(n ** (n - 1)), math.factorial(n)) for n in range(1, 201)
+    ]
+    # Z + Z^2 = Z (1 + Z), a general product of factors with different leading zeros
+    assert [c * math.factorial(n) for n, c in enumerate((z * (1 + z)).coeffs)] == [0] + [
+        n**n + a_closed_fractions(n) for n in range(1, 201)
+    ]
+    # (3 + 3Z)^-1 = X/3, with a_0 = 3 != 1
+    assert list((3 + 3 * z).inverse().coeffs) == [F(1, 3)] + [
+        F(-(n ** (n - 1)), 3 * math.factorial(n)) for n in range(1, 201)
     ]
 
 
@@ -590,10 +667,13 @@ def test_monomial_refuses_negative_degree():
         TruncatedSeries.monomial(-1, 3)
     assert TruncatedSeries.monomial(0, 3) == TruncatedSeries.one(3)
     assert TruncatedSeries.monomial(5, 3) == TruncatedSeries.zero(3)
+    for n in (True, False):
+        with pytest.raises(TypeError):
+            TruncatedSeries.monomial(n, 3)
 
 
 def test_power_refuses_non_integer_exponents():
     z = series_z(4)
-    for k in (F(1, 2), 1.5):
+    for k in (F(1, 2), 1.5, True, False):
         with pytest.raises(TypeError):
             z**k
