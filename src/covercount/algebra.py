@@ -28,14 +28,14 @@ IDENTIFY_SLACK = 5
 
 def series_y(order: int) -> TruncatedSeries:
     """EGF of rooted labeled trees: coefficients n^{n-1}/n!."""
-    if order < 0:
+    if as_int(order) < 0:
         raise ValueError("order must be >= 0")
     return TruncatedSeries.from_egf([0] + [n ** (n - 1) for n in range(1, order + 1)])
 
 
 def series_z(order: int) -> TruncatedSeries:
     """EGF of rooted trees with one extra marked vertex: coefficients n^n/n!."""
-    if order < 0:
+    if as_int(order) < 0:
         raise ValueError("order must be >= 0")
     return TruncatedSeries.from_egf([0] + [n**n for n in range(1, order + 1)])
 
@@ -81,6 +81,7 @@ def _split(n: int, a: int, b: int) -> tuple[int, int, int]:
 def y_over_q_power(a: int, order: int) -> TruncatedSeries:
     """(Y/q)^a for any integer a.  Y = q e^Y, so (Y/q)^a = e^{aY}, and
     Lagrange inversion gives its coefficients a (j+a)^{j-1}/j! (1 at j = 0)."""
+    a, order = as_int(a), as_int(order)
     return TruncatedSeries.from_egf([1] + [a * (j + a) ** (j - 1) for j in range(1, order + 1)])
 
 
@@ -255,7 +256,7 @@ class LaurentPolyX(Record):
 
     def to_series(self, order: int) -> TruncatedSeries:
         """The element's series to q^order, on integers."""
-        if order < 0:
+        if as_int(order) < 0:
             raise ValueError("order must be >= 0")
         return TruncatedSeries.from_egf(*self._egf_numerators(range(order + 1)))
 
@@ -390,9 +391,6 @@ class ScaledRational(Record):
         if self.radical is Radical.SQRT2:
             return f"{base} * sqrt(2)"
         return f"{base} * (2*pi)^(-1/2)"
-
-    def to_json(self) -> dict:
-        return {"value": format_rational(self.value), "radical": self.radical.value}
 
 
 class AsymptoticTerm(Record):

@@ -135,17 +135,17 @@ class TruncatedSeries(Record):
 
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.from_egf([0] * (order + 1))
+        return cls.from_egf([0] * (as_int(order) + 1))
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls.from_egf([1] + [0] * order)
+        return cls.from_egf([1] + [0] * as_int(order))
 
     @classmethod
     def monomial(cls, n: int, order: int, coeff=1) -> "TruncatedSeries":
         if as_int(n) < 0:
             raise ValueError("a monomial needs n >= 0")
-        return cls(([0] * n + [coeff])[: order + 1] + [0] * (order - n))
+        return cls(([0] * n + [coeff])[: as_int(order) + 1] + [0] * (order - n))
 
     @property
     def order(self) -> int:

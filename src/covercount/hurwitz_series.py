@@ -16,15 +16,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import (
-    Identification,
-    LaurentPolyX,
-    ZPoly,
-    a_closed,
-    identify_in_a,
-    series_z,
-)
-from .errors import ConsistencyError, DomainError, Record
+from .algebra import Identification, ZPoly, _x_power_egf, a_closed, identify_in_a
+from .errors import ConsistencyError, DomainError, Record, as_int
 from .exact import LinearSystem, TruncatedSeries, solve_exact
 from .monodromy import (
     DEFAULT_NODE_BUDGET,
@@ -58,7 +51,7 @@ def h1_empty_series(order: int) -> TruncatedSeries:
     The unique case whose series lies outside the algebra; identification
     against any support window must report inconsistency.
     """
-    if order < 0:
+    if as_int(order) < 0:
         raise DomainError("order must be >= 0")
     # A_n / n = sum_{k<=n-2} n^k (n-1)!/k!, and k < n makes each term an integer
     return TruncatedSeries.from_egf([0] + [a_closed(n) // n for n in range(1, order + 1)], 24)
@@ -85,7 +78,7 @@ class PhiPolynomial(Record):
 
     def _validate(self):
         bound = phi_degree_bound(self.g, self.mu.num_parts)
-        if not self.poly.is_zero() and self.poly.degree > bound:
+        if self.poly.degree > bound:
             raise DomainError(
                 f"phi degree {self.poly.degree} exceeds bound {bound} for genus "
                 f"{self.g}, profile {self.mu}"
@@ -104,12 +97,6 @@ def normal_form_prefactor(mu: Partition) -> Fraction:
     return value
 
 
-def _normal_form_base(g: int, mu: Partition) -> LaurentPolyX:
-    """prefactor * Y^m * (Z+1)^{2g-2+p} = prefactor * (1-X)^m * X^{-(2g-2+p)}."""
-    chi = 2 * g - 2 + mu.num_parts
-    return LaurentPolyX({-chi: normal_form_prefactor(mu)}) * LaurentPolyX({0: 1, 1: -1}) ** mu.m
-
-
 class PhiFit(Record):
     phi: PhiPolynomial
     surplus_verified: int
@@ -120,32 +107,38 @@ def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]]) -> PhiFit:
 
     data holds (n, h_{g,n;mu}) pairs.  The linear system is over-determined
     by at least FIT_SLACK rows; any inconsistency falsifies either the normal
-    form or the counting oracle, so it raises instead of returning.  Row n is
-    [q^n] of the columns times L n!, L the lcm of their denominators: the
-    integers nums[n] L / den, with right side h L n! / c(n)!.
+    form or the counting oracle, so it raises instead of returning.  Column l
+    is Y^m (Z+1)^chi Z^l = (1-X)^(m+l) X^(-chi-l), chi = 2g-2+p, so row n
+    reads n! [q^n] of it off one `_x_power_egf` row as a binomial sum; the
+    right side is `count_series`'s numerator at n, and the solution is
+    divided by that series' denominator times the prefactor.
     """
     mu = Partition(mu)
-    data = sorted(dict(data).items())
+    counts = dict(data)
+    ns = sorted(counts)
     bound = phi_degree_bound(g, mu.num_parts)
     unknowns = bound + 1
-    if len(data) < unknowns + FIT_SLACK:
+    if len(ns) < unknowns + FIT_SLACK:
         raise DomainError(
             f"need at least {unknowns + FIT_SLACK} data points for degree {bound}, "
-            f"got {len(data)}"
+            f"got {len(ns)}"
         )
-    z = series_z(max(n for n, _ in data))
-    cols = [_normal_form_base(g, mu).to_series(z.order)]
-    while len(cols) < unknowns:
-        cols.append(cols[-1] * z)
-    lcm = math.lcm(*(col.den for col in cols))
-    rows, rhs = [], []
-    for n, h in data:
-        cn = CoveringSpec.simple_points(g, n, mu.degeneracy)
-        if cn < 0:
+    for n in ns:
+        if n < 0 or CoveringSpec.simple_points(g, n, mu.degeneracy) < 0:
             raise DomainError(f"data point n={n} is outside the valid range")
-        rows.append([col.nums[n] * (lcm // col.den) for col in cols])
-        rhs.append(Fraction(h) * (lcm * math.factorial(n)) / math.factorial(cn))
-    solution = solve_exact(LinearSystem(rows, rhs))
+    padded = [(n, Fraction(counts.get(n, 0))) for n in range(ns[-1] + 1)]
+    series = count_series(g, mu.degeneracy, padded)
+    chi = 2 * g - 2 + mu.num_parts
+    # sum_t (-1)^t C(m+l, t) X^(t-chi-l), X^(t-chi-l) at index bound-l+t of the row
+    cols = [
+        [(bound - l + t, (-1) ** t * math.comb(mu.m + l, t)) for t in range(mu.m + l + 1)]
+        for l in range(unknowns)
+    ]
+    rows = [
+        [sum(w * e[i] for i, w in col) for col in cols]
+        for e in (_x_power_egf(n, -chi - bound, mu.m - chi) for n in ns)
+    ]
+    solution = solve_exact(LinearSystem(rows, [series.nums[n] for n in ns]))
     if solution.status == "inconsistent":
         raise ConsistencyError(
             f"covering counts for genus {g}, profile {mu} do not fit the normal form"
@@ -154,8 +147,9 @@ def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]]) -> PhiFit:
         raise DomainError(
             f"data for genus {g}, profile {mu} leaves the fit under-determined"
         )
-    phi = PhiPolynomial(g, mu, ZPoly(solution.solution))
-    return PhiFit(phi, surplus_verified=len(data) - unknowns)
+    scale = series.den * normal_form_prefactor(mu)
+    phi = PhiPolynomial(g, mu, ZPoly([x / scale for x in solution.solution]))
+    return PhiFit(phi, surplus_verified=len(ns) - unknowns)
 
 
 def oracle_data(
@@ -207,7 +201,7 @@ def h_series(g: int, mus, order: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
     The certificate is the exact identification over `default_window`;
     it fails (by design) only for genus one with no profiles.
     """
-    if order < 0:
+    if as_int(order) < 0:
         raise DomainError("order must be >= 0")
     mus = tuple(map(Partition, mus))
     n_min = max([1] + [mu.m for mu in mus])

@@ -21,7 +21,7 @@ class Partition(Record):
     def __init__(self, parts=()):
         p = tuple(sorted(map(as_int, parts), reverse=True))
         if any(b < 1 for b in p):
-            raise DomainError(f"partition parts must be positive: {parts}")
+            raise DomainError(f"partition parts must be positive: {p}")
         object.__setattr__(self, "parts", p)
 
     @property

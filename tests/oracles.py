@@ -385,8 +385,9 @@ def zpoly_to_laurent(z):
 def normal_form_series(phi, order):
     """The normal form prefactor * Y^m (Z+1)^(2g-2+p) phi(Z) of a `PhiPolynomial`.
 
-    Built from the series Y and Z, not from the Laurent columns `fit_phi`
-    solves on; the library's former `normal_form_series` multiplied those.
+    Built by multiplying the series Y and Z, a route the library no longer
+    takes: `fit_phi` reads its columns off X-power rows, so this product is
+    the independent cross-check.
     """
     mu = phi.mu
     y, z = series_y(order), series_z(order)

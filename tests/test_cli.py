@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from covercount import cli, monodromy
+from covercount.algebra import series_z
 from covercount.cli import main
+from covercount.exact import format_rational
 
 from .oracles import seq_a_convolution
 
@@ -55,6 +57,12 @@ def test_hurwitz_with_profile_and_disconnected(capsys):
 def test_hurwitz_invalid_spec_exit2(capsys):
     code, out, err = run(capsys, "hurwitz", "--g", "0", "--n", "2", "--mu", "3")
     assert code == 2 and "error" in err
+
+
+def test_nonpositive_part_error_names_the_parsed_parts(capsys):
+    code, out, err = run(capsys, "hurwitz", "--g", "0", "--n", "3", "--mu", "0")
+    assert (code, out) == (2, "")
+    assert "(0,)" in err and "generator" not in err
 
 
 def test_hurwitz_budget_exit3(capsys):
@@ -171,6 +179,13 @@ def test_hseries_fit_phi(capsys):
     obj = json.loads(out)
     assert obj["laurent_identification"]["status"] == "identified"
     assert obj["phi"] == {"0": "0", "1": "1/24"}
+
+
+def test_z2_json_matches_the_product_route(capsys):
+    code, out, _ = run(capsys, "series", "--name", "Z2", "--order", "60", "--json")
+    z2 = series_z(60) ** 2
+    expected = {str(n): format_rational(z2.coefficient(n)) for n in range(61) if z2.nums[n]}
+    assert (code, json.loads(out)) == (0, expected)
 
 
 def test_same_argv_twice_identical_output(capsys):

@@ -19,7 +19,7 @@ from covercount.exact import (
     series_exp,
     solve_exact,
 )
-from covercount.hurwitz_series import h1_empty_series
+from covercount.hurwitz_series import h1_empty_series, h_series
 
 from .oracles import (
     a_closed_fractions,
@@ -677,3 +677,37 @@ def test_power_refuses_non_integer_exponents():
     for k in (F(1, 2), 1.5, True, False):
         with pytest.raises(TypeError):
             z**k
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        TruncatedSeries.zero,
+        TruncatedSeries.one,
+        lambda b: TruncatedSeries.monomial(1, b),
+        series_y,
+        series_z,
+        lambda b: y_over_q_power(b, 3),
+        lambda b: y_over_q_power(1, b),
+        LaurentPolyX({-1: 1}).to_series,
+        h1_empty_series,
+        lambda b: h_series(0, [], b),
+    ],
+    ids=[
+        "zero",
+        "one",
+        "monomial-order",
+        "series_y",
+        "series_z",
+        "y_over_q_power-a",
+        "y_over_q_power-order",
+        "to_series",
+        "h1_empty_series",
+        "h_series",
+    ],
+)
+@pytest.mark.parametrize("b", [True, False])
+def test_series_builders_refuse_bool_orders(build, b):
+    # a bool is an int to Python; as an order or exponent it is a slip
+    with pytest.raises(TypeError):
+        build(b)

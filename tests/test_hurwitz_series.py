@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from covercount import cli, exact
 from covercount.algebra import LaurentPolyX, ZPoly, a_closed, identify_in_a, series_z
 from covercount.errors import ConsistencyError, DomainError
 from covercount.exact import TruncatedSeries
@@ -195,11 +196,53 @@ def test_fit_scales_with_the_data(g, mu):
     assert scaled == ZPoly([c / 7 for c in phi.coeffs])
 
 
+def test_fit_and_z2_never_reach_the_convolution_kernel(capsys, monkeypatch):
+    # the fit's columns and Z2 are read off X-power rows, not series products
+    data = {
+        (g, mu): oracle_data(g, mu, range(max(1, sum(mu)), max(1, sum(mu)) + 3 * g + 4))
+        for g, mu in [(2, (2, 1)), (4, ())]
+    }
+    calls, convolve = [], exact._convolve
+
+    def counted(*args):
+        calls.append(args)
+        return convolve(*args)
+
+    monkeypatch.setattr(exact, "_convolve", counted)
+    for (g, mu), points in data.items():
+        assert fit_phi(g, mu, points).surplus_verified >= 2
+    assert cli.main(["series", "--name", "Z2", "--order", "40"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 39
+    assert calls == []
+
+
+@pytest.mark.parametrize("g,mu", [(0, (2,)), (1, (2,)), (2, (2, 1)), (3, ())])
+def test_fit_on_gapped_and_reversed_data_matches_sorted(g, mu):
+    # the fit sorts its data, so the order given must not matter, and the
+    # right side is padded with zeros between the given n
+    mu = Partition(mu)
+    n0 = max(1, mu.m)
+    need = phi_degree_bound(g, mu.num_parts) + 3
+    data = oracle_data(g, mu, range(n0, n0 + 2 * need, 2))
+    fit = fit_phi(g, mu, data)
+    assert fit_phi(g, mu, data[::-1]) == fit
+    assert fit == fit_phi(g, mu, oracle_data(g, mu, range(n0, n0 + need)))
+
+
 def test_fit_rejects_too_few_points():
     mu = Partition([1])
     data = oracle_data(0, mu, range(1, 3))
     with pytest.raises(DomainError):
         fit_phi(0, mu, data)
+
+
+@pytest.mark.parametrize("g,mu,n", [(0, (2,), 1), (5, (2,), -3)])
+def test_fit_refuses_points_outside_the_valid_range(g, mu, n):
+    # c(1) < 0 at genus 0; at genus 5, c(-3) >= 0 but no cover has -3 sheets
+    mu = Partition(mu)
+    data = oracle_data(g, mu, range(2, 2 + phi_degree_bound(g, 1) + 3))
+    with pytest.raises(DomainError, match=f"data point n={n} is outside the valid range"):
+        fit_phi(g, mu, [(n, F(1))] + data)
 
 
 def test_fit_raises_on_corrupted_data():
