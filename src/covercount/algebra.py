@@ -82,7 +82,7 @@ def y_over_q_power(a: int, order: int) -> TruncatedSeries:
     """(Y/q)^a for any integer a.  Y = q e^Y, so (Y/q)^a = e^{aY}, and
     Lagrange inversion gives its coefficients a (j+a)^{j-1}/j! (1 at j = 0)."""
     a, order = as_int(a), as_int(order)
-    return TruncatedSeries.from_egf([1] + [a * (j + a) ** (j - 1) for j in range(1, order + 1)])
+    return TruncatedSeries.from_egf([a * (j + a) ** (j - 1) if j else 1 for j in range(order + 1)])
 
 
 def _x_power_egf(n: int, jmin: int, jmax: int) -> list[int]:
@@ -104,6 +104,21 @@ def _x_power_egf(n: int, jmin: int, jmax: int) -> list[int]:
     for j in range(1, -jmin - 1):
         e[-j - 2] = e[-j - 1] + n * e[-j] // j
     return [e[j] for j in range(jmin, jmax + 1)]
+
+
+def _egf_rows(ns, cols) -> list[list[int]]:
+    """[[n! [q^n] sum_j c_j X^j for each column] for n in ns], each column an
+    integer map {j: c_j}.
+
+    One `_x_power_egf` row per n over the columns' joint support gives every
+    column's entry as an integer sum; an empty column reads 0.  A_n is
+    computed only when the support reaches X^{-2}.
+    """
+    support = [j for col in cols for j in col] or [0]
+    jmin, jmax = min(support), max(support)
+    weights = [[(j - jmin, c) for j, c in col.items()] for col in cols]
+    rows = (_x_power_egf(n, jmin, jmax) for n in ns)
+    return [[sum(c * e[i] for i, c in w) for w in weights] for e in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -262,25 +277,17 @@ class LaurentPolyX(Record):
 
     def coefficient(self, n: int) -> Fraction:
         """Exact q^n coefficient, with no series products."""
-        if n < 0:
+        if as_int(n) < 0:
             raise ValueError("n must be >= 0")
         (num,), den = self._egf_numerators([n])
         return Fraction(num, den * math.factorial(n))
 
     def _egf_numerators(self, ns) -> tuple[list[int], int]:
-        """([L n! [q^n] P for n in ns], L), L the lcm of the c_j's denominators.
-
-        One `_x_power_egf(n, ...)` row over the support gives n! [q^n] X^j
-        for every exponent, weighted by the integers L c_j.  A_n is computed
-        only when the support reaches X^{-2}.
-        """
-        if not self.coeffs:
-            return [0] * len(ns), 1
+        """([L n! [q^n] P for n in ns], L), L the lcm of the c_j's denominators:
+        the `_egf_rows` of the one integer column {j: L c_j}."""
         den = math.lcm(*(c.denominator for c in self.coeffs.values()))
-        jmin, jmax = self.support[0], self.support[-1]
-        weights = [(j - jmin, c.numerator * (den // c.denominator)) for j, c in self.coeffs.items()]
-        rows = (_x_power_egf(n, jmin, jmax) for n in ns)
-        return [sum(w * e[i] for i, w in weights) for e in rows], den
+        col = {j: c.numerator * (den // c.denominator) for j, c in self.coeffs.items()}
+        return [row[0] for row in _egf_rows(ns, [col])], den
 
     def to_json(self) -> dict[str, str]:
         return {str(j): format_rational(c) for j, c in self.coeffs.items()}
@@ -330,7 +337,7 @@ def identify_in_a(f: TruncatedSeries, jmin: int, jmax: int) -> Identification:
     Requires at least (window size + IDENTIFY_SLACK) known coefficients so
     that an accidental low-order match cannot masquerade as membership.
     """
-    if jmax < jmin:
+    if as_int(jmax) < as_int(jmin):
         raise ValueError("jmax must be >= jmin")
     unknowns = jmax - jmin + 1
     if f.order + 1 < unknowns + IDENTIFY_SLACK:

@@ -80,7 +80,7 @@ def _emit(args, plain_lines, json_obj, csv_rows=None, csv_header=None):
             print(line)
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> None:
     s = _named_series(args)
     pick = s.egf_coefficient if args.egf else s.coefficient
     rows = [(n, format_rational(pick(n))) for n in range(s.order + 1)]
@@ -91,10 +91,9 @@ def _cmd_series(args) -> int:
         csv_rows=rows,
         csv_header=("n", "coefficient"),
     )
-    return EXIT_OK
 
 
-def _cmd_identify(args) -> int:
+def _cmd_identify(args) -> None:
     s = _named_series(args)
     ident = algebra.identify_in_a(s, args.jmin, args.jmax)
     obj = {"status": ident.status, "verified_orders": ident.verified_orders}
@@ -103,10 +102,9 @@ def _cmd_identify(args) -> int:
         obj["element"] = ident.element.to_json()
         lines.append(f"element: {ident.element}")
     _emit(args, lines, obj)
-    return EXIT_OK
 
 
-def _cmd_asymptotic(args) -> int:
+def _cmd_asymptotic(args) -> None:
     if args.laurent:
         element = algebra.LaurentPolyX.from_json(json.loads(args.laurent))
     else:
@@ -118,10 +116,9 @@ def _cmd_asymptotic(args) -> int:
     term = algebra.leading_asymptotic(element)
     obj = term.to_json()
     _emit(args, [f"constant {term.constant}  gamma {term.gamma2}/2"], obj)
-    return EXIT_OK
 
 
-def _cmd_cayley(args) -> int:
+def _cmd_cayley(args) -> None:
     rows = [(n, k, str(m), str(p)) for n, k, m, p in trees.dendrology(args.nmax, args.kmax)]
     _emit(
         args,
@@ -130,10 +127,9 @@ def _cmd_cayley(args) -> int:
         csv_rows=rows,
         csv_header=("n", "k", "m", "p"),
     )
-    return EXIT_OK
 
 
-def _cmd_hurwitz(args) -> int:
+def _cmd_hurwitz(args) -> None:
     mus = [_parse_mu(text) for text in args.mu or []]
     spec = CoveringSpec(args.g, args.n, mus)
     count = hurwitz_disconnected if args.disconnected else hurwitz_connected
@@ -145,10 +141,9 @@ def _cmd_hurwitz(args) -> int:
         "tuple_count": format_rational(tuple_count),
     }
     _emit(args, [format_rational(value)], obj)
-    return EXIT_OK
 
 
-def _cmd_hseries(args) -> int:
+def _cmd_hseries(args) -> None:
     mus = [_parse_mu(text) for text in args.mu or []]
     if args.fit_phi and len(mus) != 1:
         raise DomainError("--fit-phi needs exactly one --mu")
@@ -177,18 +172,16 @@ def _cmd_hseries(args) -> int:
         }
         obj["phi_surplus_verified"] = fit.surplus_verified
     print(json.dumps(obj))
-    return EXIT_OK
 
 
-def _cmd_tau(args) -> int:
+def _cmd_tau(args) -> None:
     ds = [int(x) for x in args.d.split(",") if x.strip() != ""]
     spec = gravity.TauSpec(args.g, ds)
     value = gravity.tau_bracket(spec, node_budget=args.max_nodes)
     _emit(args, [format_rational(value)], {"bracket": format_rational(value)})
-    return EXIT_OK
 
 
-def _cmd_painleve(args) -> int:
+def _cmd_painleve(args) -> None:
     sol = gravity.painleve_solve(args.gmax)
     rows = [(g, format_rational(sol.e[g])) for g in range(2, args.gmax + 1)]
     _emit(
@@ -198,10 +191,9 @@ def _cmd_painleve(args) -> int:
         csv_rows=rows,
         csv_header=("g", "e_g"),
     )
-    return EXIT_OK
 
 
-def _cmd_gravity(args) -> int:
+def _cmd_gravity(args) -> None:
     sol = gravity.painleve_solve(args.gmax)
     rows = []
     for g in range(2, args.gmax + 1):
@@ -215,7 +207,6 @@ def _cmd_gravity(args) -> int:
         csv_rows=rows,
         csv_header=("g", "e_g", "b_g", "free_energy_coeff"),
     )
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,8 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact integers print at any length: lift the interpreter's int-to-str
+    # digit limit (Python 3.10.7 on) for this call, and restore the caller's
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except BudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -319,6 +316,9 @@ def main(argv=None) -> int:
     except (DomainError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -139,13 +139,13 @@ class TruncatedSeries(Record):
 
     @classmethod
     def one(cls, order: int) -> "TruncatedSeries":
-        return cls.from_egf([1] + [0] * as_int(order))
+        return cls.monomial(0, order)
 
     @classmethod
     def monomial(cls, n: int, order: int, coeff=1) -> "TruncatedSeries":
-        if as_int(n) < 0:
-            raise ValueError("a monomial needs n >= 0")
-        return cls(([0] * n + [coeff])[: as_int(order) + 1] + [0] * (order - n))
+        if as_int(n) < 0 or as_int(order) < 0:
+            raise ValueError("a monomial needs n >= 0 and order >= 0")
+        return cls(([0] * n + [coeff])[: order + 1] + [0] * (order - n))
 
     @property
     def order(self) -> int:

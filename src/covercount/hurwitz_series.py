@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import Identification, ZPoly, _x_power_egf, a_closed, identify_in_a
+from .algebra import Identification, ZPoly, _egf_rows, a_closed, identify_in_a
 from .errors import ConsistencyError, DomainError, Record, as_int
 from .exact import LinearSystem, TruncatedSeries, solve_exact
 from .monodromy import (
@@ -108,15 +108,16 @@ def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]]) -> PhiFit:
     data holds (n, h_{g,n;mu}) pairs.  The linear system is over-determined
     by at least FIT_SLACK rows; any inconsistency falsifies either the normal
     form or the counting oracle, so it raises instead of returning.  Column l
-    is Y^m (Z+1)^chi Z^l = (1-X)^(m+l) X^(-chi-l), chi = 2g-2+p, so row n
-    reads n! [q^n] of it off one `_x_power_egf` row as a binomial sum; the
-    right side is `count_series`'s numerator at n, and the solution is
-    divided by that series' denominator times the prefactor.
+    is Y^m (Z+1)^chi Z^l = (1-X)^(m+l) X^(-chi-l), chi = 2g-2+p, the integer
+    map {t-chi-l: (-1)^t C(m+l, t)}, and `algebra._egf_rows` reads its
+    n! [q^n] at each data n; the right side is `count_series`'s numerator at
+    n, and the solution is divided by that series' denominator times the
+    prefactor.
     """
     mu = Partition(mu)
     counts = dict(data)
     ns = sorted(counts)
-    bound = phi_degree_bound(g, mu.num_parts)
+    bound = phi_degree_bound(as_int(g), mu.num_parts)
     unknowns = bound + 1
     if len(ns) < unknowns + FIT_SLACK:
         raise DomainError(
@@ -124,21 +125,16 @@ def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]]) -> PhiFit:
             f"got {len(ns)}"
         )
     for n in ns:
-        if n < 0 or CoveringSpec.simple_points(g, n, mu.degeneracy) < 0:
+        if as_int(n) < 0 or CoveringSpec.simple_points(g, n, mu.degeneracy) < 0:
             raise DomainError(f"data point n={n} is outside the valid range")
     padded = [(n, Fraction(counts.get(n, 0))) for n in range(ns[-1] + 1)]
     series = count_series(g, mu.degeneracy, padded)
     chi = 2 * g - 2 + mu.num_parts
-    # sum_t (-1)^t C(m+l, t) X^(t-chi-l), X^(t-chi-l) at index bound-l+t of the row
     cols = [
-        [(bound - l + t, (-1) ** t * math.comb(mu.m + l, t)) for t in range(mu.m + l + 1)]
+        {t - chi - l: (-1) ** t * math.comb(mu.m + l, t) for t in range(mu.m + l + 1)}
         for l in range(unknowns)
     ]
-    rows = [
-        [sum(w * e[i] for i, w in col) for col in cols]
-        for e in (_x_power_egf(n, -chi - bound, mu.m - chi) for n in ns)
-    ]
-    solution = solve_exact(LinearSystem(rows, [series.nums[n] for n in ns]))
+    solution = solve_exact(LinearSystem(_egf_rows(ns, cols), [series.nums[n] for n in ns]))
     if solution.status == "inconsistent":
         raise ConsistencyError(
             f"covering counts for genus {g}, profile {mu} do not fit the normal form"

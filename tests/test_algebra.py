@@ -12,6 +12,7 @@ from covercount.algebra import (
     Radical,
     ScaledRational,
     ZPoly,
+    _egf_rows,
     _x_power_egf,
     a_closed,
     dkz_poly,
@@ -285,15 +286,28 @@ def test_identify_roundtrip_random_elements(coeffs):
     assert ident.ok and ident.element == p
 
 
-@pytest.mark.parametrize("jmin, jmax", [(-4, 3), (-3, -1), (2, 4), (0, 0), (-8, 8)])
+@pytest.mark.parametrize("jmin, jmax", [(-4, 3), (-3, -1), (2, 4), (0, 0), (-8, 8), (-2, -2)])
 def test_x_powers_match_binary_powering(jmin, jmax):
     # column j of the rows n! [q^n] X^j, n <= 20, is the series of X^j
     one = TruncatedSeries.one(20)
     x, xinv = one - series_y(20), one + series_z(20)
+    powers = {j: (x if j >= 0 else xinv) ** abs(j) for j in range(jmin, jmax + 1)}
     rows = [_x_power_egf(n, jmin, jmax) for n in range(21)]
     for t, j in enumerate(range(jmin, jmax + 1)):
         s = TruncatedSeries([F(row[t], math.factorial(n)) for n, row in enumerate(rows)])
-        assert s == (x if j >= 0 else xinv) ** abs(j)
+        assert s == powers[j]
+    # `_egf_rows` on integer columns over the window: fit_phi's (1-X)^a X^jmin,
+    # two ends, each bare power and the empty column, against the same powers
+    a = jmax - jmin
+    cols = [
+        {jmin + t: (-1) ** t * math.comb(a, t) for t in range(a + 1)},
+        {jmin: 3, jmax: -2} if a else {jmin: 3},
+        *({j: 1} for j in powers),
+        {},
+    ]
+    for c, col in enumerate(zip(*_egf_rows(range(21), cols))):
+        expected = sum((powers[j] * w for j, w in cols[c].items()), TruncatedSeries.zero(20))
+        assert TruncatedSeries.from_egf(col) == expected, cols[c]
 
 
 def test_laurent_pow_rejects_negative_exponent_before_multiplying(monkeypatch):
@@ -349,6 +363,16 @@ def test_laurent_coefficient_rejects_negative_n(coeffs):
         LaurentPolyX(coeffs).coefficient(-1)
     with pytest.raises(ValueError, match="order must be >= 0"):
         LaurentPolyX(coeffs).to_series(-1)
+
+
+def test_readers_refuse_bool_integers():
+    # a bool is an int to Python; as an index or a window end it is a slip
+    z = series_z(20)
+    with pytest.raises(TypeError):
+        LaurentPolyX({-1: 1}).coefficient(True)
+    for jmin, jmax in [(True, 2), (-2, True), (False, 2)]:
+        with pytest.raises(TypeError):
+            identify_in_a(z, jmin, jmax)
 
 
 def test_zpoly_laurent_roundtrip():

@@ -1,6 +1,9 @@
 import argparse
 import json
+import math
 import re
+import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from covercount import cli, monodromy
 from covercount.algebra import series_z
 from covercount.cli import main
 from covercount.exact import format_rational
+from covercount.trees import dendrology
 
 from .oracles import seq_a_convolution
 
@@ -146,6 +150,27 @@ def test_cayley_has_no_size_limit(capsys):
     a12 = seq_a_convolution(12)[-1]
     assert (code, err) == (0, "")
     assert out.endswith(f"\n12,1,{a12},{a12}\n")
+
+
+def test_exact_integers_print_at_any_length(capsys):
+    # 1400^1400 has 4,405 digits and cayley's last A_n about 4,770, past the
+    # interpreter's default int-to-str limit of 4,300 digits (0 is no limit);
+    # main lifts the limit for its own call and restores the caller's
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    limit = get_limit()
+    code, series_out, err = run(capsys, "series", "--name", "Z", "--order", "1400")
+    assert (code, err, get_limit()) == (0, "", limit)
+    code, cayley_out, err = run(capsys, "cayley", "--nmax", "1500", "--kmax", "1", "--csv")
+    assert (code, err, get_limit()) == (0, "", limit)
+    set_limit(0)
+    try:
+        last = f"1400: {format_rational(F(1400**1400, math.factorial(1400)))}"
+        rows = [",".join(map(str, row)) for row in dendrology(1500, 1)]
+    finally:
+        set_limit(limit)
+    assert series_out.splitlines()[-1] == last
+    assert cayley_out.splitlines() == ["n,k,m,p", *rows]
 
 
 def test_cayley_limit_is_an_unrecognized_argument(capsys):

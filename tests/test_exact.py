@@ -711,3 +711,36 @@ def test_series_builders_refuse_bool_orders(build, b):
     # a bool is an int to Python; as an order or exponent it is a slip
     with pytest.raises(TypeError):
         build(b)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        TruncatedSeries.zero,
+        TruncatedSeries.one,
+        lambda order: TruncatedSeries.monomial(5, order),
+        series_y,
+        series_z,
+        lambda order: y_over_q_power(2, order),
+        LaurentPolyX({-1: 1}).to_series,
+        h1_empty_series,
+        lambda order: h_series(0, [], order),
+    ],
+    ids=[
+        "zero",
+        "one",
+        "monomial",
+        "series_y",
+        "series_z",
+        "y_over_q_power",
+        "to_series",
+        "h1_empty_series",
+        "h_series",
+    ],
+)
+@pytest.mark.parametrize("order", [-1, -5])
+def test_series_builders_refuse_negative_orders(build, order):
+    # one(-3), y_over_q_power(2, -5) and monomial(5, -5) once returned
+    # series of order 0, 0 and 1
+    with pytest.raises(ValueError):
+        build(order)

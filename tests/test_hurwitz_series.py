@@ -245,6 +245,15 @@ def test_fit_refuses_points_outside_the_valid_range(g, mu, n):
         fit_phi(g, mu, [(n, F(1))] + data)
 
 
+def test_fit_refuses_bool_integers():
+    mu = Partition((2,))
+    data = oracle_data(1, mu, range(2, 9))
+    with pytest.raises(TypeError):
+        fit_phi(True, mu, data)
+    with pytest.raises(TypeError):
+        fit_phi(1, mu, [(True, F(0))] + data[1:])
+
+
 def test_fit_raises_on_corrupted_data():
     mu = Partition([1])
     data = dict(oracle_data(0, mu, range(1, 7)))

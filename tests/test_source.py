@@ -50,3 +50,25 @@ def test_binomials_only_inside_the_convolution_kernel():
     assert any(id(node) in inside for node in calls)
     outside = [node.lineno for node in calls if id(node) not in inside]
     assert not outside, f"math.comb called outside _convolve at lines {outside}"
+
+
+def test_x_power_rows_have_one_weighted_reader():
+    # `_egf_rows` is the one loop that weights X-power rows; `identify_in_a`
+    # takes the rows of the bare powers X^j as they are, and no other module
+    # reaches the recurrence
+    tree = ast.parse((SRC / "algebra.py").read_text())
+    callers = [
+        getattr(top, "name", None)
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_x_power_egf"
+    ]
+    assert sorted(callers) == ["_egf_rows", "identify_in_a"]
+    for path in MODULES:
+        if path.name != "algebra.py":
+            names = {
+                getattr(node, "attr", None) or getattr(node, "name", None)
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.alias, ast.Attribute))
+            }
+            assert "_x_power_egf" not in names, f"{path.name} imports _x_power_egf"

@@ -118,6 +118,12 @@ def test_table_is_empty_outside_its_range():
     assert dendrology(1, 3) == dendrology(5, 0) == dendrology(-3, 2) == []
 
 
+def test_table_refuses_bool_sizes():
+    for nmax, kmax in [(3, True), (True, 2), (False, 2)]:
+        with pytest.raises(TypeError):
+            dendrology(nmax, kmax)
+
+
 def test_moment_via_stirling_transform_agrees():
     # two independent computations of m_{n,k}
     for (n, k), (m, _) in TABLE.items():
