@@ -42,12 +42,12 @@ def series_z(order: int) -> TruncatedSeries:
 
 def seq_a(nmax: int) -> list[int]:
     """A_1..A_nmax, A_n = n! [q^n] Z^2, from the closed form (`a_closed`)."""
-    if nmax < 1:
+    if as_int(nmax) < 1:
         raise ValueError("nmax must be >= 1")
     return [a_closed(n) for n in range(1, nmax + 1)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def a_closed(n: int) -> int:
     """A_n = n! sum_{k=0}^{n-2} n^k/k!, as an exact integer, memoized per n.
 
@@ -55,9 +55,10 @@ def a_closed(n: int) -> int:
     let f = sum_{j=a+1}^{b} n^(j-a-1) prod_{i=j+1}^{b} i and p = b!/a!.
     Halves combine as f(a, b) = f(a, c) p(c, b) + n^(c-a) f(c, b) and
     p(a, b) = p(a, c) p(c, b), so the big products are balanced, and with
-    m = n - 2, A_n = n (n-1) (p(0, m) + n f(0, m)).
+    m = n - 2, A_n = n (n-1) (p(0, m) + n f(0, m)).  The cache is typed, so a
+    bool never shares the entry of 0 or 1 and always reaches the int check.
     """
-    if n < 2:
+    if as_int(n) < 2:
         return 0
     f, p, _ = _split(n, 0, n - 2)
     return n * (n - 1) * (p + n * f)
@@ -121,6 +122,19 @@ def _egf_rows(ns, cols) -> list[list[int]]:
     return [[sum(c * e[i] for i, c in w) for w in weights] for e in rows]
 
 
+def _fit(ns, nums, den, cols) -> tuple[str, list[Fraction] | None, int]:
+    """(status, x, surplus): the x_c with sum_c x_c n! [q^n] col_c = nums[k] / den
+    at n = ns[k], each column an integer map {j: c_j}.
+
+    `solve_exact` runs on the `_egf_rows` of the columns in the order of ns,
+    since it pivots on rows in input order; x is its solution divided by
+    den, None unless the status is 'unique', and surplus = len(ns) -
+    len(cols) counts the rows beyond the unknowns that the solve verified.
+    """
+    sol = solve_exact(LinearSystem(_egf_rows(ns, cols), nums))
+    return sol.status, [x / den for x in sol.solution] if sol.ok else None, len(ns) - len(cols)
+
+
 # ---------------------------------------------------------------------------
 # polynomials in Z
 
@@ -156,7 +170,7 @@ class ZPoly(Record):
 
 def _dk_laurent(a: int, k: int) -> "LaurentPolyX":
     """D^k (Z^a): D applied k times to (X^{-1} - 1)^a, integer coefficients."""
-    if k < 0:
+    if as_int(k) < 0:
         raise ValueError("k must be >= 0")
     p = LaurentPolyX({-1: 1, 0: -1}) ** a
     for _ in range(k):
@@ -184,7 +198,7 @@ def zpower_in_basis(k: int) -> list[Fraction]:
     elements against those of (X^{-1} - 1)^k; `solve_exact` checks every
     row beyond its pivots.
     """
-    if k < 1:
+    if as_int(k) < 1:
         raise ValueError("k must be >= 1")
     basis = [_dk_laurent(i % 2 + 1, i // 2).coeffs for i in range(k)]
     deg = -min(min(p) for p in basis)
@@ -336,21 +350,19 @@ def identify_in_a(f: TruncatedSeries, jmin: int, jmax: int) -> Identification:
 
     Requires at least (window size + IDENTIFY_SLACK) known coefficients so
     that an accidental low-order match cannot masquerade as membership.
+    The columns are the powers X^j of the window, {j: 1}, and `_fit` solves
+    them against f's numerators at every order, so every coefficient past
+    the window's size is verified.
     """
     if as_int(jmax) < as_int(jmin):
         raise ValueError("jmax must be >= jmin")
-    unknowns = jmax - jmin + 1
-    if f.order + 1 < unknowns + IDENTIFY_SLACK:
+    window = range(jmin, jmax + 1)
+    if f.order + 1 < len(window) + IDENTIFY_SLACK:
         return Identification("underdetermined")
-    order = f.order
-    # row n is [q^n] scaled by n!, with right side den n! f_n = nums[n], so
-    # the solution is den times P's coefficients
-    rows = [_x_power_egf(n, jmin, jmax) for n in range(order + 1)]
-    sol = solve_exact(LinearSystem(rows, f.nums))
-    if not sol.ok:
-        return Identification(sol.status)
-    element = LaurentPolyX({j: c / f.den for j, c in zip(range(jmin, jmax + 1), sol.solution)})
-    return Identification("identified", element, verified_orders=order + 1 - unknowns)
+    status, solution, surplus = _fit(range(f.order + 1), f.nums, f.den, [{j: 1} for j in window])
+    if solution is None:
+        return Identification(status)
+    return Identification("identified", LaurentPolyX(dict(zip(window, solution))), surplus)
 
 
 # ---------------------------------------------------------------------------

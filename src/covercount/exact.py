@@ -16,7 +16,8 @@ recurrences on the same kernel: each new coefficient is one `_convolve`
 call over the coefficients already known.
 
 The linear solver eliminates fraction-free on integer rows, in input order
-until full rank, and checks the surplus rows (the certificate) in integers.
+until full rank, and checks each surplus row (the certificate) as it is
+stored, one exact dot product with the solution's numerators.
 """
 
 from __future__ import annotations
@@ -308,14 +309,17 @@ def _integer_row(row: Sequence[Fraction]) -> list[int]:
 
 
 def solve_exact(system: LinearSystem) -> LinearSolution:
-    """Solve on the fewest rows, fraction-free, and check the rest in integers.
+    """Solve on the fewest rows, fraction-free, and check the rest exactly.
 
     Rows, right side last, are cleared of denominators and reduced in input
     order against the pivot rows so far (pivot on the first nonzero entry)
     until the rank equals the column count: an entry f under pivot p gives
     p row - f pivot, divided by its gcd (Bareiss, 1968).  Back-substitution
-    gives the solution over one common denominator, and every remaining row
-    is checked as an integer dot product.  Callers put the smallest rows first.
+    gives the solution as numerators over one common denominator, and every
+    remaining row is checked as it is stored, as one dot product with those
+    numerators against its right side times the denominator: in integers
+    when the row is integer, as every caller's is, and exact on `Fraction`
+    entries too.  Callers put the smallest rows first.
 
     A row that reduces to zero with a nonzero right side, or a remaining row
     the solution does not satisfy, gives 'inconsistent', also when the
@@ -353,7 +357,6 @@ def solve_exact(system: LinearSystem) -> LinearSolution:
         num = [x // common for x in num]
         den //= common
     for row, b in zip(system.matrix[used:], system.rhs[used:]):
-        r = _integer_row((*row, b))
-        if sum(a * x for a, x in zip(r, num) if a) != r[n_cols] * den:
+        if sum(a * x for a, x in zip(row, num) if a) != b * den:
             return LinearSolution("inconsistent")
     return LinearSolution("unique", tuple(Fraction(x, den) for x in num))

@@ -269,7 +269,7 @@ _B_LOW_GENUS = {
 def b_constant(g: int, solution: PainleveSolution | None = None) -> GravityConstant:
     """b_g = e_g / (2^{5(g-1)/2} Gamma(5(g-1)/2)) for g >= 2; the genus
     zero and one values sit outside the Gamma domain and are stored."""
-    if g < 0:
+    if as_int(g) < 0:
         raise DomainError("genus must be >= 0")
     if g <= 1:
         return GravityConstant(g, _B_LOW_GENUS[g])

@@ -16,9 +16,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import Identification, ZPoly, _egf_rows, a_closed, identify_in_a
+from .algebra import Identification, ZPoly, _fit, a_closed, identify_in_a
 from .errors import ConsistencyError, DomainError, Record, as_int
-from .exact import LinearSystem, TruncatedSeries, solve_exact
+from .exact import TruncatedSeries
 from .monodromy import (
     DEFAULT_NODE_BUDGET,
     CoveringSpec,
@@ -39,7 +39,7 @@ def h0_closed(n: int, mu) -> Fraction:
     count table's genus-0 entry (``monodromy._closed_entry``) over n!.
     """
     mu = Partition(mu)
-    if n < mu.m:
+    if as_int(n) < mu.m:
         raise DomainError(f"closed form needs n >= p + r = {mu.m}, got {n}")
     entry = _closed_entry(0, n, mu.nontrivial())
     return Fraction(_marking_weight(n, [mu]) * entry, math.factorial(n))
@@ -64,7 +64,7 @@ def phi_degree_bound(g: int, p: int) -> int:
     case sits outside the stable range and genuinely needs degree 1 (the
     fitted polynomial is 1/b^2 + Z/(b^2 (b+1))).
     """
-    if g == 0 and p == 1:
+    if (as_int(g), as_int(p)) == (0, 1):
         return 1
     return max(3 * g - 3 + p, 0)
 
@@ -105,17 +105,21 @@ class PhiFit(Record):
 def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]]) -> PhiFit:
     """Solve for phi's coefficients from exact covering counts.
 
-    data holds (n, h_{g,n;mu}) pairs.  The linear system is over-determined
-    by at least FIT_SLACK rows; any inconsistency falsifies either the normal
-    form or the counting oracle, so it raises instead of returning.  Column l
-    is Y^m (Z+1)^chi Z^l = (1-X)^(m+l) X^(-chi-l), chi = 2g-2+p, the integer
-    map {t-chi-l: (-1)^t C(m+l, t)}, and `algebra._egf_rows` reads its
-    n! [q^n] at each data n; the right side is `count_series`'s numerator at
-    n, and the solution is divided by that series' denominator times the
-    prefactor.
+    data holds (n, h_{g,n;mu}) pairs, each n at most once, in any order.
+    The linear system is over-determined by at least FIT_SLACK rows; any
+    inconsistency falsifies either the normal form or the counting oracle,
+    so it raises instead of returning.  Column l is
+    Y^m (Z+1)^chi Z^l = (1-X)^(m+l) X^(-chi-l), chi = 2g-2+p, the integer
+    map {t-chi-l: (-1)^t C(m+l, t)}; `algebra._fit` solves the columns at
+    the sorted data n against `count_series`'s numerators there, divided by
+    that series' denominator times the prefactor.
     """
     mu = Partition(mu)
-    counts = dict(data)
+    counts: dict = {}
+    for n, h in data:
+        if as_int(n) in counts:
+            raise DomainError(f"data point n={n} is given more than once")
+        counts[n] = h
     ns = sorted(counts)
     bound = phi_degree_bound(as_int(g), mu.num_parts)
     unknowns = bound + 1
@@ -125,7 +129,7 @@ def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]]) -> PhiFit:
             f"got {len(ns)}"
         )
     for n in ns:
-        if as_int(n) < 0 or CoveringSpec.simple_points(g, n, mu.degeneracy) < 0:
+        if n < 0 or CoveringSpec.simple_points(g, n, mu.degeneracy) < 0:
             raise DomainError(f"data point n={n} is outside the valid range")
     padded = [(n, Fraction(counts.get(n, 0))) for n in range(ns[-1] + 1)]
     series = count_series(g, mu.degeneracy, padded)
@@ -134,18 +138,15 @@ def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]]) -> PhiFit:
         {t - chi - l: (-1) ** t * math.comb(mu.m + l, t) for t in range(mu.m + l + 1)}
         for l in range(unknowns)
     ]
-    solution = solve_exact(LinearSystem(_egf_rows(ns, cols), [series.nums[n] for n in ns]))
-    if solution.status == "inconsistent":
+    scale = series.den * normal_form_prefactor(mu)
+    status, solution, surplus = _fit(ns, [series.nums[n] for n in ns], scale, cols)
+    if status == "inconsistent":
         raise ConsistencyError(
             f"covering counts for genus {g}, profile {mu} do not fit the normal form"
         )
-    if solution.status == "underdetermined":
-        raise DomainError(
-            f"data for genus {g}, profile {mu} leaves the fit under-determined"
-        )
-    scale = series.den * normal_form_prefactor(mu)
-    phi = PhiPolynomial(g, mu, ZPoly([x / scale for x in solution.solution]))
-    return PhiFit(phi, surplus_verified=len(ns) - unknowns)
+    if status == "underdetermined":
+        raise DomainError(f"data for genus {g}, profile {mu} leaves the fit under-determined")
+    return PhiFit(PhiPolynomial(g, mu, ZPoly(solution)), surplus_verified=surplus)
 
 
 def oracle_data(

@@ -375,6 +375,15 @@ def test_readers_refuse_bool_integers():
             identify_in_a(z, jmin, jmax)
 
 
+def test_integer_arguments_refuse_bools():
+    # a_closed's cache is typed: with the entry of 1 warm, True still reaches
+    # the int check instead of answering A_1
+    assert a_closed(1) == 0
+    for call in (a_closed, seq_a, dkz_poly, zpower_in_basis):
+        with pytest.raises(TypeError):
+            call(True)
+
+
 def test_zpoly_laurent_roundtrip():
     zp = ZPoly([1, F(1, 2), 0, 3])
     assert zpoly_to_laurent(zp).to_zpoly() == zp

@@ -256,6 +256,12 @@ def test_b_low_genus_values():
     assert b_constant(1).b == ScaledRational(F(1, 2**4 * 3), Radical.ONE)
 
 
+def test_b_constant_refuses_a_bool_genus():
+    # True is the int 1 to Python; as a genus it is a slip, not b_1
+    with pytest.raises(TypeError):
+        b_constant(True)
+
+
 def test_b2_matches_listed_value():
     assert b_constant(2).b == ScaledRational(F(7, 2**5 * 3**3 * 5), Radical.INV_SQRT_2PI)
 

@@ -9,17 +9,19 @@ from covercount.errors import ConsistencyError, DomainError
 from covercount.exact import TruncatedSeries
 from covercount.hurwitz_series import (
     PhiPolynomial,
+    default_window,
     fit_phi,
     h0_closed,
     h1_empty_series,
     h_series,
+    normal_form_prefactor,
     oracle_data,
     phi_degree_bound,
 )
 from covercount.monodromy import CoveringSpec, hurwitz_connected
 from covercount.symmetric import Partition
 
-from .oracles import class_dp_connected, normal_form_series, table_connected
+from .oracles import class_dp_connected, normal_form_series, table_connected, zpoly_to_laurent
 
 
 def test_h0_closed_three_sheets_no_profile():
@@ -96,6 +98,15 @@ def test_phi_degree_bounds():
     assert phi_degree_bound(2, 0) == 3
     assert phi_degree_bound(0, 1) == 1  # outside the stable range; genuinely degree 1
     assert phi_degree_bound(0, 2) == 0
+
+
+@pytest.mark.parametrize(
+    "call, args", [(h0_closed, (True, [])), (phi_degree_bound, (True, 1)), (phi_degree_bound, (0, True))]
+)
+def test_closed_form_and_degree_bound_refuse_bools(call, args):
+    # True is the int 1 to Python; as a sheet count, genus or part count it is a slip
+    with pytest.raises(TypeError):
+        call(*args)
 
 
 def test_phi_degree_bound_enforced():
@@ -258,8 +269,50 @@ def test_fit_raises_on_corrupted_data():
     mu = Partition([1])
     data = dict(oracle_data(0, mu, range(1, 7)))
     data[6] += 1  # sabotage one count
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="do not fit the normal form"):
         fit_phi(0, mu, list(data.items()))
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_fit_refuses_a_repeated_point(first):
+    # a second count at one n, raised by one: kept or dropped by its place in
+    # the data, it would decide the fit; wherever it sits, the fit refuses it
+    mu = Partition((2,))
+    data = oracle_data(1, mu, range(2, 9))
+    copy = (2, data[0][1] + 1)
+    with pytest.raises(DomainError, match="n=2 is given more than once"):
+        fit_phi(1, mu, [copy] + data if first else data + [copy])
+
+
+def test_fit_on_zero_rows_is_under_determined():
+    # 7 points for 5 unknowns, but Y^3 has no q^0..q^2 term: the zero counts
+    # at n = 0, 1, 2 give zero rows, and 4 rows cannot fix 5 unknowns
+    mu = Partition((3,))
+    data = [(n, F(0)) for n in range(3)] + oracle_data(2, mu, range(3, 7))
+    with pytest.raises(DomainError, match="leaves the fit under-determined"):
+        fit_phi(2, mu, data)
+
+
+@pytest.mark.parametrize(
+    "g,mu",
+    [(0, (1,)), (0, (2,)), (0, (1, 1)), (0, (2, 1)), (0, (3,)), (1, (1,)), (1, (2,)),
+     (1, (2, 1)), (1, (3,)), (1, (2, 2)), (2, ()), (2, (1,)), (2, (2,)), (2, (2, 1)),
+     (2, (3,)), (3, ())],
+)
+def test_identified_element_is_the_fitted_normal_form(g, mu):
+    # two fits on different columns and different data: the certificate's
+    # element over default_window's powers X^j, and phi over the normal-form
+    # columns, must give prefactor (1-X)^m X^(-chi) phi(X^-1 - 1)
+    mu = Partition(mu)
+    n0 = max(1, mu.m)
+    bound = phi_degree_bound(g, mu.num_parts)
+    phi = fit_phi(g, mu, oracle_data(g, mu, range(n0, n0 + bound + 5))).phi.poly
+    jmin, jmax = default_window(g, [mu])
+    certificate = h_series(g, [mu], jmax - jmin + 1 + 5 + n0 + 2).certificate
+    chi = 2 * g - 2 + mu.num_parts
+    y_power = LaurentPolyX({0: 1, 1: -1}) ** mu.m
+    expected = normal_form_prefactor(mu) * y_power * LaurentPolyX({-chi: 1}) * zpoly_to_laurent(phi)
+    assert certificate.ok and certificate.element == expected
 
 
 def test_normal_form_series_matches_oracle_for_genus1():

@@ -53,22 +53,30 @@ def test_binomials_only_inside_the_convolution_kernel():
 
 
 def test_x_power_rows_have_one_weighted_reader():
-    # `_egf_rows` is the one loop that weights X-power rows; `identify_in_a`
-    # takes the rows of the bare powers X^j as they are, and no other module
-    # reaches the recurrence
+    # `_egf_rows` is the one loop that reads X-power rows, and `_fit` the one
+    # solve on them: `identify_in_a` and `fit_phi` pass it their columns, so
+    # only `_fit` and `zpower_in_basis` call `solve_exact`, and no module
+    # but `exact` and `algebra` names the solver or reaches the recurrence
     tree = ast.parse((SRC / "algebra.py").read_text())
-    callers = [
-        getattr(top, "name", None)
-        for top in tree.body
-        for node in ast.walk(top)
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_x_power_egf"
-    ]
-    assert sorted(callers) == ["_egf_rows", "identify_in_a"]
+
+    def callers(name):
+        return sorted(
+            getattr(top, "name", None)
+            for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == name
+        )
+
+    assert callers("_x_power_egf") == ["_egf_rows"]
+    assert callers("solve_exact") == ["_fit", "zpower_in_basis"]
     for path in MODULES:
+        names = {
+            getattr(node, "attr", None) or getattr(node, "name", None) or getattr(node, "id", None)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.alias, ast.Attribute, ast.Name))
+        }
         if path.name != "algebra.py":
-            names = {
-                getattr(node, "attr", None) or getattr(node, "name", None)
-                for node in ast.walk(ast.parse(path.read_text()))
-                if isinstance(node, (ast.alias, ast.Attribute))
-            }
             assert "_x_power_egf" not in names, f"{path.name} imports _x_power_egf"
+        if path.name not in ("algebra.py", "exact.py"):
+            solver = names & {"solve_exact", "LinearSystem"}
+            assert not solver, f"{path.name} names {sorted(solver)}"
