@@ -184,11 +184,7 @@ def dkz_poly(k: int) -> ZPoly:
 
 
 def double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+    return math.prod(range(as_int(k), 1, -2))
 
 
 def zpower_in_basis(k: int) -> list[Fraction]:
@@ -258,7 +254,7 @@ class LaurentPolyX(Record):
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPolyX":
-        if k < 0:
+        if as_int(k) < 0:
             raise ValueError("use explicit negative exponents on X instead")
         out = LaurentPolyX({0: 1})
         for _ in range(k):
@@ -433,7 +429,7 @@ def inv_gamma_half_scaled(l: int) -> ScaledRational:
     m = (l-1)/2 equals (l-2)!! sqrt(2 pi), so the reciprocal is
     1/(l-2)!! times the (2pi)^{-1/2} marker.
     """
-    if l <= 0:
+    if as_int(l) <= 0:
         raise ValueError("need l >= 1")
     if l % 2 == 0:
         m = l // 2

@@ -22,9 +22,9 @@ from .exact import TruncatedSeries
 from .monodromy import (
     DEFAULT_NODE_BUDGET,
     CoveringSpec,
+    _closed_entries,
     _connected_counts,
-    _closed_entry,
-    _marking_weight,
+    _marking_weights,
 )
 from .symmetric import Partition
 
@@ -36,13 +36,15 @@ def h0_closed(n: int, mu) -> Fraction:
 
     (2n-2-r)!/|Aut| * prod b^b/b! * n^{n-r-3}/(n-p-r)!, valid for any
     n >= p + r including the empty profile: the marking weight times the
-    count table's genus-0 entry (``monodromy._closed_entry``) over n!.
+    count table's genus-0 entry (``monodromy._closed_entries``) over n!.
+    It takes no budget; ``hurwitz_connected`` reads the same entry and
+    charges its budget the formula's work.
     """
     mu = Partition(mu)
     if as_int(n) < mu.m:
         raise DomainError(f"closed form needs n >= p + r = {mu.m}, got {n}")
-    entry = _closed_entry(0, n, mu.nontrivial())
-    return Fraction(_marking_weight(n, [mu]) * entry, math.factorial(n))
+    entry = _closed_entries(0, [n], mu.nontrivial())[0]
+    return Fraction(_marking_weights([n], [mu])[0] * entry, math.factorial(n))
 
 
 def h1_empty_series(order: int) -> TruncatedSeries:

@@ -47,7 +47,7 @@ the Goulden-Jackson-Vakil one-part formula and, on every entry of genus
 A count whose entry has genus g <= 1 and at most one profile, (n, nu, c)
 with c = 2n + 2g - 2 - deg nu and len(nu) <= 1 (its (2) profiles folded
 into c), takes no fill: the entry is n! times the genus-g count of the
-profile lambda = nu + 1^(n-|nu|), in integers (``_closed_entry``).  At
+profile lambda = nu + 1^(n-|nu|), in integers (``_closed_entries``).  At
 genus 0 that count is Hurwitz's formula (Math. Ann. 39, 1891; proved by
 Goulden and Jackson, "Transitive factorizations into transpositions and
 holomorphic mappings on the sphere", Proc. AMS 125, 1997); at genus 1 it
@@ -56,11 +56,11 @@ graph-theoretic interpretations", Trans. AMS 353, 2001).  Both have the
 shape of the ELSV formula (Ekedahl, Lando, Shapiro and Vainshtein, Invent.
 Math. 146, 2001): one prefactor, c! prod b^b/b! / |Aut lambda|, times a
 polynomial in n and the parts that depends on the genus.  Such a count is
-charged the budget of the fill it replaces, before the formula runs, so it
-is refused exactly where the fill would be, and it stores no row.  Every
-other entry is read off the table: genus >= 2, two or more profiles, every
-row a fill stores (rows of genus <= 1 and one profile included) and every
-disconnected count.
+charged the formula's own big-integer work, from the spec alone and before
+the formula runs (see ``_connected_counts``); it builds no split plan and
+stores no row.  Every other entry is read off the table: genus >= 2, two or
+more profiles, every row a fill stores (rows of genus <= 1 and one profile
+included) and every disconnected count.
 
 ``symmetric.shape_table`` gives the shapes of m, their dimensions and their
 content sums by the branching rule, so cont = f_(2) needs no character.
@@ -78,10 +78,11 @@ most pieces it is read with.  A count over a range of n
 (``_connected_counts``, the path of ``hurwitz_connected`` and the series
 builders) checks the budget and fills at its largest n only; the smaller n
 read that fill's rows of nu.  A later count that needs a row no fill stored
-starts its own fill.  ``node_budget`` bounds both counts of a spec by the
-work of the rows its fill stores, from the spec's entry (n, nu, c + k)
-alone and before any table is built (see ``_check_budget``); the check
-hands the fill the rows it charged, so nu's plan is folded once per count.
+starts its own fill.  ``node_budget`` bounds a count that fills, and every
+disconnected count, by the work of the rows its fill stores, from the
+spec's entry (n, nu, c + k) alone and before any table is built (see
+``_check_budget``); the check hands the fill the rows it charged, so nu's
+plan is folded once per count.
 These tables and the shape tables and columns of ``symmetric`` are shared
 and unlocked.  A shape table, column, f list, weight list or plan is stored
 once, fully computed; a row is stored whole or not at all, and grows by a
@@ -155,11 +156,14 @@ class CoveringSpec(Record):
 
     def marking_weight(self) -> int:
         """Product of binomials choosing the marked simple preimages."""
-        return _marking_weight(self.n, self.mus)
+        return _marking_weights([self.n], self.mus)[0]
 
 
-def _marking_weight(n: int, mus) -> int:
-    return math.prod(math.comb(n - sum(mu.nontrivial()), mu.multiplicity(1)) for mu in mus)
+def _marking_weights(ns, mus) -> list[int]:
+    """The marking weight of (n, mus) for each n in ns, each profile's size
+    and multiplicity of 1 read once."""
+    marks = [(sum(mu.nontrivial()), mu.multiplicity(1)) for mu in mus]
+    return [math.prod(math.comb(n - size, ones) for size, ones in marks) for n in ns]
 
 
 # ---------------------------------------------------------------------------
@@ -343,19 +347,21 @@ def _fill(n: int, nu: tuple, cmax: int, rows: dict) -> list[int]:
 
 
 def _check_budget(n: int, nu: tuple, c: int, budget: int) -> dict:
-    """Refuse a count of (n, nu) at c, connected or not, whose fill would
+    """Refuse a count of (n, nu) at c that reads the table, a disconnected
+    count or a connected one outside the closed forms, whose fill would
     exceed the budget, and return the fill's rows (``_rows``) if it admits
     the count; (n, nu, c) is the spec's table entry, its (2) profiles folded
-    into c (see _table_key).  The fill stores R rows, E entries in all,
-    (c + k)//2 + 1 in a row of shift k.  Each row
-    is charged the subs splits of nu (prod (multiplicity + 1) over each
-    profile's distinct parts), which bound the plan its terms walk; each
-    entry 2 p(n) shape terms (its row's content weights and its own sum over
-    content sums) and E recursion products; the shape tables' branching
-    passes n p(n).  subs is tested before nu's plan is built, so a refusal
-    takes at most the budget and stores nothing.  No stored state is
-    charged, so a warm table cannot change the outcome, and the charge grows
-    with n, so a range of n is refused at its largest n, before any fill."""
+    into c (see _table_key).  A closed-form count is charged its formula
+    instead (see ``_connected_counts``).  The fill stores R rows, E entries
+    in all, (c + k)//2 + 1 in a row of shift k.  Each row is charged the
+    subs splits of nu (prod (multiplicity + 1) over each profile's distinct
+    parts), which bound the plan its terms walk; each entry 2 p(n) shape
+    terms (its row's content weights and its own sum over content sums) and
+    E recursion products; the shape tables' branching passes n p(n).  subs
+    is tested before nu's plan is built, so a refusal takes at most the
+    budget and stores nothing.  No stored state is charged, so a warm table
+    cannot change the outcome, and the charge grows with n, so a range of n
+    is refused at its largest n, before any fill."""
     subs = math.prod(parts.count(b) + 1 for parts in nu for b in set(parts))
     work = subs  # past the budget, refuse before building nu's plan
     if work <= budget:
@@ -372,40 +378,59 @@ def _check_budget(n: int, nu: tuple, c: int, budget: int) -> dict:
     )
 
 
-def _closed_entry(g: int, n: int, parts: tuple[int, ...] = ()) -> int:
-    """T_conn(n, (parts,), c) for genus g <= 1 and at most one profile, with
-    c = 2g - 2 + n + l, l the length of lambda = parts + 1^(n-|parts|) and
-    parts free of 1s: n! times the covering count of lambda in closed form,
+def _closed_entries(g: int, ns, parts: tuple[int, ...]) -> list[int]:
+    """T_conn(n, (parts,), c) for each n in ns, genus g <= 1 and at most one
+    profile, with c = 2g - 2 + n + l, l the length of lambda = parts +
+    1^(n-|parts|) and parts free of 1s: n! times the covering count of lambda
+    in closed form,
 
         perm(n, |parts|) c! prod_b b^(b k_b) / (k_b! (b!)^k_b) P_g,
 
     b over the distinct parts of parts, k_b times each, with P_0 = n^(l-3)
     (Hurwitz) and P_1 = (n^l - n^(l-1) - sum_{k=2..l} (k-2)! n^(l-k)
-    e_k(lambda)) / 24 (Vakil), e_k the elementary symmetric functions; the
-    one division at the end is exact."""
-    ones = n - sum(parts)
-    l = len(parts) + ones
-    num = math.factorial(2 * g - 2 + n + l) * math.perm(n, sum(parts))
-    den = 1
+    e_k(lambda)) / 24 (Vakil), e_k the elementary symmetric functions.  The
+    profile's factor is formed once for every n, and the one division per n
+    is exact."""
+    size = sum(parts)
+    num, den = 1, 24 if g else 1
     for b, k in Counter(parts).items():
         num *= b ** (b * k)
         den *= math.factorial(k) * math.factorial(b) ** k
-    if g == 0:
-        return num * n ** max(l - 3, 0) // (den * n ** max(3 - l, 0))
-    e = [math.comb(ones, k) for k in range(ones + 1)]  # e_k(lambda): prod (1 + b t), b in lambda
-    for b in parts:
-        e = [x + b * y for x, y in zip(e + [0], [0] + e)]
-    p1 = n - 1  # 24 P_1 by Horner's rule in n
-    for k in range(2, l + 1):
-        p1 = p1 * n - math.factorial(k - 2) * e[k]
-    return num * p1 // (24 * den)
+    out = []
+    for n in ns:
+        ones = n - size
+        l = len(parts) + ones
+        head = math.factorial(2 * g - 2 + n + l) * math.perm(n, size) * num
+        if g == 0:
+            out.append(head * n ** max(l - 3, 0) // (den * n ** max(3 - l, 0)))
+            continue
+        e = [1]  # e_k(lambda), the coefficients of prod (1 + b t) over lambda
+        for k in range(1, ones + 1):
+            e.append(e[-1] * (ones - k + 1) // k)
+        for b in parts:
+            e = [x + b * y for x, y in zip(e + [0], [0] + e)]
+        p1, fact = n - 1, 1  # 24 P_1 by Horner's rule in n, fact = (k - 2)!
+        for k in range(2, l + 1):
+            p1 = p1 * n - fact * e[k]
+            fact *= k - 1
+        out.append(head * p1 // den)
+    return out
 
 
 def _connected_counts(g: int, mus, ns: list, node_budget: int) -> list[Fraction]:
     """hurwitz_connected of the specs (g, n, mus), n in ns: one table key and
     one budget check at the largest n.  At genus <= 1 with at most one
-    profile in the key, the closed form gives each entry; otherwise one fill
-    at the largest n stores the rows of nu that every smaller n reads."""
+    profile in the key, the closed form gives each entry (``_closed_entries``)
+    and is charged its own work, from g, the largest n and the profile alone:
+    every integer it forms for one n is a product or quotient of at most
+    N = c + l + 4 |parts| + 2 factors below 2^30 (for c < 2^29), or a sum of
+    such, and schoolbook arithmetic on 30-bit digits multiplies each pair of
+    them at most once, so one n costs fewer than N^2 digit products at genus
+    0 and, with e_k(lambda) and Horner's rule, fewer than 2 N^2 + 3 l^3 at
+    genus 1.  The charge grows with n, so a range is refused at its largest
+    n, and the route builds no plan and stores no row.  Otherwise one fill
+    at the largest n, charged by ``_check_budget``, stores the rows of nu
+    that every smaller n reads."""
     if not ns:
         return []
     try:  # c and the room for the profiles grow with n: the least n stands for all
@@ -416,14 +441,24 @@ def _connected_counts(g: int, mus, ns: list, node_budget: int) -> list[Fraction]
     n, nu, c = _table_key(spec)
     shift = c - 2 * n  # the entry of n sheets is (n, nu, 2n + shift)
     top = max(ns)
-    rows = _check_budget(top, nu, 2 * top + shift, node_budget)
     if spec.g <= 1 and len(nu) <= 1:
-        entries = {n: _closed_entry(spec.g, n, *nu) for n in ns}
+        parts = nu[0] if nu else ()
+        l = len(parts) + top - sum(parts)  # the length of lambda at the largest n
+        factors = 2 * top + shift + l + 4 * sum(parts) + 2  # N, with c = 2 top + shift
+        work = factors**2 if spec.g == 0 else 2 * factors**2 + 3 * l**3
+        if work > node_budget:
+            raise BudgetExceeded(
+                f"closed form for n={top} would evaluate up to {work} digit products"
+                f" (> {node_budget})"
+            )
+        entries = _closed_entries(spec.g, ns, parts)
     else:
+        rows = _check_budget(top, nu, 2 * top + shift, node_budget)
         if len(_CONN.get((top, nu), [])) <= 2 * top + shift:
             _fill(top, nu, 2 * top + shift, rows)  # stores the rows of nu for every m <= top
-        entries = {n: _CONN[n, nu][2 * n + shift] for n in ns}
-    return [Fraction(_marking_weight(n, mus) * entries[n], math.factorial(n)) for n in ns]
+        entries = [_CONN[n, nu][2 * n + shift] for n in ns]
+    weights = _marking_weights(ns, spec.mus)
+    return [Fraction(w * entry, math.factorial(n)) for n, w, entry in zip(ns, weights, entries)]
 
 
 def hurwitz_connected(
@@ -441,8 +476,11 @@ def hurwitz_disconnected(
     spec: CoveringSpec, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> Fraction:
     """The same weighted count without the transitivity requirement:
-    marking_weight x T_disc(n, nu, c) / n!, admitted by the budget of the
-    connected count (its row is one the connected fill stores)."""
+    marking_weight x T_disc(n, nu, c) / n!, charged the fill that stores its
+    row (``_check_budget``).  That is the connected count's charge unless the
+    connected count takes a closed form, which is charged its formula's work
+    alone, so at genus <= 1 with one profile the two counts are refused at
+    different budgets."""
     n, nu, c = _table_key(spec)
     _check_budget(n, nu, c, node_budget)
     return Fraction(spec.marking_weight() * _disc_row(n, nu, _degree(nu), c)[c], math.factorial(n))

@@ -1010,7 +1010,7 @@ def table_connected(spec):
     """hurwitz_connected of a spec read off a fill of the count table
     (`covercount.monodromy._fill`) at the spec's table entry.  Counts of
     genus 0 or 1 with at most one profile take the closed form
-    (`covercount.monodromy._closed_entry`: Hurwitz's formula at genus 0,
+    (`covercount.monodromy._closed_entries`: Hurwitz's formula at genus 0,
     Vakil's at genus 1) instead of the table, so this is the second route
     to them."""
     n, nu, c = monodromy._table_key(spec)

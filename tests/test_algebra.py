@@ -18,6 +18,7 @@ from covercount.algebra import (
     dkz_poly,
     double_factorial,
     identify_in_a,
+    inv_gamma_half_scaled,
     leading_asymptotic,
     seq_a,
     series_y,
@@ -379,7 +380,10 @@ def test_integer_arguments_refuse_bools():
     # a_closed's cache is typed: with the entry of 1 warm, True still reaches
     # the int check instead of answering A_1
     assert a_closed(1) == 0
-    for call in (a_closed, seq_a, dkz_poly, zpower_in_basis):
+    power = LaurentPolyX({1: 1}).__pow__
+    for call in (
+        a_closed, seq_a, dkz_poly, zpower_in_basis, double_factorial, power, inv_gamma_half_scaled
+    ):
         with pytest.raises(TypeError):
             call(True)
 

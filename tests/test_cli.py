@@ -75,18 +75,41 @@ def test_hurwitz_budget_exit3(capsys):
 
 
 def test_genus1_one_profile_refusal_keeps_the_fill_charge(capsys):
-    # Vakil's formula answers g = 1, n = 8, mu = (3, 3) (c = 12), but the
-    # count is charged the fill it replaces: 8 rows, ((3, 3),) at m = 6..8,
-    # ((3,),) at m = 3..5 and () at m = 1..2, each charged the 3 splits of
-    # nu; 8 * 7 = 56 entries of 2 p(8) = 44 shape terms plus 56 products;
-    # and 8 p(8) = 176: 24 + 56 * 100 + 176 = 5800.  It stores no row
+    # Vakil's formula answers g = 1, n = 8, mu = (3, 3) and is charged its own
+    # work, not the fill it replaces (5800 products): l = 4, c = 12, and
+    # N = c + l + 4 |parts| + 2 = 42 give 2 N^2 + 3 l^3 = 3528 + 192 = 3720.
+    # It stores no row
     monodromy.clear_caches()
     base = ("hurwitz", "--g", "1", "--n", "8", "--mu", "3,3", "--max-nodes")
-    for budget in ("10", "5799"):
-        refusal = f"refused: count table for n=8 would evaluate up to 5800 products (> {budget})\n"
+    for budget in ("10", "3719"):
+        refusal = (
+            f"refused: closed form for n=8 would evaluate up to 3720 digit products (> {budget})\n"
+        )
         assert run(capsys, *base, budget) == (3, "", refusal)
-    assert run(capsys, *base, "5800") == (0, "198643460400\n", "")
+    assert run(capsys, *base, "3720") == (0, "198643460400\n", "")
     assert not monodromy._CONN and not monodromy._DISC
+
+
+def test_genus0_closed_count_answers_at_large_n(capsys):
+    # g = 0, n = 1500, mu = (2): the (2) profile folds into c, so the count is
+    # Hurwitz's of 1^n at c = 2n - 2, (2n-2)! n^(n-3) / n!, charged N^2 with
+    # N = c + l + 2 = 2998 + 1500 + 2 = 4500.  The fill it used to be charged
+    # is past the default budget
+    n, charge = 1500, 4500**2
+    base = ("hurwitz", "--g", "0", "--n", str(n), "--mu", "2")
+    monodromy.clear_caches()
+    code, out, err = run(capsys, *base, "--max-nodes", str(charge - 1))
+    assert (code, out) == (3, "") and f"up to {charge} digit products" in err
+    assert not monodromy._CONN and not monodromy._DISC and not monodromy._PLANS
+    code, out, err = run(capsys, *base)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(0)
+    try:
+        value = format_rational(F(math.factorial(2 * n - 2) * n ** (n - 3), math.factorial(n)))
+    finally:
+        set_limit(limit)
+    assert (code, out, err) == (0, value + "\n", "")
 
 
 def test_disconnected_count_reads_max_nodes(capsys):

@@ -527,14 +527,17 @@ def test_budget_charges_the_folded_spec(g, k, bound):
     # entries of 2 p(3) = 6 shape terms plus as many products, and
     # 3 p(3) = 9: at g = 0, 3 + 9 * (6 + 9) + 9 = 147, and at g = 20,
     # 3 + 69 * (6 + 69) + 9 = 5187.  As forty profiles of their own, the
-    # (2)s would give nu 2^40 splits, past any budget.
+    # (2)s would give nu 2^40 splits, past any budget.  At g = 0 the
+    # connected count reads Hurwitz's formula, charged N^2 with
+    # N = c + l + 2 = 4 + 3 + 2 = 9: 81, for the folded and the plain spec
     spec, plain = CoveringSpec(g, 3, [Partition([2])] * k), CoveringSpec(g, 3, [])
     clear_caches()
-    for count in (hurwitz_disconnected, hurwitz_connected):
+    charges = ((hurwitz_disconnected, bound), (hurwitz_connected, 81 if g == 0 else bound))
+    for count, charge in charges:
         for s in (spec, plain):
             with pytest.raises(BudgetExceeded):
-                count(s, node_budget=bound - 1)
-        assert count(spec, node_budget=bound) == count(plain, node_budget=bound) != 0
+                count(s, node_budget=charge - 1)
+        assert count(spec, node_budget=charge) == count(plain, node_budget=charge) != 0
 
 
 def test_concurrent_counts_match_serial():
@@ -661,13 +664,15 @@ def test_oracle_data_equals_per_n_counts(g, mu):
 @pytest.mark.parametrize("g, mu, ns", [(2, (), range(1, 12)), (1, (2, 2, 1), [5, 10, 7])])
 def test_range_refusal_matches_the_per_n_loop(g, mu, ns):
     # the budget lies between the charges of the smallest and the largest n
-    # (g = 2: 17 at n = 1, 37092 at n = 11; (2, 2, 1): 1025 at n = 5, 35565 at
-    # n = 10), so the per-n loop refuses its first count, the largest n
+    # (g = 2, a fill: 17 at n = 1, 37092 at n = 11; g = 1 and (2, 2, 1),
+    # Vakil's formula, 2 N^2 + 3 l^3 with N = 3n + 14 and l = n - 2: 1763 at
+    # n = 5, 5408 at n = 10), so the per-n loop refuses its first count, the
+    # largest n
     refusals = []
     for count in (_per_n_counts, oracle_data):
         clear_caches()
         with pytest.raises(BudgetExceeded) as refused:
-            count(g, mu, ns, node_budget=20000)
+            count(g, mu, ns, node_budget=5000)
         refusals.append(str(refused.value))
         assert not monodromy._CONN and not monodromy._DISC and not monodromy._PLANS
     assert refusals[0] == refusals[1]
@@ -717,9 +722,10 @@ def _formula_entries_equal_the_table_fill(g):
     assert {(2, 2), (2, 2, 2), (3,), (3, 2), (3, 3), (4,), (), (2,)} <= set(parts)
     checked = 0
     for lam in parts:
-        for n in range(max(sum(lam), 1), 16):
+        ns = range(max(sum(lam), 1), 16)
+        for n, closed in zip(ns, monodromy._closed_entries(g, ns, lam)):
             entry = table_connected(CoveringSpec(g, n, [lam])) * math.factorial(n)
-            assert entry == monodromy._closed_entry(g, n, lam), (n, lam)
+            assert entry == closed, (n, lam)
             checked += 1
     assert len(parts) == 176 and checked == 683
 
@@ -733,8 +739,8 @@ def test_genus1_formula_entries_equal_the_table_fill():
 
 
 def test_genus0_one_profile_counts_store_no_row():
-    # the budget is checked as for a fill, but Hurwitz's formula stores no
-    # row; the (2) and (2, 1) profiles fold into c, leaving one profile
+    # the budget charges Hurwitz's formula, which stores no row; the (2) and
+    # (2, 1) profiles fold into c, leaving one profile
     clear_caches()
     spec = CoveringSpec(0, 12, [(2,), (3, 3, 1), (2, 1)])
     with pytest.raises(BudgetExceeded):
@@ -742,6 +748,32 @@ def test_genus0_one_profile_counts_store_no_row():
     count = hurwitz_connected(spec)
     assert not monodromy._CONN and not monodromy._DISC
     assert count == 60 * h0_closed(12, (3, 3)) == table_connected(spec)  # C(6, 1) C(10, 1)
+
+
+def test_closed_counts_build_no_plan_and_run_no_fill(monkeypatch):
+    # a count of genus <= 1 with at most one profile in its key is charged its
+    # closed form alone: cold, one n or a range, it builds no split plan, runs
+    # no fill and stores no row, and keeps the table's values
+    cases = [(0, (3, 3, 1), 12), (1, (2, 2), 10), (0, (), 9), (1, (4,), 8), (1, (2, 1), 7)]
+    expected = {}
+    for g, mu, top in cases:
+        ns = range(max(sum(mu), 1), top + 1)
+        expected[g, mu] = [(n, table_connected(CoveringSpec(g, n, [mu]))) for n in ns]
+
+    def refuse(*args):
+        raise AssertionError("a closed-form count built a split plan or ran a fill")
+
+    monkeypatch.setattr(monodromy, "_split_plan", refuse)
+    monkeypatch.setattr(monodromy, "_fill", refuse)
+    for g, mu, top in cases:
+        clear_caches()
+        assert hurwitz_connected(CoveringSpec(g, top, [mu])) == expected[g, mu][-1][1]
+        assert oracle_data(g, mu, [n for n, _ in expected[g, mu]]) == expected[g, mu]
+        assert not monodromy._PLANS and not monodromy._CONN and not monodromy._DISC
+    clear_caches()
+    spec = CoveringSpec(0, 12, [(2,), (3, 3, 1), (2, 1)])  # two profiles fold into c
+    assert hurwitz_connected(spec) == 60 * h0_closed(12, (3, 3))
+    assert not monodromy._PLANS and not monodromy._CONN and not monodromy._DISC
 
 
 @pytest.mark.parametrize("g", [0, 1, 2, 3])
@@ -827,21 +859,26 @@ def test_count_table_matches_cut_and_join(g):
 
 
 def test_disconnected_budget_refusal():
-    # a disconnected count is admitted exactly when the connected count of its
-    # spec is: g = 0, n = 12 (c = 22), no profiles, 12 rows of 12 entries,
-    # 12 + 144 * (2 p(12) + 144) + 12 p(12) = 43848
+    # a disconnected count keeps the fill's charge: g = 0, n = 12 (c = 22),
+    # no profiles, 12 rows of 12 entries, 12 + 144 * (2 p(12) + 144) +
+    # 12 p(12) = 43848.  The connected count of the same spec reads Hurwitz's
+    # formula, charged N^2 with N = c + l + 2 = 36: 1296, so the two differ
     spec = CoveringSpec(0, 12, [])
     clear_caches()
-    for count in (hurwitz_disconnected, hurwitz_connected):
+    for count, charge in ((hurwitz_disconnected, 43848), (hurwitz_connected, 1296)):
         with pytest.raises(BudgetExceeded):
-            count(spec, node_budget=43847)
-        assert count(spec, node_budget=43848) == count(spec)
+            count(spec, node_budget=charge - 1)
+        assert count(spec, node_budget=charge) == count(spec)
+    assert hurwitz_connected(spec, node_budget=1296) != 0
+    with pytest.raises(BudgetExceeded):
+        hurwitz_disconnected(spec, node_budget=1296)
 
 
 @pytest.mark.parametrize(
     "spec, budget",
     [
-        (CoveringSpec(0, 40, []), 10**6),
+        # Hurwitz's formula at n = 400 is charged N^2 = (c + l + 2)^2 = 1200^2
+        (CoveringSpec(0, 400, []), 10**6),
         # 40 (3) profiles: nu has 2^40 splits, refused before its plan is
         # enumerated, though the fill would store only the row (3, nu)
         (CoveringSpec(38, 3, [Partition([3])] * 40), 10**9),
