@@ -15,7 +15,6 @@ reads the table, its Frobenius column.
 """
 
 import math
-from fractions import Fraction
 
 from covercount import (
     CoveringSpec,

@@ -141,8 +141,8 @@ def _fit(ns, nums, den, cols) -> tuple[str, list[Fraction] | None, int]:
 
 class ZPoly(Record):
     """A polynomial in Z = X^{-1} - 1, coeffs[i] on Z^i: the record phi(Z) and the
-    spanning list are stated in.  It has no arithmetic; `LaurentPolyX.to_zpoly`
-    writes an element with no positive X-power in it."""
+    spanning list are stated in.  It has no arithmetic; `dkz_poly` and `fit_phi`
+    write one from integer or rational Z-coefficients."""
 
     coeffs: tuple
 
@@ -168,19 +168,31 @@ class ZPoly(Record):
         return "ZPoly(" + (" + ".join(terms) if terms else "0") + ")"
 
 
-def _dk_laurent(a: int, k: int) -> "LaurentPolyX":
-    """D^k (Z^a): D applied k times to (X^{-1} - 1)^a, integer coefficients."""
+def _yx_column(a: int, b: int) -> dict[int, int]:
+    """Y^a X^b = (1-X)^a X^b as the integer map {b + t: (-1)^t C(a, t)}, a >= 0;
+    Z^k = Y^k X^-k is `_yx_column(k, -k)`."""
+    return {b + t: (-1) ** t * math.comb(a, t) for t in range(a + 1)}
+
+
+def _dk_zpower(a: int, k: int) -> list[int]:
+    """The Z-coefficients of D^k (Z^a), integers: DZ = Z (1+Z)^2 gives
+    D(Z^i) = i (Z^i + 2 Z^(i+1) + Z^(i+2))."""
     if as_int(k) < 0:
         raise ValueError("k must be >= 0")
-    p = LaurentPolyX({-1: 1, 0: -1}) ** a
+    c = [0] * a + [1]
     for _ in range(k):
-        p = p.euler_d()
-    return p
+        out = [0] * (len(c) + 2)
+        for i, x in enumerate(c):
+            out[i] += i * x
+            out[i + 1] += 2 * i * x
+            out[i + 2] += i * x
+        c = out
+    return c
 
 
 def dkz_poly(k: int) -> ZPoly:
     """D^k Z as a polynomial in Z; leading coefficient (2k-1)!! on Z^{2k+1}."""
-    return _dk_laurent(1, k).to_zpoly()
+    return ZPoly(_dk_zpower(1, k))
 
 
 def double_factorial(k: int) -> int:
@@ -188,19 +200,19 @@ def double_factorial(k: int) -> int:
 
 
 def zpower_in_basis(k: int) -> list[Fraction]:
-    """Coefficients expressing Z^k over the first k spanning elements.
+    """Coefficients expressing Z^k over the first k spanning elements
+    Z, Z^2, DZ, D(Z^2), ...
 
-    Solved exactly on the integer X^{-d} coefficients of the spanning
-    elements against those of (X^{-1} - 1)^k; `solve_exact` checks every
-    row beyond its pivots.
+    Solved exactly on the elements' integer Z-coefficient rows Z^0..Z^k
+    against the unit vector at Z^k; element i has top degree i + 1, so the
+    system is triangular, and `solve_exact` checks every row beyond its
+    pivots.
     """
     if as_int(k) < 1:
         raise ValueError("k must be >= 1")
-    basis = [_dk_laurent(i % 2 + 1, i // 2).coeffs for i in range(k)]
-    deg = -min(min(p) for p in basis)
-    rows = [[int(p.get(-d, 0)) for p in basis] for d in range(deg + 1)]
-    rhs = [(-1) ** (k - d) * math.comb(k, d) for d in range(deg + 1)]
-    sol = solve_exact(LinearSystem(rows, rhs))
+    basis = [_dk_zpower(i % 2 + 1, i // 2) for i in range(k)]
+    rows = [[p[d] if d < len(p) else 0 for p in basis] for d in range(k + 1)]
+    sol = solve_exact(LinearSystem(rows, [0] * k + [1]))
     if not sol.ok:
         raise ConsistencyError(f"Z^{k} did not resolve over the spanning list: {sol.status}")
     return list(sol.solution)
@@ -268,16 +280,6 @@ class LaurentPolyX(Record):
             out[j - 1] = out.get(j - 1, 0) + j * c
             out[j - 2] = out.get(j - 2, 0) - j * c
         return LaurentPolyX(out)
-
-    def to_zpoly(self) -> ZPoly:
-        """Rewrite as a polynomial in Z; requires support <= 0.  X^{-j} = (1+Z)^j."""
-        if any(j > 0 for j in self.coeffs):
-            raise ValueError("element has positive X powers; it is not a polynomial in Z")
-        out = [Fraction(0)] * (1 - min(self.coeffs, default=0))
-        for j, c in self.coeffs.items():
-            for i in range(1 - j):
-                out[i] += c * math.comb(-j, i)
-        return ZPoly(out)
 
     def to_series(self, order: int) -> TruncatedSeries:
         """The element's series to q^order, on integers."""

@@ -33,8 +33,8 @@ EXIT_CONSISTENCY = 4
 _SERIES = {
     "Y": algebra.series_y,
     "Z": algebra.series_z,
-    # Z^2 = (X^-1 - 1)^2
-    "Z2": algebra.LaurentPolyX({-2: 1, -1: -2, 0: 1}).to_series,
+    # Z^2 = Y^2 X^-2
+    "Z2": algebra.LaurentPolyX(algebra._yx_column(2, -2)).to_series,
     # unrooted labeled trees, n^(n-2)/n! = [q^n] (Y - Y^2/2) = [q^n] (1 - X^2)/2
     "cayley": algebra.LaurentPolyX({0: "1/2", 2: "-1/2"}).to_series,
     "h1empty": hurwitz_series.h1_empty_series,

@@ -83,7 +83,7 @@ def tau_coefficient(d: int, b: int) -> Fraction:
     Hodge classes exceed the dimension of a bracket with
     sum d_i = 3g - 3 + p and integrate to 0.
     """
-    if not 1 <= b <= d + 1:
+    if not 1 <= as_int(b) <= as_int(d) + 1:
         raise DomainError("need 1 <= b <= d+1")
     return Fraction((-1) ** (d + 1 - b), math.factorial(d + 1 - b) * b ** (b - 1))
 
@@ -108,7 +108,9 @@ def _bracket_terms(spec: TauSpec) -> dict[tuple[int, ...], Fraction]:
 def _bracket_series(spec: TauSpec, order: int, node_budget: int) -> TruncatedSeries:
     """The bracket series through q^order: the sum over the bracket's terms
     of const * |Aut| * H_{g;mu} / Y^{sum b}, and 0 off dimension.  (Y/q)^-m
-    starts at 1, so its q^0 coefficient sums the counts at n = m = sum b."""
+    starts at 1, so its q^0 coefficient sums the counts at n = m = sum b.
+    The budget is checked even off dimension, where no count runs."""
+    as_int(node_budget)
     total = TruncatedSeries.zero(order)
     terms = _bracket_terms(spec) if spec.dimension_ok else {}
     for mu_parts, const in terms.items():
@@ -152,8 +154,11 @@ def h_tau_series(
 
     The theorem makes it the single term bracket * (Z+1)^{2g-2+p}, so the
     sum through q^(surplus + 1) must equal that term's series; any other
-    outcome falsifies the bracket/oracle pair and raises.
+    outcome falsifies the bracket/oracle pair and raises.  A surplus below 0
+    raises DomainError before any count.
     """
+    if as_int(surplus) < 0:
+        raise DomainError("surplus must be >= 0")
     order = surplus + 1  # q^0 gives the bracket, the rest verify it
     total = _bracket_series(spec, order, node_budget)
     bracket = total.coefficient(0)
@@ -227,7 +232,7 @@ def painleve_solve(g_max: int) -> PainleveSolution:
     that equation, and b_0 = -1, b_1 = 2 make it b_0^2 - 1 = 0 and -4 + 4 = 0
     at m = 0 and 1.  The tests check the `Fraction` residual of the result.
     """
-    if g_max < 2:
+    if as_int(g_max) < 2:
         raise DomainError("g_max must be >= 2")
     b = [-1, 2]
     for g in range(2, g_max + 1):
@@ -281,7 +286,7 @@ def b_constant(g: int, solution: PainleveSolution | None = None) -> GravityConst
 def free_energy_coefficient(g: int, solution: PainleveSolution | None = None) -> ScaledRational:
     """Gamma(5(g-1)/2) b_g = e_g / 2^{5(g-1)/2}; a plain rational for odd
     genus and a rational multiple of sqrt(2) for even genus."""
-    if g < 2:
+    if as_int(g) < 2:
         raise DomainError("the coefficient list starts at genus 2")
     if solution is None or g not in solution.e:
         solution = painleve_solve(g)

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import Identification, ZPoly, _fit, a_closed, identify_in_a
+from .algebra import Identification, ZPoly, _fit, _yx_column, a_closed, identify_in_a
 from .errors import ConsistencyError, DomainError, Record, as_int
 from .exact import TruncatedSeries
 from .monodromy import (
@@ -87,7 +87,7 @@ class PhiPolynomial(Record):
             )
 
     def coefficient(self, l: int) -> Fraction:
-        if l < 0:
+        if as_int(l) < 0:
             raise ValueError("l must be >= 0")
         return self.poly.coeffs[l] if l < len(self.poly.coeffs) else Fraction(0)
 
@@ -111,10 +111,10 @@ def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]]) -> PhiFit:
     The linear system is over-determined by at least FIT_SLACK rows; any
     inconsistency falsifies either the normal form or the counting oracle,
     so it raises instead of returning.  Column l is
-    Y^m (Z+1)^chi Z^l = (1-X)^(m+l) X^(-chi-l), chi = 2g-2+p, the integer
-    map {t-chi-l: (-1)^t C(m+l, t)}; `algebra._fit` solves the columns at
-    the sorted data n against `count_series`'s numerators there, divided by
-    that series' denominator times the prefactor.
+    Y^m (Z+1)^chi Z^l = Y^(m+l) X^(-chi-l), chi = 2g-2+p, the integer
+    column `algebra._yx_column(m + l, -chi - l)`; `algebra._fit` solves the
+    columns at the sorted data n against `count_series`'s numerators there,
+    divided by that series' denominator times the prefactor.
     """
     mu = Partition(mu)
     counts: dict = {}
@@ -136,10 +136,7 @@ def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]]) -> PhiFit:
     padded = [(n, Fraction(counts.get(n, 0))) for n in range(ns[-1] + 1)]
     series = count_series(g, mu.degeneracy, padded)
     chi = 2 * g - 2 + mu.num_parts
-    cols = [
-        {t - chi - l: (-1) ** t * math.comb(mu.m + l, t) for t in range(mu.m + l + 1)}
-        for l in range(unknowns)
-    ]
+    cols = [_yx_column(mu.m + l, -chi - l) for l in range(unknowns)]
     scale = series.den * normal_form_prefactor(mu)
     status, solution, surplus = _fit(ns, [series.nums[n] for n in ns], scale, cols)
     if status == "inconsistent":

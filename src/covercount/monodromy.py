@@ -431,6 +431,7 @@ def _connected_counts(g: int, mus, ns: list, node_budget: int) -> list[Fraction]
     n, and the route builds no plan and stores no row.  Otherwise one fill
     at the largest n, charged by ``_check_budget``, stores the rows of nu
     that every smaller n reads."""
+    as_int(node_budget)
     if not ns:
         return []
     try:  # c and the room for the profiles grow with n: the least n stands for all
@@ -481,6 +482,7 @@ def hurwitz_disconnected(
     connected count takes a closed form, which is charged its formula's work
     alone, so at genus <= 1 with one profile the two counts are refused at
     different budgets."""
+    as_int(node_budget)
     n, nu, c = _table_key(spec)
     _check_budget(n, nu, c, node_budget)
     return Fraction(spec.marking_weight() * _disc_row(n, nu, _degree(nu), c)[c], math.factorial(n))

@@ -66,7 +66,7 @@ def conjugacy_class_size(cycle_partition: Partition, n: int | None = None) -> in
     """Size of the class with the given full cycle type (padded to n if given)."""
     parts = list(cycle_partition.parts)
     if n is not None:
-        if sum(parts) > n:
+        if sum(parts) > as_int(n):
             raise DomainError("cycle type does not fit in S_n")
         parts += [1] * (n - sum(parts))
     n_total = sum(parts)

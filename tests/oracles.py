@@ -37,10 +37,14 @@ histogram of marked tree pairs, the former route of `covercount.trees`, is
 checked by Pruefer enumeration and checks the Z-power rows of that module;
 the recursive Stirling numbers check its surjection triangle through the
 moments m_{n,k}.  The substitution Z = X^(-1) - 1 into a `ZPoly`
-(`zpoly_to_laurent`) and the normal form on the series Y and Z
-(`normal_form_series`) are the library's former conversions, and the
-partitions of n in reverse-lex order (`partitions_of`) and D^k (Z^2) as a
-`ZPoly` (`dkz2_poly`) are former library functions that only tests read.
+(`zpoly_to_laurent`), its reverse from a `LaurentPolyX` (`laurent_to_zpoly`)
+and the normal form on the series Y and Z (`normal_form_series`) are the
+library's former conversions, and the partitions of n in reverse-lex order
+(`partitions_of`) and D^k (Z^2) as a `ZPoly` (`dkz2_poly`) are former
+library functions that only tests read.  The spanning list D^k (Z^a) built
+by D on `LaurentPolyX` (`dk_laurent`), and Z^k solved over it on X^(-d)
+coefficients (`zpower_in_basis_x`), are the former X-route that checks the
+integer Z-coefficient recurrence behind `dkz_poly` and `zpower_in_basis`.
 `table_connected` reads a count off a fill of the count table, the route
 that counts of genus 0 or 1 with at most one profile leave for the closed
 forms of Hurwitz and Vakil.  The
@@ -60,6 +64,7 @@ from itertools import combinations, permutations, product
 from covercount import monodromy
 from covercount.algebra import (
     LaurentPolyX,
+    ZPoly,
     dkz_poly,
     series_y,
     series_z,
@@ -67,7 +72,7 @@ from covercount.algebra import (
     zpower_in_basis,
 )
 from covercount.errors import BudgetExceeded, ConsistencyError, Record
-from covercount.exact import LinearSolution, TruncatedSeries
+from covercount.exact import LinearSolution, LinearSystem, TruncatedSeries
 from covercount.gravity import tau_coefficient
 from covercount.hurwitz_series import normal_form_prefactor
 from covercount.symmetric import Partition, conjugacy_class_size, shape_table
@@ -356,13 +361,41 @@ def ypower_closed(k, order):
     return TruncatedSeries.from_egf(nums[: order + 1])
 
 
-def dkz2_poly(k):
-    """D^k (Z^2) as a `ZPoly`, leading coefficient (2k)!! on Z^(2k+2): D
-    applied k times to (X^(-1) - 1)^2; the library's former `dkz2_poly`."""
-    p = LaurentPolyX({-2: 1, -1: -2, 0: 1})
+def dk_laurent(a, k):
+    """D^k (Z^a) as a `LaurentPolyX`: D applied k times to (X^(-1) - 1)^a, the
+    library's former route to the spanning list."""
+    p = LaurentPolyX({-1: 1, 0: -1}) ** a
     for _ in range(k):
         p = p.euler_d()
-    return p.to_zpoly()
+    return p
+
+
+def laurent_to_zpoly(p):
+    """Rewrite a `LaurentPolyX` as a `ZPoly`; requires support <= 0.
+    X^{-j} = (1+Z)^j.  The library's former `LaurentPolyX.to_zpoly`."""
+    if any(j > 0 for j in p.coeffs):
+        raise ValueError("element has positive X powers; it is not a polynomial in Z")
+    out = [Fraction(0)] * (1 - min(p.coeffs, default=0))
+    for j, c in p.coeffs.items():
+        for i in range(1 - j):
+            out[i] += c * math.comb(-j, i)
+    return ZPoly(out)
+
+
+def dkz2_poly(k):
+    """D^k (Z^2) as a `ZPoly`, leading coefficient (2k)!! on Z^(2k+2), on the
+    X-route (`dk_laurent`); the library's former `dkz2_poly`."""
+    return laurent_to_zpoly(dk_laurent(2, k))
+
+
+def zpower_in_basis_x(k):
+    """Z^k over the first k spanning elements, solved by `gauss_jordan` on their
+    X^(-d) coefficients (`dk_laurent`) against those of (X^(-1) - 1)^k: the
+    library's former route to `zpower_in_basis`."""
+    basis = [dk_laurent(i % 2 + 1, i // 2).coeffs for i in range(k)]
+    rows = [[p.get(-d, 0) for p in basis] for d in range(k + 1)]
+    rhs = [(-1) ** (k - d) * math.comb(k, d) for d in range(k + 1)]
+    return list(gauss_jordan(LinearSystem(rows, rhs)).solution)
 
 
 def zbasis_element(i):
@@ -373,7 +406,7 @@ def zbasis_element(i):
 def zpoly_to_laurent(z):
     """Substitute Z = X^{-1} - 1 into a `ZPoly`: Z^i = sum_k C(i, k) (-1)^(i-k) X^{-k}.
 
-    The inverse of `LaurentPolyX.to_zpoly`; the library's former `ZPoly.to_laurent`.
+    The inverse of `laurent_to_zpoly`; the library's former `ZPoly.to_laurent`.
     """
     out = {}
     for i, c in enumerate(z.coeffs):

@@ -12,8 +12,10 @@ from covercount.algebra import (
     Radical,
     ScaledRational,
     ZPoly,
+    _dk_zpower,
     _egf_rows,
     _x_power_egf,
+    _yx_column,
     a_closed,
     dkz_poly,
     double_factorial,
@@ -33,15 +35,18 @@ from .oracles import (
     a_closed_fractions,
     a_closed_horner,
     cauchy_product,
+    dk_laurent,
     dkz2_poly,
     first_correction,
     laurent_coefficient_spanning,
+    laurent_to_zpoly,
     log_leading,
     seq_a_convolution,
     series_inverse,
     ypower_closed,
     zbasis_element,
     zpoly_to_laurent,
+    zpower_in_basis_x,
 )
 
 
@@ -199,6 +204,16 @@ def test_zpoly_euler_matches_power_rule():
         assert (z**k).euler_d() == z ** (k - 1) * k * dz
 
 
+@pytest.mark.parametrize("k", range(13))
+def test_spanning_list_matches_x_route(k):
+    # the integer Z-coefficient recurrence against D on LaurentPolyX, and the
+    # triangular solve on Z-coefficient rows against Gauss-Jordan on X^(-d) rows
+    assert dkz_poly(k) == laurent_to_zpoly(dk_laurent(1, k))
+    assert ZPoly(_dk_zpower(2, k)) == dkz2_poly(k)
+    if k:
+        assert zpower_in_basis(k) == zpower_in_basis_x(k)
+
+
 def test_zpower_identity_case():
     assert zpower_in_basis(1) == [F(1)]
 
@@ -208,7 +223,7 @@ def test_zpower_three_by_expansion():
     acc = LaurentPolyX({})
     for c, i in zip(combo, range(3)):
         acc = acc + zpoly_to_laurent(zbasis_element(i)) * c
-    assert acc.to_zpoly() == ZPoly([0, 0, 0, 1])
+    assert laurent_to_zpoly(acc) == ZPoly([0, 0, 0, 1])
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -306,6 +321,7 @@ def test_x_powers_match_binary_powering(jmin, jmax):
         *({j: 1} for j in powers),
         {},
     ]
+    assert _yx_column(a, jmin) == cols[0]
     for c, col in enumerate(zip(*_egf_rows(range(21), cols))):
         expected = sum((powers[j] * w for j, w in cols[c].items()), TruncatedSeries.zero(20))
         assert TruncatedSeries.from_egf(col) == expected, cols[c]
@@ -390,7 +406,7 @@ def test_integer_arguments_refuse_bools():
 
 def test_zpoly_laurent_roundtrip():
     zp = ZPoly([1, F(1, 2), 0, 3])
-    assert zpoly_to_laurent(zp).to_zpoly() == zp
+    assert laurent_to_zpoly(zpoly_to_laurent(zp)) == zp
 
 
 # --- D on LaurentPolyX, and the Z-coefficient record ---
@@ -421,13 +437,13 @@ def test_laurent_euler_leibniz_rule(p, q):
 @given(zpolys)
 @settings(max_examples=50, deadline=None)
 def test_zpoly_to_laurent_and_back(z):
-    assert zpoly_to_laurent(z).to_zpoly() == z
+    assert laurent_to_zpoly(zpoly_to_laurent(z)) == z
 
 
 @given(laurent_elements(-8, 0))
 @settings(max_examples=50, deadline=None)
 def test_laurent_to_zpoly_and_back(p):
-    assert zpoly_to_laurent(p.to_zpoly()) == p
+    assert zpoly_to_laurent(laurent_to_zpoly(p)) == p
 
 
 @given(zpolys)
@@ -441,7 +457,7 @@ def test_euler_d_is_z_chain_rule(z):
 
 def test_to_zpoly_rejects_positive_powers():
     with pytest.raises(ValueError):
-        LaurentPolyX({-1: 1, 1: 2}).to_zpoly()
+        laurent_to_zpoly(LaurentPolyX({-1: 1, 1: 2}))
 
 
 # --- asymptotics ---

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from covercount import gravity
+from covercount import gravity, monodromy
 from covercount.algebra import LaurentPolyX, Radical, ScaledRational, leading_asymptotic
 from covercount.errors import ConsistencyError, DomainError
 from covercount.gravity import (
@@ -151,6 +151,18 @@ def test_h_tau_series_dimension_violation_gives_zero():
     assert result.series.is_zero()
 
 
+@pytest.mark.parametrize(
+    "surplus, error", [(True, TypeError), (-1, DomainError), (-5, DomainError)]
+)
+def test_h_tau_series_refuses_a_bad_surplus_before_any_count(surplus, error):
+    # True is not 1 surplus order, and below 0 no order would verify the
+    # bracket; genus 2 would fill a count table, and neither call does
+    clear_caches()
+    with pytest.raises(error):
+        h_tau_series(TauSpec(2, (4,)), surplus=surplus)
+    assert not monodromy._CONN and not monodromy._DISC and not monodromy._PLANS
+
+
 def test_bracket_series_constant_term_matches_direct_bracket():
     # h_tau_series reads the bracket off the series' q^0 coefficient; the
     # string equation and DVV recursion, which read no covering count, must
@@ -257,9 +269,19 @@ def test_b_low_genus_values():
 
 
 def test_b_constant_refuses_a_bool_genus():
-    # True is the int 1 to Python; as a genus it is a slip, not b_1
-    with pytest.raises(TypeError):
-        b_constant(True)
+    # True is the int 1 to Python; as a genus it is a slip, not b_1, and as
+    # a tau index or preimage multiplicity it is no weight
+    for call, args in [
+        (b_constant, (True,)),
+        (free_energy_coefficient, (True,)),
+        (painleve_solve, (True,)),
+        (tau_coefficient, (True, 1)),
+        (tau_coefficient, (1, True)),
+        (tau_bracket, (TauSpec(0, (1, 1, 1)), True)),  # off dimension: no count runs
+        (h_tau_series, (TauSpec(0, (1, 1, 1)), 5, True)),
+    ]:
+        with pytest.raises(TypeError):
+            call(*args)
 
 
 def test_b2_matches_listed_value():

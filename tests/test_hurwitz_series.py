@@ -263,6 +263,8 @@ def test_fit_refuses_bool_integers():
         fit_phi(True, mu, data)
     with pytest.raises(TypeError):
         fit_phi(1, mu, [(True, F(0))] + data[1:])
+    with pytest.raises(TypeError):
+        fit_phi(1, mu, data).phi.coefficient(True)
 
 
 def test_fit_raises_on_corrupted_data():

@@ -32,6 +32,10 @@ from covercount import (
     TauSpec,
     TruncatedSeries,
     ZPoly,
+    conjugacy_class_size,
+    hurwitz_connected,
+    hurwitz_disconnected,
+    monodromy,
     painleve_solve,
 )
 from covercount.errors import Record
@@ -222,6 +226,9 @@ NOT_INTS = (2.5, 0.9, 1.0, True, False, F(1), "1", None)
 def test_partition_refuses_non_int_parts(bad):
     with pytest.raises(TypeError):
         Partition([bad, 1])
+    if bad is not None:  # None is the default: no padding to n
+        with pytest.raises(TypeError):
+            conjugacy_class_size(Partition([1]), bad)
     assert Partition([2, 1]).parts == (2, 1)
 
 
@@ -231,6 +238,12 @@ def test_covering_spec_refuses_non_int_genus_and_sheets(bad):
         with pytest.raises(TypeError):
             CoveringSpec(*args)
     assert CoveringSpec(0, 3, [(2,)]).mus == (Partition([2]),)
+    # a budget is refused before any table: True is no budget of 1, 1e12 none of 10^12
+    monodromy.clear_caches()
+    for count in (hurwitz_connected, hurwitz_disconnected):
+        with pytest.raises(TypeError):
+            count(CoveringSpec(2, 3), bad)
+    assert not monodromy._CONN and not monodromy._DISC and not monodromy._PLANS
 
 
 @pytest.mark.parametrize("bad", NOT_INTS)

@@ -5,13 +5,20 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "covercount"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "covercount"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + SCRIPTS,
+    ids=lambda p: p.stem if p.parent == SRC else f"{p.parent.name}/{p.stem}",
+)
 def test_every_imported_name_is_used(path):
-    # __init__ imports to re-export; every other module imports to use
+    # the package's __init__ imports to re-export; every other module,
+    # test and demo imports to use
     tree = ast.parse(path.read_text())
     imported = set()
     for node in ast.walk(tree):
@@ -80,3 +87,28 @@ def test_x_power_rows_have_one_weighted_reader():
         if path.name not in ("algebra.py", "exact.py"):
             solver = names & {"solve_exact", "LinearSystem"}
             assert not solver, f"{path.name} names {sorted(solver)}"
+
+
+def test_yx_columns_have_one_builder():
+    # Y^a X^b = (1-X)^a X^b is expanded by binomials only in `_yx_column`,
+    # which dendrology's Z-powers, fit_phi's columns and the CLI's Z2 read;
+    # the spanning list runs on Z-coefficients, so no module converts a
+    # Laurent polynomial back to Z
+    outside = []
+    for name in ("algebra", "trees", "hurwitz_series", "cli"):
+        tree = ast.parse((SRC / f"{name}.py").read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                called = isinstance(node, ast.Call) and ast.unparse(node.func)
+                owner = (name, getattr(top, "name", None))
+                if called in ("math.comb", "comb") and owner != ("algebra", "_yx_column"):
+                    outside.append(f"{name}:{node.lineno}")
+    assert not outside, f"math.comb called outside algebra._yx_column at {outside}"
+    for path in MODULES:
+        names = {
+            getattr(node, "attr", None) or getattr(node, "name", None) or getattr(node, "id", None)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.alias, ast.Attribute, ast.Name, ast.FunctionDef))
+        }
+        stale = names & {"to_zpoly", "_dk_laurent"}
+        assert not stale, f"{path.name} names {sorted(stale)}"

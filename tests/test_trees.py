@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction as F
 
 import pytest
 
