@@ -158,13 +158,13 @@ class TruncatedSeries(Record):
         return tuple(map(self.coefficient, range(self.order + 1)))
 
     def coefficient(self, n: int) -> Fraction:
-        if n < 0:
+        if as_int(n) < 0:
             raise ValueError("n must be >= 0")
         return Fraction(self.nums[n], self.den * math.factorial(n))
 
     def egf_coefficient(self, n: int) -> Fraction:
         """n! * c_n, the exponential-convention view."""
-        if n < 0:
+        if as_int(n) < 0:
             raise ValueError("n must be >= 0")
         return Fraction(self.nums[n], self.den)
 

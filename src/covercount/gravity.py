@@ -35,7 +35,7 @@ from .algebra import (
 from .errors import ConsistencyError, DomainError, Record, as_int
 from .exact import TruncatedSeries
 from .hurwitz_series import count_series, fit_phi, oracle_data, phi_degree_bound
-from .monodromy import DEFAULT_NODE_BUDGET
+from .monodromy import DEFAULT_NODE_BUDGET, _genus
 from .symmetric import Partition
 
 
@@ -305,7 +305,7 @@ def hg_empty_leading(g: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Fraction
     compares it with the Painleve route e_g; the tests and the benchmark's
     `brackets` workload check that the two derivations agree.
     """
-    if g == 0:
+    if _genus(g) == 0:
         raise DomainError("genus zero has no leading-Z form; use h0_closed")
     if g == 1:
         raise DomainError("the genus-one no-profile series is not in the algebra")

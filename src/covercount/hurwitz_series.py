@@ -18,12 +18,13 @@ from typing import Iterable, Sequence
 
 from .algebra import Identification, ZPoly, _fit, _yx_column, a_closed, identify_in_a
 from .errors import ConsistencyError, DomainError, Record, as_int
-from .exact import TruncatedSeries
+from .exact import TruncatedSeries, as_rational
 from .monodromy import (
     DEFAULT_NODE_BUDGET,
     CoveringSpec,
     _closed_entries,
     _connected_counts,
+    _genus,
     _marking_weights,
 )
 from .symmetric import Partition
@@ -35,14 +36,15 @@ def h0_closed(n: int, mu) -> Fraction:
     """Genus-zero covering count in closed form, Hurwitz's formula.
 
     (2n-2-r)!/|Aut| * prod b^b/b! * n^{n-r-3}/(n-p-r)!, valid for any
-    n >= p + r including the empty profile: the marking weight times the
-    count table's genus-0 entry (``monodromy._closed_entries``) over n!.
+    n >= max(1, p + r) including the empty profile: the marking weight
+    times the count table's genus-0 entry (``monodromy._closed_entries``)
+    over n!.
     It takes no budget; ``hurwitz_connected`` reads the same entry and
     charges its budget the formula's work.
     """
     mu = Partition(mu)
-    if as_int(n) < mu.m:
-        raise DomainError(f"closed form needs n >= p + r = {mu.m}, got {n}")
+    if as_int(n) < max(mu.m, 1):
+        raise DomainError(f"closed form needs n >= max(1, p + r) = {max(mu.m, 1)}, got {n}")
     entry = _closed_entries(0, [n], mu.nontrivial())[0]
     return Fraction(_marking_weights([n], [mu])[0] * entry, math.factorial(n))
 
@@ -116,14 +118,14 @@ def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]]) -> PhiFit:
     columns at the sorted data n against `count_series`'s numerators there,
     divided by that series' denominator times the prefactor.
     """
-    mu = Partition(mu)
+    g, mu = _genus(g), Partition(mu)
     counts: dict = {}
     for n, h in data:
         if as_int(n) in counts:
             raise DomainError(f"data point n={n} is given more than once")
-        counts[n] = h
+        counts[n] = as_rational(h)
     ns = sorted(counts)
-    bound = phi_degree_bound(as_int(g), mu.num_parts)
+    bound = phi_degree_bound(g, mu.num_parts)
     unknowns = bound + 1
     if len(ns) < unknowns + FIT_SLACK:
         raise DomainError(
@@ -133,7 +135,7 @@ def fit_phi(g: int, mu, data: Iterable[tuple[int, Fraction]]) -> PhiFit:
     for n in ns:
         if n < 0 or CoveringSpec.simple_points(g, n, mu.degeneracy) < 0:
             raise DomainError(f"data point n={n} is outside the valid range")
-    padded = [(n, Fraction(counts.get(n, 0))) for n in range(ns[-1] + 1)]
+    padded = [(n, counts.get(n, Fraction(0))) for n in range(ns[-1] + 1)]
     series = count_series(g, mu.degeneracy, padded)
     chi = 2 * g - 2 + mu.num_parts
     cols = [_yx_column(mu.m + l, -chi - l) for l in range(unknowns)]
@@ -186,7 +188,7 @@ def default_window(g: int, mus: Sequence[Partition]) -> tuple[int, int]:
     """Support window heuristic from the normal-form shape."""
     p = sum(mu.num_parts for mu in mus)
     m = sum(mu.m for mu in mus)
-    chi = 2 * g - 2 + p
+    chi = 2 * as_int(g) - 2 + p
     dmax = max(3 * g - 3 + p, 1)
     return (min(0, -chi - dmax) - 1, max(m, m - chi) + 1)
 
@@ -197,6 +199,7 @@ def h_series(g: int, mus, order: int, node_budget: int = DEFAULT_NODE_BUDGET) ->
     The certificate is the exact identification over `default_window`;
     it fails (by design) only for genus one with no profiles.
     """
+    _genus(g)
     if as_int(order) < 0:
         raise DomainError("order must be >= 0")
     mus = tuple(map(Partition, mus))

@@ -68,7 +68,8 @@ Every other f_{rho_j} is |C| chi / dim over one stored character column
 (``character_column``), one rim-hook step from the stored column of its
 class without the last part, so no column is built twice.  Each f list is
 formed once per (m, class) and shared by every row whose rho holds the
-class.  Each (m, rho) stores T_disc and T_conn as two rows, lists indexed
+class; a row's content weights are formed from them each time the row
+grows.  Each (m, rho) stores T_disc and T_conn as two rows, lists indexed
 by c, and each rho one split plan (``_plan``) that every fill holding rho
 reads.  A fill of (n, nu) stores only the rows its count can read
 (``_rows``): those of nu for every m <= n, and those of a proper
@@ -84,12 +85,14 @@ spec's entry (n, nu, c + k) alone and before any table is built (see
 ``_check_budget``); the check hands the fill the rows it charged, so nu's
 plan is folded once per count.
 These tables and the shape tables and columns of ``symmetric`` are shared
-and unlocked.  A shape table, column, f list, weight list or plan is stored
-once, fully computed; a row is stored whole or not at all, and grows by a
-new, longer, fully computed list, never by appending to a stored one; a
-fill reads rows through its own references and forms its products in lists
-of its own, so concurrent counts at worst duplicate work and return the
-serial values.
+and unlocked.  A shape table, column, f list or plan is stored once, fully
+computed; a row is stored whole or not at all, and grows by a new, longer,
+fully computed list, never by appending to a stored one.  A fill that
+stores its shorter row last can leave a shorter row in place of a longer
+one, so a count or fill indexes only rows it holds (lists it read once from
+a table, formed, or got back from its fill) and forms its products in lists
+of its own: concurrent counts at worst duplicate work and return the serial
+values.
 ``clear_caches`` empties every table; it is not meant to run during a
 count (untested).
 """
@@ -115,6 +118,14 @@ from .symmetric import (
 DEFAULT_NODE_BUDGET = 10**9
 
 
+def _genus(g) -> int:
+    """g itself if it is an int >= 0; a bool or float raises TypeError and a
+    negative int DomainError, as in every count, fit and series of genus g."""
+    if as_int(g) < 0:
+        raise DomainError("genus must be >= 0")
+    return g
+
+
 class CoveringSpec(Record):
     """A covering-count problem: genus, sheet count, ramification profiles."""
 
@@ -124,11 +135,9 @@ class CoveringSpec(Record):
 
     def __init__(self, g: int, n: int, mus=()):
         mus = tuple(map(Partition, mus))
-        object.__setattr__(self, "g", as_int(g))
+        object.__setattr__(self, "g", _genus(g))
         object.__setattr__(self, "n", as_int(n))
         object.__setattr__(self, "mus", mus)
-        if self.g < 0:
-            raise DomainError("genus must be >= 0")
         if self.n < 1:
             raise DomainError("sheet count must be >= 1")
         for mu in mus:
@@ -171,8 +180,6 @@ def _marking_weights(ns, mus) -> list[int]:
 
 # (m, parts) -> [f_parts(lambda) = |C| chi / dim for each shape of m], see _disc_row
 _CENTRAL: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-# (m, rho) -> [(|content sum| k, W(k))], see _disc_row
-_WEIGHTS: dict[tuple[int, tuple], list[tuple[int, int]]] = {}
 # (m, rho) -> [T_disc(m, rho, c) for c = 0, 1, ...]
 _DISC: dict[tuple[int, tuple], list[int]] = {}
 # (m, rho) -> [T_conn(m, rho, c) for c = 0, 1, ...]
@@ -233,23 +240,20 @@ def _disc_row(m: int, rho: tuple, deg: int, cmax: int) -> list[int]:
     row = _DISC.get((m, rho), [])
     if len(row) > top:
         return row
-    weights = _WEIGHTS.get((m, rho))
-    if weights is None:
-        _, dims, contents = shape_table(m)
-        terms = [dim * dim for dim in dims]
-        for parts in rho:
-            f = _CENTRAL.get((m, parts))
-            if f is None:  # formed once, by the first row that holds the class
-                size = conjugacy_class_size(Partition(parts), m)
-                f = [size * chi // dim for chi, dim in zip(character_column(m, parts), dims)]
-                f = _CENTRAL.setdefault((m, parts), f)
-            terms = list(map(_mul, terms, f))
-        grouped: dict[int, int] = {}
-        for k, term in zip(contents, terms):
-            if k >= 0:
-                grouped[k] = grouped.get(k, 0) + (2 * term if k else term)
-        weights = [(k, w) for k, w in grouped.items() if w]
-        weights = _WEIGHTS.setdefault((m, rho), weights)
+    _, dims, contents = shape_table(m)
+    terms = [dim * dim for dim in dims]
+    for parts in rho:
+        f = _CENTRAL.get((m, parts))
+        if f is None:  # formed once, by the first row that holds the class
+            size = conjugacy_class_size(Partition(parts), m)
+            f = [size * chi // dim for chi, dim in zip(character_column(m, parts), dims)]
+            f = _CENTRAL.setdefault((m, parts), f)
+        terms = list(map(_mul, terms, f))
+    grouped: dict[int, int] = {}
+    for k, term in zip(contents, terms):
+        if k >= 0:
+            grouped[k] = grouped.get(k, 0) + (2 * term if k else term)
+    weights = [(k, w) for k, w in grouped.items() if w]
     new = [0] * (top + 1 - len(row))
     first = (deg - len(row)) % 2  # the first new c of the parity of deg
     terms = [w * k ** (len(row) + first) for k, w in weights]
@@ -297,11 +301,11 @@ def _rows(n: int, plan: tuple) -> dict[tuple, tuple[range, int]]:
     return {rho: (range(_size(rho), top + 1), k) for rho, (top, k) in tops.items()}
 
 
-def _fill(n: int, nu: tuple, cmax: int, rows: dict) -> list[int]:
+def _fill(n: int, nu: tuple, cmax: int, rows: dict) -> dict[int, list[int]]:
     """Store the rows a count of (n, nu) at cmax reads, rows = _rows(n, nu's
     plan) as the budget check returned it, smallest m first, each through
-    cmax + its shift; return the T_conn row of (n, nu).  A piece of a split
-    with j (2) pieces reads its rest's rows from index j."""
+    cmax + its shift; return nu's T_conn rows by m, lists of its own.  A
+    piece of a split with j (2) pieces reads its rest's rows from index j."""
     plans = [(rho, ms, k, *_plan(rho)[:2]) for rho, (ms, k) in rows.items()]
     cap = cmax + max(k for _, _, k, *_ in plans)
     binom = [[math.comb(c, j) for j in range(c + 1)] for c in range(max(cap, n) + 1)]
@@ -343,7 +347,7 @@ def _fill(n: int, nu: tuple, cmax: int, rows: dict) -> list[int]:
                 sigma, low = ((2,),) * j + rho, max((deg + j) % 2, 2 * m - 2 - deg - j)
                 disc[sigma, m] = drow[j:]
                 conn[sigma, m] = row[j:], low, [None] * (cap + 1)
-    return conn[nu, n][0]
+    return {m: conn[nu, m][0] for m in rows[nu][0]}
 
 
 def _check_budget(n: int, nu: tuple, c: int, budget: int) -> dict:
@@ -351,7 +355,8 @@ def _check_budget(n: int, nu: tuple, c: int, budget: int) -> dict:
     count or a connected one outside the closed forms, whose fill would
     exceed the budget, and return the fill's rows (``_rows``) if it admits
     the count; (n, nu, c) is the spec's table entry, its (2) profiles folded
-    into c (see _table_key).  A closed-form count is charged its formula
+    into c (see _table_key), and a budget other than an int raises TypeError
+    before any table is built.  A closed-form count is charged its formula
     instead (see ``_connected_counts``).  The fill stores R rows, E entries
     in all, (c + k)//2 + 1 in a row of shift k.  Each row is charged the
     subs splits of nu (prod (multiplicity + 1) over each profile's distinct
@@ -364,7 +369,7 @@ def _check_budget(n: int, nu: tuple, c: int, budget: int) -> dict:
     is refused at its largest n, before any fill."""
     subs = math.prod(parts.count(b) + 1 for parts in nu for b in set(parts))
     work = subs  # past the budget, refuse before building nu's plan
-    if work <= budget:
+    if work <= as_int(budget):
         plan = _PLANS.get(nu) or _split_plan(nu)
         rows = _rows(n, plan)
         entries = sum(len(ms) * ((c + k) // 2 + 1) for ms, k in rows.values())
@@ -428,9 +433,12 @@ def _connected_counts(g: int, mus, ns: list, node_budget: int) -> list[Fraction]
     them at most once, so one n costs fewer than N^2 digit products at genus
     0 and, with e_k(lambda) and Horner's rule, fewer than 2 N^2 + 3 l^3 at
     genus 1.  The charge grows with n, so a range is refused at its largest
-    n, and the route builds no plan and stores no row.  Otherwise one fill
-    at the largest n, charged by ``_check_budget``, stores the rows of nu
-    that every smaller n reads."""
+    n, and the route builds no plan and stores no row.  Otherwise each n
+    reads its row of nu from the table once; if any of them is too short,
+    one fill at the largest n, charged by ``_check_budget``, stores the rows
+    of nu for every smaller n, and the counts index the rows it returns.
+    A count indexes only rows it holds, so a shorter row stored meanwhile
+    cannot reach it."""
     as_int(node_budget)
     if not ns:
         return []
@@ -455,9 +463,10 @@ def _connected_counts(g: int, mus, ns: list, node_budget: int) -> list[Fraction]
         entries = _closed_entries(spec.g, ns, parts)
     else:
         rows = _check_budget(top, nu, 2 * top + shift, node_budget)
-        if len(_CONN.get((top, nu), [])) <= 2 * top + shift:
-            _fill(top, nu, 2 * top + shift, rows)  # stores the rows of nu for every m <= top
-        entries = [_CONN[n, nu][2 * n + shift] for n in ns]
+        held = [_CONN.get((n, nu), []) for n in ns]
+        if any(len(row) <= 2 * n + shift for n, row in zip(ns, held)):
+            held = list(map(_fill(top, nu, 2 * top + shift, rows).get, ns))  # nu's rows by m
+        entries = [row[2 * n + shift] for n, row in zip(ns, held)]
     weights = _marking_weights(ns, spec.mus)
     return [Fraction(w * entry, math.factorial(n)) for n, w, entry in zip(ns, weights, entries)]
 
@@ -482,7 +491,6 @@ def hurwitz_disconnected(
     connected count takes a closed form, which is charged its formula's work
     alone, so at genus <= 1 with one profile the two counts are refused at
     different budgets."""
-    as_int(node_budget)
     n, nu, c = _table_key(spec)
     _check_budget(n, nu, c, node_budget)
     return Fraction(spec.marking_weight() * _disc_row(n, nu, _degree(nu), c)[c], math.factorial(n))
@@ -493,7 +501,6 @@ def clear_caches() -> None:
     shape_table.cache_clear()
     _COLUMNS.clear()
     _CENTRAL.clear()
-    _WEIGHTS.clear()
     _DISC.clear()
     _CONN.clear()
     _PLANS.clear()

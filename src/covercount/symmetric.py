@@ -81,7 +81,7 @@ def conjugacy_class_size(cycle_partition: Partition, n: int | None = None) -> in
 # characters
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def shape_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The shapes of n, their beta-sets lambda_i + n - 1 - i (i < n) as bit
     masks, dimensions and content sums, by the branching rule from the table
@@ -90,7 +90,7 @@ def shape_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ..
     box adds its content, the bead's new place minus n.  Masks descend, which
     puts the shapes in reverse-lex order of their parts: where two shapes
     first differ, the larger part holds the higher bead."""
-    if n == 0:
+    if as_int(n) == 0:
         return (0,), (1,), (0,)
     table: dict[int, list[int]] = {}  # mask -> [dimension, content sum]
     for mask, dim, content in zip(*shape_table(n - 1)):

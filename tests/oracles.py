@@ -1047,7 +1047,7 @@ def table_connected(spec):
     Vakil's at genus 1) instead of the table, so this is the second route
     to them."""
     n, nu, c = monodromy._table_key(spec)
-    row = monodromy._fill(n, nu, c, monodromy._rows(n, monodromy._plan(nu)))
+    row = monodromy._fill(n, nu, c, monodromy._rows(n, monodromy._plan(nu)))[n]
     return Fraction(spec.marking_weight() * row[c], math.factorial(n))
 
 

@@ -63,6 +63,13 @@ def test_hurwitz_invalid_spec_exit2(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("order", ["1", "3"])
+def test_hseries_refuses_a_negative_genus_at_every_order(capsys, order):
+    # at order 1 no n has c(n) >= 0, so no count would have checked the genus
+    code, out, err = run(capsys, "hseries", "--g", "-1", "--order", order)
+    assert (code, out) == (2, "") and "genus must be >= 0" in err
+
+
 def test_nonpositive_part_error_names_the_parsed_parts(capsys):
     code, out, err = run(capsys, "hurwitz", "--g", "0", "--n", "3", "--mu", "0")
     assert (code, out) == (2, "")

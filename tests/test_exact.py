@@ -658,6 +658,8 @@ def test_negative_orders_have_no_coefficient():
     for read in (z.coefficient, z.egf_coefficient):
         with pytest.raises(ValueError, match="n must be >= 0"):
             read(-1)
+        with pytest.raises(TypeError):  # True is no index 1
+            read(True)
         with pytest.raises(IndexError):
             read(5)
 

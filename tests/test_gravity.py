@@ -279,6 +279,7 @@ def test_b_constant_refuses_a_bool_genus():
         (tau_coefficient, (1, True)),
         (tau_bracket, (TauSpec(0, (1, 1, 1)), True)),  # off dimension: no count runs
         (h_tau_series, (TauSpec(0, (1, 1, 1)), 5, True)),
+        (hg_empty_leading, (True,)),
     ]:
         with pytest.raises(TypeError):
             call(*args)
@@ -382,6 +383,8 @@ def test_hg_empty_leading_exceptional_genera():
         hg_empty_leading(0)
     with pytest.raises(DomainError):
         hg_empty_leading(1)
+    with pytest.raises(DomainError, match="genus must be >= 0"):
+        hg_empty_leading(-1)
 
 
 # --- the KdV coefficient identity (genus 1 and 2) ---

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from covercount import cli, exact
+from covercount import cli, exact, monodromy
 from covercount.algebra import LaurentPolyX, ZPoly, a_closed, identify_in_a, series_z
 from covercount.errors import ConsistencyError, DomainError
 from covercount.exact import TruncatedSeries
@@ -40,6 +40,9 @@ def test_h0_closed_matches_oracle_n4_single_double_point():
 def test_h0_closed_domain_bound():
     with pytest.raises(DomainError):
         h0_closed(2, (2, 1))  # p + r = 3 > n
+    for n in (0, -1):  # no sheets: the empty profile fits, but no cover has n < 1 sheets
+        with pytest.raises(DomainError, match=r"needs n >= max\(1, p \+ r\) = 1"):
+            h0_closed(n, ())
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -101,7 +104,14 @@ def test_phi_degree_bounds():
 
 
 @pytest.mark.parametrize(
-    "call, args", [(h0_closed, (True, [])), (phi_degree_bound, (True, 1)), (phi_degree_bound, (0, True))]
+    "call, args",
+    [
+        (h0_closed, (True, [])),
+        (phi_degree_bound, (True, 1)),
+        (phi_degree_bound, (0, True)),
+        (default_window, (True, [])),
+        (h_series, (True, [], 0)),
+    ],
 )
 def test_closed_form_and_degree_bound_refuse_bools(call, args):
     # True is the int 1 to Python; as a sheet count, genus or part count it is a slip
@@ -265,6 +275,21 @@ def test_fit_refuses_bool_integers():
         fit_phi(1, mu, [(True, F(0))] + data[1:])
     with pytest.raises(TypeError):
         fit_phi(1, mu, data).phi.coefficient(True)
+    # counts are exact values: floats equal to them are refused, not fitted
+    with pytest.raises(TypeError):
+        fit_phi(1, mu, [(n, float(h)) for n, h in data])
+
+
+@pytest.mark.parametrize("g, order", [(-1, 1), (-3, 3), (-1, 8)])
+def test_series_and_fit_refuse_a_negative_genus(g, order):
+    # at order 1, c(1) < 0 leaves no n to count, so only the genus check can
+    # refuse; the fit checks the genus before its data
+    monodromy.clear_caches()
+    with pytest.raises(DomainError, match="genus must be >= 0"):
+        h_series(g, [], order)
+    with pytest.raises(DomainError, match="genus must be >= 0"):
+        fit_phi(g, (), [(n, F(0)) for n in range(order + 3)])
+    assert not monodromy._CONN and not monodromy._PLANS
 
 
 def test_fit_raises_on_corrupted_data():

@@ -351,7 +351,7 @@ def test_profile_pool_counts_on_warm_tables():
     for (m, rho), row in warm.items():
         clear_caches()
         rows = monodromy._rows(m, monodromy._plan(rho))
-        assert monodromy._fill(m, rho, len(row) - 1, rows) == row, (m, rho)
+        assert monodromy._fill(m, rho, len(row) - 1, rows)[m] == row, (m, rho)
 
 
 def _table_nu(mus):
@@ -583,6 +583,35 @@ def test_rows_grow_by_publishing_new_lists():
         assert any(len(table[key]) > len(copy) for key, (_, copy) in rows.items())
         for key, (row, copy) in rows.items():
             assert row == copy, key
+
+
+def test_a_count_indexes_the_rows_its_fill_returns(monkeypatch):
+    # a fill at a smaller c that stores its shorter rows of nu last, here
+    # cut to 2 entries right after the real fill, must not reach the count:
+    # it indexes the rows its own fill returned
+    clear_caches()
+    serial = oracle_data(2, (3,), range(3, 9))
+    fill = monodromy._fill
+
+    def stale(n, nu, cmax, rows):
+        held = fill(n, nu, cmax, rows)
+        for key in [key for key in monodromy._CONN if key[1] == nu]:
+            monodromy._CONN[key] = monodromy._CONN[key][:2]
+        return held
+
+    clear_caches()
+    monkeypatch.setattr(monodromy, "_fill", stale)
+    assert oracle_data(2, (3,), range(3, 9)) == serial
+
+
+def test_a_count_refills_a_row_it_finds_too_short():
+    # on warm tables a shortened row of a smaller n than the largest is
+    # read once, found too short, and the count refills instead of indexing it
+    clear_caches()
+    serial = oracle_data(2, (3,), range(3, 9))
+    monodromy._CONN[4, ((3,),)] = monodromy._CONN[4, ((3,),)][:2]
+    assert oracle_data(2, (3,), range(3, 9)) == serial
+    assert len(monodromy._CONN[4, ((3,),)]) > 8
 
 
 def test_budget_refusal():

@@ -37,6 +37,7 @@ from covercount import (
     hurwitz_disconnected,
     monodromy,
     painleve_solve,
+    symmetric,
 )
 from covercount.errors import Record
 from covercount.gravity import TauSeriesResult
@@ -229,6 +230,11 @@ def test_partition_refuses_non_int_parts(bad):
     if bad is not None:  # None is the default: no padding to n
         with pytest.raises(TypeError):
             conjugacy_class_size(Partition([1]), bad)
+    # the shape tables' cache is typed: with the entry of 1 warm, True, 1.0
+    # and F(1) still reach the int check instead of answering n = 1
+    assert symmetric.shape_table(1)[0] == (2,)
+    with pytest.raises(TypeError):
+        symmetric.shape_table(bad)
     assert Partition([2, 1]).parts == (2, 1)
 
 

@@ -43,6 +43,21 @@ def test_oracles_import_no_library_internal():
     assert not private, f"tests/oracles.py imports {private}"
 
 
+def test_counts_read_the_shared_rows_only_through_get():
+    # `_connected_counts` reads each row of `_CONN` once, through `.get`, and
+    # indexes only the lists it holds: a subscript of the shared table could
+    # reach a shorter row another fill stored meanwhile
+    tree = ast.parse((SRC / "monodromy.py").read_text())
+    func = next(f for f in tree.body if getattr(f, "name", None) == "_connected_counts")
+    names = [node for node in ast.walk(func) if isinstance(node, ast.Name) and node.id == "_CONN"]
+    reads = [
+        ast.unparse(node)
+        for node in ast.walk(func)
+        if isinstance(getattr(node, "value", None), ast.Name) and node.value.id == "_CONN"
+    ]
+    assert names and reads == ["_CONN.get"] * len(names), reads
+
+
 def test_binomials_only_inside_the_convolution_kernel():
     # every series recurrence in exact.py runs through `_convolve`, so no
     # second convolution loop computes binomials of its own
